@@ -9,8 +9,8 @@ halves of that claim:
   a Python loop over answered objects (``answer_counts`` per object) and
   the Python min-heap object selection;
 * the *current* per-step cost — :class:`repro.core.StateFeaturizer`'s
-  dirty-set refresh (recompute only the rows/columns a step touched)
-  plus the ``np.argpartition``-based selection in
+  vectorized rebuild (bincount vote share, one pass per block) plus the
+  ``np.argpartition``-based selection in
   :func:`repro.utils.topk.select_objects_by_topk_q`.
 
 Both paths run against the same mid-episode state, outputs are asserted
@@ -49,10 +49,11 @@ RESULT_JSON = os.path.join(RESULTS_DIR, "BENCH_episode_stepping.json")
 SCALE = float(os.environ.get("REPRO_STEPPING_SCALE", "1.0"))
 MIN_SPEEDUP = float(os.environ.get("REPRO_STEPPING_MIN_SPEEDUP", "10"))
 
-#: Annotators recorded between consecutive featurizations — the paper's
-#: ``k`` assignments on one object per step.
+#: The paper's ``k`` assignments per selected object.
 TOUCH_K = 3
 SELECT_BATCH = 16
+#: Featurizations timed per measured call.
+STEPS = 8
 
 
 # ----------------------------------------------------------------------
@@ -173,22 +174,6 @@ def make_q_matrix(state: LabellingState, seed: int = 3) -> np.ndarray:
     return q
 
 
-def _touch_schedule(state: LabellingState, steps: int, seed: int = 4):
-    """Unanswered (object, [annotators]) pairs to record, one per step."""
-    from repro.crowd.history import UNANSWERED
-
-    rng = np.random.default_rng(seed)
-    schedule = []
-    matrix = state.history.matrix
-    candidates = rng.permutation(np.flatnonzero(
-        (matrix == UNANSWERED).sum(axis=1) >= TOUCH_K
-    ))[:steps]
-    for i in candidates:
-        open_cols = np.flatnonzero(matrix[i] == UNANSWERED)
-        schedule.append((int(i), [int(j) for j in open_cols[:TOUCH_K]]))
-    return schedule
-
-
 # ----------------------------------------------------------------------
 # Measurement
 # ----------------------------------------------------------------------
@@ -206,21 +191,15 @@ def measure(scale: float = SCALE) -> dict:
     """Per-step featurize/select timings for both paths, plus speedups."""
     state = build_midepisode_state(scale)
     q = make_q_matrix(state)
-    schedule = _touch_schedule(state, steps=8)
     verify_bit_identity(state, q)
 
     def step_reference() -> None:
-        # The old loop rebuilt the whole tensor from scratch every step.
-        for _ in schedule:
+        for _ in range(STEPS):
             reference_feature_tensor(state)
 
     def step_vectorized() -> None:
-        # The new loop recomputes only what a step touched; marking rows
-        # dirty reproduces what history.record's listener does per answer.
-        feat = state.featurizer
-        for obj, annotators in schedule:
-            feat.mark_dirty(objects=[obj], annotators=annotators)
-            feat.features()
+        for _ in range(STEPS):
+            state.featurizer.features()
 
     def select_reference() -> None:
         select_objects_by_topk_q_reference(q, TOUCH_K, SELECT_BATCH)
@@ -230,12 +209,12 @@ def measure(scale: float = SCALE) -> dict:
 
     timings = {}
     for name, fn, per_call in (
-        ("featurize_reference", step_reference, len(schedule)),
-        ("featurize_vectorized", step_vectorized, len(schedule)),
+        ("featurize_reference", step_reference, STEPS),
+        ("featurize_vectorized", step_vectorized, STEPS),
         ("select_reference", select_reference, 1),
         ("select_vectorized", select_vectorized, 1),
     ):
-        fn()  # warm-up (allocator, caches, first-refresh paths)
+        fn()  # warm-up (allocator, caches)
         timings[name] = min(
             timeit.repeat(fn, number=3, repeat=7)
         ) / (3 * per_call)

@@ -7,8 +7,8 @@ land with known debt without blocking CI, while the debt itself stays
 visible (and :mod:`ROADMAP.md` tracks burning it down).
 
 Keys are line-number-free — ``rule | relative path | message`` — so
-unrelated edits that shift code down a file do not invalidate the
-baseline, while moving/fixing the flagged code does.
+unrelated edits that shift code down a file leave the baseline
+matching, while moving/fixing the flagged code does not.
 """
 
 from __future__ import annotations

@@ -1,55 +1,27 @@
-"""Incrementally cached state featurization — the episode hot path's core.
+"""State featurization: the Q-network's per-pair input tensor.
 
 The Q-network consumes a ``(|O|, |W|, N_PAIR_FEATURES)`` tensor built from
-three blocks (see :mod:`repro.core.state` for the feature definitions).
-Rebuilding that tensor from scratch every step costs ``O(|O| + |W|)``
-feature computations plus an ``O(|O| |W|)`` broadcast — but between two
-steps only the *touched* (object, annotator) pairs changed.
-:class:`StateFeaturizer` owns the tensor and recomputes only what a step
-dirtied:
-
-* **history-derived object columns** (answer count / disagreement / vote
-  share) go stale only for objects whose answers changed — the featurizer
-  subscribes to :class:`~repro.crowd.history.LabellingHistory` via its
-  listener hook, so :meth:`~repro.crowd.history.LabellingHistory.record`
-  and :meth:`~repro.crowd.history.LabellingHistory.amend` (including
-  checkpoint replays and fault-injected corruption) mark exactly the
-  touched rows, recomputed vectorized through a bincount-over-flat-indices
-  formulation;
-* **classifier-derived object columns** (margin / max-probability /
-  entropy) go stale when
-  :meth:`~repro.core.state.LabellingState.set_classifier_proba` installs a
-  new probability matrix — one vectorized ``O(|O|)`` pass;
-* **annotator columns** (cost / quality / expert / load) go stale when an
-  answer lands (per-column load recompute) or when the pool's quality
-  estimates change (detected through
-  :attr:`~repro.crowd.pool.AnnotatorPool.estimates_version`);
-* **global features** (budget / labelled fractions) are three scalars,
-  recomputed every call and written into the tensor only when they moved.
-
-Between-step work is therefore ``O(touched)``, not ``O(|O| + |W|)``.
-
-API contract
-------------
-:meth:`features` returns a **read-only view** of the internally cached
-tensor; subsequent calls update it *in place*.  Callers that need a
-snapshot across a mutation (e.g. featurize-then-collect) must copy.  The
-block accessors (:meth:`object_features` etc.) return fresh copies, so
-the pre-existing :class:`~repro.core.state.LabellingState` API keeps its
-snapshot semantics.
+three blocks (see :mod:`repro.core.state` for the feature definitions):
+per-object, per-annotator and run-level features.  Every call computes
+them from the :class:`~repro.core.state.LabellingState` it wraps.  The
+paper's State (Section III-B) is the history matrix plus the cost and
+quality columns, so the features are a pure function of it, and the
+Agent's Q-pass over all ``|O| |W|`` pairs already costs more than this
+``O(|O| |W|)`` numpy pass — there is nothing worth caching
+(DESIGN.md §8).
 
 The feature-width constants are defined here and re-exported by
 :mod:`repro.core.state` for compatibility.
 
-``tests/test_core_featurizer.py`` pins cache == from-scratch under random
-record/enrich interleavings, and ``tests/test_vectorized_identity.py``
-pins the vectorized formulas bit-identical to the original per-object
-Python loop.
+``tests/test_core_featurizer.py`` pins every block against a per-object
+Python-loop oracle under random mutation interleavings, and
+``tests/test_vectorized_identity.py`` pins whole runs bit-identical to the
+original implementation.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Set, TYPE_CHECKING, Union
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -64,297 +36,96 @@ N_ANNOTATOR_FEATURES = 4
 N_GLOBAL_FEATURES = 3
 N_PAIR_FEATURES = N_OBJECT_FEATURES + N_ANNOTATOR_FEATURES + N_GLOBAL_FEATURES
 
-#: Column split inside the object block: history-derived vs classifier-derived.
-_N_HISTORY_COLS = 3
-
 
 class StateFeaturizer:
-    """Owns the pair-feature tensor with explicit dirty-set invalidation.
+    """Computes the pair-feature tensor and its blocks from a state.
 
     Parameters
     ----------
     state:
-        The :class:`~repro.core.state.LabellingState` to featurize.  The
-        featurizer registers itself on the state's history, so answers
-        recorded or amended through the history API mark the touched
-        object row and annotator column dirty automatically;
-        classifier/labelled-set updates arrive through the state's
-        setters.
-
-    Use :meth:`mark_dirty` for out-of-band mutations (anything that
-    changes history/pool state without going through the instrumented
-    entry points) and :meth:`invalidate` to drop the whole cache.
+        The :class:`~repro.core.state.LabellingState` to featurize.  Every
+        method reads it afresh and returns a new array.
     """
 
     def __init__(self, state: "LabellingState") -> None:
         self._state = state
-        n_objects = state.history.n_objects
-        n_annotators = state.history.n_annotators
-        self._obj = np.zeros((n_objects, N_OBJECT_FEATURES))
-        self._ann = np.zeros((n_annotators, N_ANNOTATOR_FEATURES))
-        self._glob = np.full(N_GLOBAL_FEATURES, np.nan)
-        self._tensor = np.empty((n_objects, n_annotators, N_PAIR_FEATURES))
-        self._view = self._tensor.view()
-        self._view.flags.writeable = False
-        #: Cached per-annotator answer counts; dirty columns recomputed
-        #: from the matrix (column reduction), so amended answers that
-        #: leave counts unchanged still resolve correctly.
-        self._loads = np.zeros(n_annotators, dtype=np.int64)
-        self._loads_view = self._loads.view()
-        self._loads_view.flags.writeable = False
-        # Dirty state: start fully dirty so the first features() call
-        # builds everything.
-        self._dirty_objects: Set[int] = set()
-        self._dirty_annotators: Set[int] = set()
-        self._all_objects_dirty = True
-        self._all_annotators_dirty = True
-        self._clf_dirty = True
-        self._pool_version_seen: Optional[int] = None
-        state.history.add_listener(self._on_touch)
 
-    # ------------------------------------------------------------------
-    # Invalidation API
-    # ------------------------------------------------------------------
-    def mark_dirty(
-        self,
-        objects: Optional[Iterable[int]] = None,
-        annotators: Optional[Iterable[int]] = None,
-    ) -> None:
-        """Mark object rows and/or annotator columns stale.
-
-        ``objects`` invalidates the history-derived object features
-        (answer count, disagreement, vote share) of those rows;
-        ``annotators`` invalidates those annotators' load column.  Either
-        may be ``None``.  Prefer this over :meth:`invalidate` when the
-        touched set is known — recompute cost is proportional to it.
-        """
-        if objects is not None and not self._all_objects_dirty:
-            self._dirty_objects.update(int(i) for i in objects)
-        if annotators is not None and not self._all_annotators_dirty:
-            self._dirty_annotators.update(int(j) for j in annotators)
-
-    def mark_classifier_dirty(self) -> None:
-        """Invalidate the classifier-derived object columns (3..5)."""
-        self._clf_dirty = True
-
-    def invalidate(self) -> None:
-        """Drop every cached block; the next :meth:`features` rebuilds all.
-
-        The escape hatch for out-of-band mutations the dirty-set hooks
-        cannot see.  Also resynchronises the cached load counts from the
-        matrix on the next access.
-        """
-        self._all_objects_dirty = True
-        self._all_annotators_dirty = True
-        self._clf_dirty = True
-        self._dirty_objects.clear()
-        self._dirty_annotators.clear()
-        self._glob.fill(np.nan)
-        self._pool_version_seen = None
-
-    def _on_touch(self, object_id: int, annotator_id: int) -> None:
-        """History listener: one pair's answer landed or changed."""
-        if not self._all_objects_dirty:
-            self._dirty_objects.add(object_id)
-        if not self._all_annotators_dirty:
-            self._dirty_annotators.add(annotator_id)
-
-    # ------------------------------------------------------------------
-    # Feature access
-    # ------------------------------------------------------------------
     def features(self) -> np.ndarray:
-        """The up-to-date ``(|O|, |W|, N_PAIR_FEATURES)`` tensor.
-
-        Returns a read-only view of the internal cache, refreshed in
-        place; copy it to keep a snapshot across further mutations.
-        """
-        self._refresh()
-        return self._view
+        """The ``(|O|, |W|, N_PAIR_FEATURES)`` tensor of every pair."""
+        obj = self.object_features()
+        ann = self.annotator_features()
+        tensor = np.empty((obj.shape[0], ann.shape[0], N_PAIR_FEATURES))
+        tensor[:, :, :N_OBJECT_FEATURES] = obj[:, None, :]
+        tensor[:, :, N_OBJECT_FEATURES:-N_GLOBAL_FEATURES] = ann[None, :, :]
+        tensor[:, :, -N_GLOBAL_FEATURES:] = self.global_features()
+        return tensor
 
     def annotator_loads(self) -> np.ndarray:
-        """Per-annotator answer counts (a read-only cached vector).
+        """Per-annotator answer counts, shape ``(|W|,)``."""
+        return (self._state.history.matrix != UNANSWERED).sum(axis=0)
 
-        Shared with :meth:`LabellingState.action_mask` so the capacity
-        check stays ``O(dirty)`` instead of re-reducing the whole matrix.
-        """
-        self._refresh_loads()
-        return self._loads_view
-
-    # Block accessors (copies — snapshot semantics for external callers).
     def object_features(self) -> np.ndarray:
-        """Per-object block, shape ``(|O|, N_OBJECT_FEATURES)`` (a copy)."""
-        self._refresh()
-        return self._obj.copy()
+        """Per-object block, shape ``(|O|, N_OBJECT_FEATURES)``."""
+        state = self._state
+        matrix = state.history.matrix
+        n = state.history.n_objects
+        n_classes = state.history.n_classes
+        answered = matrix != UNANSWERED
+        n_answers = answered.sum(axis=1).astype(float)
+        # Majority-vote share: bincount over flattened (row, class) indices.
+        row_idx, _ = np.nonzero(answered)
+        flat = row_idx * n_classes + matrix[answered]
+        counts = np.bincount(flat, minlength=n * n_classes).reshape(n, n_classes)
+        with np.errstate(invalid="ignore"):
+            share = counts.max(axis=1) / counts.sum(axis=1)
+        vote_share = np.where(n_answers > 0, share, 0.0)
+        disagreement = np.where(n_answers > 0, 1.0 - vote_share, 0.0)
+
+        proba = state._classifier_proba
+        if proba is not None:
+            part = np.partition(proba, -2, axis=1)
+            clf_margin = part[:, -1] - part[:, -2]
+            clf_maxp = proba.max(axis=1)
+            clf_entropy = (
+                -(proba * np.log(proba + 1e-12)).sum(axis=1) / np.log(n_classes)
+            )
+        else:
+            clf_margin = np.zeros(n)
+            clf_maxp = np.full(n, 1.0 / n_classes)
+            clf_entropy = np.ones(n)
+        return np.column_stack([
+            np.minimum(n_answers / state.answer_norm, 1.0),
+            disagreement,
+            vote_share,
+            clf_margin,
+            clf_maxp,
+            clf_entropy,
+        ])
 
     def annotator_features(self) -> np.ndarray:
-        """Per-annotator block, shape ``(|W|, N_ANNOTATOR_FEATURES)`` (a copy)."""
-        self._refresh()
-        return self._ann.copy()
+        """Per-annotator block, shape ``(|W|, N_ANNOTATOR_FEATURES)``."""
+        state = self._state
+        costs = state.pool.costs
+        load_norm = (
+            self.annotator_loads().astype(float)
+            / max(state.history.n_objects, 1)
+        )
+        return np.column_stack([
+            costs / costs.max(),
+            state.pool.estimated_qualities(),
+            state.pool.expert_mask.astype(float),
+            load_norm,
+        ])
 
     def global_features(self) -> np.ndarray:
-        """Run-level block, shape ``(N_GLOBAL_FEATURES,)`` (a copy)."""
-        self._refresh()
-        return self._glob.copy()
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _refresh(self) -> None:
-        """Bring every stale block up to date, writing into the tensor."""
-        obj_rows, clf_written = self._refresh_object_block()
-        ann_cols = self._refresh_annotator_block()
-        glob_changed = self._refresh_global_block()
-
-        tensor = self._tensor
-        if obj_rows is True and clf_written:
-            tensor[:, :, :N_OBJECT_FEATURES] = self._obj[:, None, :]
-        else:
-            if obj_rows is True:
-                tensor[:, :, :_N_HISTORY_COLS] = self._obj[:, None, :_N_HISTORY_COLS]
-            elif obj_rows:
-                rows = np.fromiter(sorted(obj_rows), dtype=np.int64)
-                tensor[rows, :, :_N_HISTORY_COLS] = (
-                    self._obj[rows][:, None, :_N_HISTORY_COLS]
-                )
-            if clf_written:
-                tensor[:, :, _N_HISTORY_COLS:N_OBJECT_FEATURES] = (
-                    self._obj[:, None, _N_HISTORY_COLS:]
-                )
-        ann_lo = N_OBJECT_FEATURES
-        ann_hi = N_OBJECT_FEATURES + N_ANNOTATOR_FEATURES
-        if ann_cols is True:
-            tensor[:, :, ann_lo:ann_hi] = self._ann[None, :, :]
-        elif ann_cols:
-            cols = np.fromiter(sorted(ann_cols), dtype=np.int64)
-            tensor[:, cols, ann_lo:ann_hi] = self._ann[cols]
-        if glob_changed:
-            tensor[:, :, -N_GLOBAL_FEATURES:] = self._glob
-
-    def _refresh_loads(self) -> None:
-        """Recompute cached answer counts for dirty annotator columns."""
-        matrix = self._state.history.matrix
-        if self._all_annotators_dirty:
-            self._loads[:] = (matrix != UNANSWERED).sum(axis=0)
-        elif self._dirty_annotators:
-            cols = np.fromiter(sorted(self._dirty_annotators), dtype=np.int64)
-            self._loads[cols] = (matrix[:, cols] != UNANSWERED).sum(axis=0)
-
-    def _refresh_object_block(self) -> "tuple[Union[bool, Set[int]], bool]":
-        """Recompute stale object rows.
-
-        Returns ``(history_rows, clf_written)`` where ``history_rows`` is
-        ``True`` (all rows), a set of recomputed row ids, or an empty set.
-        """
-        state = self._state
-        history = state.history
-        if self._all_objects_dirty:
-            rows = None  # all rows
-            written: Union[bool, Set[int]] = True
-        elif self._dirty_objects:
-            rows = np.fromiter(sorted(self._dirty_objects), dtype=np.int64)
-            written = set(self._dirty_objects)
-        else:
-            rows = np.empty(0, dtype=np.int64)
-            written = set()
-
-        if rows is None or rows.size:
-            sub = history.matrix if rows is None else history.matrix[rows]
-            n_rows = sub.shape[0]
-            n_classes = history.n_classes
-            answered = sub != UNANSWERED
-            n_answers = answered.sum(axis=1).astype(float)
-            # Vectorized majority-vote share: bincount over flattened
-            # (row, class) indices replaces the per-object Python loop.
-            row_idx, _ = np.nonzero(answered)
-            flat = row_idx * n_classes + sub[answered]
-            counts = np.bincount(flat, minlength=n_rows * n_classes)
-            counts = counts.reshape(n_rows, n_classes)
-            with np.errstate(invalid="ignore"):
-                share = counts.max(axis=1) / counts.sum(axis=1)
-            vote_share = np.where(n_answers > 0, share, 0.0)
-            disagreement = np.where(n_answers > 0, 1.0 - vote_share, 0.0)
-            block = np.column_stack([
-                np.minimum(n_answers / state.answer_norm, 1.0),
-                disagreement,
-                vote_share,
-            ])
-            if rows is None:
-                self._obj[:, :_N_HISTORY_COLS] = block
-            else:
-                self._obj[rows, :_N_HISTORY_COLS] = block
-
-        clf_written = self._clf_dirty
-        if clf_written:
-            n = history.n_objects
-            n_classes = history.n_classes
-            proba = state._classifier_proba
-            if proba is not None:
-                part = np.partition(proba, -2, axis=1)
-                clf_margin = part[:, -1] - part[:, -2]
-                clf_maxp = proba.max(axis=1)
-                clf_entropy = (
-                    -(proba * np.log(proba + 1e-12)).sum(axis=1)
-                    / np.log(n_classes)
-                )
-            else:
-                clf_margin = np.zeros(n)
-                clf_maxp = np.full(n, 1.0 / n_classes)
-                clf_entropy = np.ones(n)
-            self._obj[:, 3] = clf_margin
-            self._obj[:, 4] = clf_maxp
-            self._obj[:, 5] = clf_entropy
-
-        self._all_objects_dirty = False
-        self._dirty_objects.clear()
-        self._clf_dirty = False
-        return written, clf_written
-
-    def _refresh_annotator_block(self) -> "Union[bool, Set[int]]":
-        """Recompute stale annotator columns; True / set of cols / empty."""
-        state = self._state
-        pool_version = state.pool.estimates_version
-        if self._all_annotators_dirty or pool_version != self._pool_version_seen:
-            self._refresh_loads()
-            self._all_annotators_dirty = False
-            self._dirty_annotators.clear()
-            self._pool_version_seen = pool_version
-            costs = state.pool.costs
-            max_cost = costs.max()
-            qualities = state.pool.estimated_qualities()
-            experts = state.pool.expert_mask.astype(float)
-            load_norm = (
-                self._loads.astype(float) / max(state.history.n_objects, 1)
-            )
-            self._ann[:, 0] = costs / max_cost
-            self._ann[:, 1] = qualities
-            self._ann[:, 2] = experts
-            self._ann[:, 3] = load_norm
-            return True
-        if self._dirty_annotators:
-            self._refresh_loads()
-            written = set(self._dirty_annotators)
-            self._dirty_annotators.clear()
-            cols = np.fromiter(sorted(written), dtype=np.int64)
-            self._ann[cols, 3] = (
-                self._loads[cols].astype(float)
-                / max(state.history.n_objects, 1)
-            )
-            return written
-        return set()
-
-    def _refresh_global_block(self) -> bool:
-        """Recompute the three global scalars; True when they moved."""
+        """Run-level block, shape ``(N_GLOBAL_FEATURES,)``."""
         state = self._state
         n = state.history.n_objects
-        glob = np.array([
+        return np.array([
             state.budget.remaining / state.budget.total,
             len(state._human_labelled) / n,
             len(state._enriched) / n,
         ])
-        if np.array_equal(glob, self._glob):
-            return False
-        self._glob[:] = glob
-        return True
 
 
 __all__ = [

@@ -18,7 +18,7 @@ so the harness can run them interchangeably on identical platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional, Sequence
+from typing import Callable, Generator, Optional, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from repro.core.environment import Environment
 from repro.core.result import LabelSource, LabellingOutcome
 from repro.core.reward import iteration_reward
 from repro.core.state import LabellingState
+from repro.crowd.cost import BudgetManager
 from repro.crowd.platform import CrowdPlatform
 from repro.datasets.base import LabelledDataset
 from repro.exceptions import ConfigurationError
@@ -51,6 +52,27 @@ class CollectRequest:
     assignments: tuple
     phase: str = "collect"
 
+    def run(self, collect: Callable, budget: BudgetManager):
+        """Call ``collect(assignments)`` and attribute its spend to the phase.
+
+        Both episode drivers collect through this, so they share one
+        ``phase_timer`` block and one ``budget.<phase>`` formula: the
+        initial sample is charged by spent-delta (wrappers may charge
+        waste for the sample too), iteration collections by
+        ``budget.iteration_cost`` over the ledger slice.  Returns what
+        ``collect`` returned.
+        """
+        spent_before = budget.spent
+        ledger_start = budget.ledger_length
+        with phase_timer(self.phase):
+            result = collect(self.assignments)
+        if self.phase == "initial_sample":
+            cost = budget.spent - spent_before
+        else:
+            cost = budget.iteration_cost(ledger_start)
+        get_registry().inc(f"budget.{self.phase}", cost)
+        return result
+
 
 def drive_episode(
     episode: Generator,
@@ -59,37 +81,18 @@ def drive_episode(
     """Drive a stepwise episode generator against a synchronous platform.
 
     This is the reference driver: it answers every
-    :class:`CollectRequest` with a blocking ``platform.ask_batch`` call,
-    wrapped in the same ``phase_timer`` and ``budget.<phase>`` counter
-    updates the monolithic loop used to make inline, so
-    ``framework.run(...)`` built on this driver is bit-identical to the
-    historical implementation.  The async event-loop collector
-    (:mod:`repro.serve.collector`) is the other driver of the same
-    protocol; this one is its oracle.
-
-    Budget attribution matches the historical formulas exactly: the
-    initial sample is charged by spent-delta (wrappers may charge waste
-    for the sample too), iteration collections by
-    ``budget.iteration_cost`` over the ledger slice.
+    :class:`CollectRequest` with a blocking ``platform.ask_batch`` call
+    through :meth:`CollectRequest.run`, so ``framework.run(...)`` built on
+    this driver is bit-identical to the historical implementation.  The
+    async event-loop collector (:mod:`repro.serve.collector`) is the
+    other driver of the same protocol; this one is its oracle.
     """
     try:
         request = next(episode)
     except StopIteration as stop:
         return stop.value
     while True:
-        spent_before = platform.budget.spent
-        ledger_start = platform.budget.ledger_length
-        with phase_timer(request.phase):
-            records = platform.ask_batch(request.assignments)
-        if request.phase == "initial_sample":
-            get_registry().inc(
-                "budget.initial_sample", platform.budget.spent - spent_before
-            )
-        else:
-            get_registry().inc(
-                f"budget.{request.phase}",
-                platform.budget.iteration_cost(ledger_start),
-            )
+        records = request.run(platform.ask_batch, platform.budget)
         try:
             request = episode.send(records)
         except StopIteration as stop:

@@ -18,8 +18,8 @@ exposes (labelling history, costs, estimated qualities, classifier) —
 never from latent ground truth.
 
 The actual feature computation lives in
-:class:`repro.core.featurizer.StateFeaturizer`, which caches the pair
-tensor with dirty-set invalidation; :class:`LabellingState` exposes it as
+:class:`repro.core.featurizer.StateFeaturizer`, which computes every
+block from the state on each call; :class:`LabellingState` exposes it as
 ``state.featurizer`` and keeps thin delegating wrappers
 (:meth:`feature_tensor`, :meth:`pair_features`, the block accessors) for
 compatibility.
@@ -89,8 +89,7 @@ class LabellingState:
         self._classifier_proba: Optional[np.ndarray] = None
         self._human_labelled: set[int] = set()
         self._enriched: set[int] = set()
-        #: The cached featurizer; subscribes to ``history`` so recorded
-        #: answers invalidate only the touched rows/columns.
+        #: Computes the Q-network's features from this state.
         self.featurizer = StateFeaturizer(self)
 
     # ------------------------------------------------------------------
@@ -106,15 +105,9 @@ class LabellingState:
                     f"classifier proba must have shape {expected}, got {proba.shape}"
                 )
         self._classifier_proba = proba
-        self.featurizer.mark_classifier_dirty()
 
     def set_labelled(self, human: Sequence[int], enriched: Sequence[int]) -> None:
-        """Record which objects now carry labels (human-inferred / enriched).
-
-        Only the global labelled-fraction features depend on these sets,
-        and the featurizer value-compares that block every call, so no
-        explicit invalidation is needed here.
-        """
+        """Record which objects now carry labels (human-inferred / enriched)."""
         self._human_labelled = set(int(i) for i in human)
         self._enriched = set(int(i) for i in enriched)
 
@@ -137,7 +130,7 @@ class LabellingState:
         return len(self.labelled_objects) >= self.history.n_objects
 
     # ------------------------------------------------------------------
-    # Featurization (delegates to the cached StateFeaturizer)
+    # Featurization (delegates to the StateFeaturizer)
     # ------------------------------------------------------------------
     def object_features(self) -> np.ndarray:
         """Per-object feature block, shape ``(|O|, N_OBJECT_FEATURES)``."""
@@ -156,13 +149,7 @@ class LabellingState:
         return self.featurizer.features()[object_id, annotator_id].copy()
 
     def feature_tensor(self) -> np.ndarray:
-        """Featurize every pair: shape ``(|O|, |W|, N_PAIR_FEATURES)``.
-
-        Returns the featurizer's cached tensor — a **read-only view**
-        refreshed in place with per-block dirty tracking, so between-step
-        cost is proportional to what changed.  Copy it to keep a snapshot
-        across further mutations.
-        """
+        """Featurize every pair: shape ``(|O|, |W|, N_PAIR_FEATURES)``."""
         with phase_timer("featurize"):
             return self.featurizer.features()
 
@@ -183,8 +170,7 @@ class LabellingState:
         if labelled:
             mask[labelled, :] = False
         mask &= self.history.matrix == UNANSWERED
-        # Affordability and capacity, vectorized over annotators; loads
-        # come from the featurizer's incrementally maintained counts.
+        # Affordability and capacity, vectorized over annotators.
         costs = self.pool.costs
         affordable = costs <= self.budget.remaining + 1e-9
         capacities = np.array([

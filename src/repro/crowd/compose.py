@@ -8,18 +8,10 @@ point: it validates every layer against the
 :class:`~repro.crowd.protocol.Platform` protocol, applies the canonical
 ordering (faults innermost, resilience outermost), and owns the seed
 defaults.
-
-Direct construction of :class:`~repro.crowd.faults.UnreliablePlatform`
-and :class:`~repro.crowd.resilient.ResilientCollector` outside
-:func:`wrap` is deprecated for one release (``DeprecationWarning``,
-mirroring the ExperimentSpec kwargs migration of PR 3 -> PR 8); the
-constructors consult :data:`_IN_WRAP` to tell sanctioned composition from
-ad-hoc assembly.
 """
 
 from __future__ import annotations
 
-import contextvars
 from typing import Optional, Union
 
 from repro.crowd.faults import FaultModel, UnreliablePlatform
@@ -28,21 +20,8 @@ from repro.crowd.resilient import ResiliencePolicy, ResilientCollector
 from repro.exceptions import ConfigurationError
 from repro.utils.rng import SeedLike
 
-#: True while :func:`wrap` is constructing layers, so the deprecated
-#: constructors know the call is sanctioned and skip their warning.
-# repro: process-local — context-local re-entrancy flag consulted only on
-# the constructing thread; never shared across processes.
-_IN_WRAP: contextvars.ContextVar = contextvars.ContextVar(
-    "repro-crowd-in-wrap", default=False
-)
-
 FaultsLike = Union[None, float, FaultModel]
 ResilientLike = Union[None, bool, ResiliencePolicy]
-
-
-def constructed_via_wrap() -> bool:
-    """Whether the current constructor call was issued by :func:`wrap`."""
-    return bool(_IN_WRAP.get())
 
 
 def wrap(
@@ -90,23 +69,19 @@ def wrap(
         policy = resilient
         resilient = True
     fault_model = _resolve_faults(platform, faults, fault_seed)
-    token = _IN_WRAP.set(True)
-    try:
-        if fault_model is not None:
-            platform = UnreliablePlatform(platform, fault_model)
-        if resilient is None:
-            resilient = fault_model is not None
-        if resilient:
-            platform = ResilientCollector(
-                platform, policy=policy, rng=resilience_seed
-            )
-        elif policy is not None:
-            raise ConfigurationError(
-                "policy=... was given but resilient=False disables the "
-                "collector that would use it"
-            )
-    finally:
-        _IN_WRAP.reset(token)
+    if fault_model is not None:
+        platform = UnreliablePlatform(platform, fault_model)
+    if resilient is None:
+        resilient = fault_model is not None
+    if resilient:
+        platform = ResilientCollector(
+            platform, policy=policy, rng=resilience_seed
+        )
+    elif policy is not None:
+        raise ConfigurationError(
+            "policy=... was given but resilient=False disables the "
+            "collector that would use it"
+        )
     check_platform(platform, context="wrap() result")
     return platform
 
@@ -134,4 +109,4 @@ def _resolve_faults(
     )
 
 
-__all__ = ["wrap", "constructed_via_wrap"]
+__all__ = ["wrap"]

@@ -31,7 +31,6 @@ Fault taxonomy (see DESIGN §7 for the handling policy of each):
 from __future__ import annotations
 
 import enum
-import warnings
 from typing import Optional, Union
 
 import numpy as np
@@ -234,26 +233,6 @@ class FaultModel:
             ) from exc
 
 
-def _warn_unless_wrapped(cls_name: str, hint: str) -> None:
-    """Deprecation shim: steer direct wrapper construction to ``wrap()``.
-
-    Hand-assembled chains drift on layer order and seed conventions;
-    :func:`repro.crowd.wrap` owns both.  Direct construction keeps
-    working for one release, with a warning pointing at the ``wrap``
-    keyword (``hint``) that replaces it.
-    """
-    from repro.crowd.compose import constructed_via_wrap
-
-    if not constructed_via_wrap():
-        warnings.warn(
-            f"constructing {cls_name} directly is deprecated and will be "
-            f"removed in the next release; compose the chain with "
-            f"repro.crowd.wrap(platform, {hint}...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-
 class PlatformWrapper:
     """Transparent delegation base for platform-decorating layers.
 
@@ -283,7 +262,6 @@ class UnreliablePlatform(PlatformWrapper):
     """
 
     def __init__(self, inner: CrowdPlatform, fault_model: FaultModel) -> None:
-        _warn_unless_wrapped("UnreliablePlatform", "faults=")
         if fault_model.n_annotators != len(inner.pool):
             raise ConfigurationError(
                 f"fault model covers {fault_model.n_annotators} annotators, "

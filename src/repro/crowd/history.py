@@ -9,8 +9,6 @@ masks, and confusion-count accumulation against inferred truths.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from repro.exceptions import ConfigurationError
@@ -33,18 +31,10 @@ class LabellingHistory:
         self.n_annotators = n_annotators
         self.n_classes = n_classes
         self.matrix = np.full((n_objects, n_annotators), UNANSWERED, dtype=int)
-        self._listeners: list[Callable[[int, int], None]] = []
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def add_listener(self, listener: Callable[[int, int], None]) -> None:
-        """Subscribe to answers: ``listener(object_id, annotator_id)`` fires
-        after every successful :meth:`record` (including checkpoint
-        replays).  Feature caches use this to invalidate only touched
-        rows/columns."""
-        self._listeners.append(listener)
-
     def record(self, object_id: int, annotator_id: int, answer: int) -> None:
         """Record one answer; re-asking the same pair is rejected."""
         self._check_ids(object_id, annotator_id)
@@ -57,14 +47,12 @@ class LabellingHistory:
                 f"annotator {annotator_id} already answered object {object_id}"
             )
         self.matrix[object_id, annotator_id] = answer
-        for listener in self._listeners:
-            listener(object_id, annotator_id)
 
     def amend(self, object_id: int, annotator_id: int, answer: int) -> None:
         """Overwrite an *existing* answer in place (e.g. transit corruption).
 
         Unlike :meth:`record` this requires the pair to have answered
-        already; listeners fire so feature caches see the changed value.
+        already.
         """
         self._check_ids(object_id, annotator_id)
         if not 0 <= answer < self.n_classes:
@@ -77,8 +65,6 @@ class LabellingHistory:
                 f"{object_id}; nothing to amend"
             )
         self.matrix[object_id, annotator_id] = answer
-        for listener in self._listeners:
-            listener(object_id, annotator_id)
 
     # ------------------------------------------------------------------
     # Queries
@@ -132,11 +118,7 @@ class LabellingHistory:
         return counts
 
     def copy(self) -> "LabellingHistory":
-        """Deep copy (used to snapshot state between RL iterations).
-
-        Listeners are deliberately *not* copied: a clone belongs to a new
-        state whose caches subscribe themselves.
-        """
+        """Deep copy (used to snapshot state between RL iterations)."""
         clone = LabellingHistory(self.n_objects, self.n_annotators, self.n_classes)
         clone.matrix = self.matrix.copy()
         return clone

@@ -45,9 +45,6 @@ class AnnotatorPool:
             ConfusionMatrix.from_accuracy(n_classes, 0.9 if a.is_expert else 0.6)
             for a in annotators
         ]
-        #: Monotone counter bumped on every estimate mutation; feature
-        #: caches compare it to decide whether quality columns are stale.
-        self.estimates_version = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -136,7 +133,6 @@ class AnnotatorPool:
                 self.estimates[annotator.annotator_id] = (
                     ConfusionMatrix.estimate_from_counts(counts, smoothing)
                 )
-        self.estimates_version += 1
 
     def set_estimate(self, annotator_id: int, estimate: ConfusionMatrix) -> None:
         """Override one annotator's estimated confusion matrix."""
@@ -146,4 +142,3 @@ class AnnotatorPool:
                 f"{self.n_classes}"
             )
         self.estimates[annotator_id] = estimate
-        self.estimates_version += 1

@@ -39,7 +39,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.crowd.faults import PlatformWrapper, _warn_unless_wrapped
+from repro.crowd.faults import PlatformWrapper
 from repro.crowd.platform import AnswerRecord
 from repro.exceptions import (
     AnnotatorUnavailableError,
@@ -149,7 +149,6 @@ class ResilientCollector(PlatformWrapper):
     def __init__(self, platform, *,
                  policy: Optional[ResiliencePolicy] = None,
                  rng: SeedLike = 0) -> None:
-        _warn_unless_wrapped("ResilientCollector", "resilient=")
         super().__init__(platform)
         self.policy = policy or ResiliencePolicy()
         self._rng = as_rng(rng)

@@ -13,9 +13,9 @@ sync batch would have returned them — which, combined with the
 submission-time execution of the inner ``ask`` (see
 :mod:`repro.serve.platform`), keeps async results bit-identical to sync.
 
-Budget attribution replicates the sync driver's formulas exactly
-(spent-delta for the initial sample, ledger-slice ``iteration_cost`` for
-iteration collections), because every charge happens during submission.
+Budget attribution is the sync driver's, shared through
+:meth:`~repro.core.framework.CollectRequest.run`, because every charge
+happens during submission.
 
 :func:`run_episode_async` is the single-project entry point: one
 collector, one clock, drained to completion.  The multi-tenant
@@ -30,7 +30,6 @@ from typing import Optional
 from repro.core.framework import CollectRequest
 from repro.core.result import LabellingOutcome
 from repro.exceptions import ConfigurationError
-from repro.obs import get_registry, phase_timer
 from repro.serve.platform import AsyncPlatform, PendingAnswer
 
 
@@ -127,25 +126,12 @@ class EventLoopCollector:
     def _submit(self, request: CollectRequest) -> list:
         """Submit one request; returns ``[]`` records for an empty batch.
 
-        Replicates the sync driver's phase timer and ``budget.<phase>``
-        counter updates around the submission — all budget charges happen
+        Submits through :meth:`CollectRequest.run`, the sync driver's
+        phase timer and budget attribution — all budget charges happen
         here, at submission time.
         """
         platform = self.platform
-        spent_before = platform.budget.spent
-        ledger_start = platform.budget.ledger_length
-        with phase_timer(request.phase):
-            pendings = platform.submit_batch(request.assignments)
-        if request.phase == "initial_sample":
-            get_registry().inc(
-                "budget.initial_sample", platform.budget.spent - spent_before
-            )
-        else:
-            get_registry().inc(
-                f"budget.{request.phase}",
-                platform.budget.iteration_cost(ledger_start),
-            )
-        self._pending = pendings
+        self._pending = request.run(platform.submit_batch, platform.budget)
         self._arrived = 0
         return []
 

@@ -1,22 +1,21 @@
-"""StateFeaturizer: public API, dirty-set caching, invalidation soundness.
+"""StateFeaturizer: public API and agreement with a per-object loop oracle.
 
-The cache's correctness contract is that after *any* interleaving of
-state mutations — answers recorded, answers amended (fault corruption),
+The featurizer's contract is that after *any* interleaving of state
+mutations — answers recorded, answers amended (fault corruption),
 quality estimates refreshed, classifier probabilities installed,
-labelled sets updated, budget spent — the cached tensor equals a
-from-scratch featurization of the same state.  The property test below
-drives random interleavings through the real mutation entry points and
-pins exactly that.
+labelled sets updated, budget spent — every block equals the Section
+III-B features computed one object and one annotator at a time.  The
+property test below drives random interleavings through the real
+mutation entry points and pins exactly that.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
 from repro import make_platform
-from repro.core.featurizer import N_PAIR_FEATURES, StateFeaturizer
+from repro.core.featurizer import StateFeaturizer
 from repro.core.state import LabellingState
 from repro.crowd.history import UNANSWERED
 from repro.datasets.registry import load_dataset
@@ -34,9 +33,50 @@ def build_state(seed: int = 0) -> LabellingState:
     return state
 
 
-def fresh_tensor(state: LabellingState) -> np.ndarray:
-    """From-scratch featurization: a brand-new featurizer over the state."""
-    return StateFeaturizer(state).features().copy()
+def oracle_blocks(state: LabellingState):
+    """Object, annotator and global blocks, one object/annotator at a time."""
+    history, pool = state.history, state.pool
+    n, n_classes = history.n_objects, history.n_classes
+    obj = np.zeros((n, 6))
+    for i in range(n):
+        counts = history.answer_counts(i)
+        n_answers = counts.sum()
+        share = counts.max() / n_answers if n_answers else 0.0
+        obj[i, 0] = min(n_answers / state.answer_norm, 1.0)
+        obj[i, 1] = 1.0 - share if n_answers else 0.0
+        obj[i, 2] = share
+        proba = state._classifier_proba
+        if proba is None:
+            obj[i, 3:] = (0.0, 1.0 / n_classes, 1.0)
+        else:
+            top = sorted(proba[i])
+            obj[i, 3] = top[-1] - top[-2]
+            obj[i, 4] = proba[i].max()
+            obj[i, 5] = (
+                -(proba[i] * np.log(proba[i] + 1e-12)).sum() / np.log(n_classes)
+            )
+    max_cost = max(a.cost for a in pool)
+    loads = np.array([history.annotator_load(j) for j in range(len(pool))])
+    ann = np.array([
+        [a.cost / max_cost, pool.estimates[j].quality(),
+         float(a.is_expert), loads[j] / n]
+        for j, a in enumerate(pool)
+    ])
+    glob = np.array([
+        state.budget.remaining / state.budget.total,
+        len(state._human_labelled) / n,
+        len(state._enriched) / n,
+    ])
+    return obj, ann, glob, loads
+
+
+def oracle_tensor(state: LabellingState) -> np.ndarray:
+    """Every pair's feature vector: its object, annotator and global rows."""
+    obj, ann, glob, _ = oracle_blocks(state)
+    return np.array([
+        [np.concatenate([obj[i], ann[j], glob]) for j in range(len(ann))]
+        for i in range(len(obj))
+    ])
 
 
 class TestPublicApi:
@@ -44,37 +84,13 @@ class TestPublicApi:
         assert repro.StateFeaturizer is StateFeaturizer
         assert "StateFeaturizer" in dir(repro)
 
-    def test_features_is_readonly_view(self):
-        state = build_state()
-        view = state.featurizer.features()
-        assert view.shape == (
-            state.history.n_objects, len(state.pool), N_PAIR_FEATURES
-        )
-        assert not view.flags.writeable
-        with pytest.raises(ValueError):
-            view[0, 0, 0] = 1.0
-
     def test_block_accessors_return_copies(self):
         state = build_state()
         obj = state.featurizer.object_features()
-        obj[:] = -1.0  # snapshot: mutating it must not corrupt the cache
+        obj[:] = -1.0  # mutating it must not leak into the next call
         assert not np.array_equal(
             state.featurizer.object_features(), obj
         )
-
-    def test_mark_dirty_refreshes_touched_rows(self):
-        state = build_state()
-        before = state.featurizer.features().copy()
-        state.platform.ask(0, 0)
-        after = state.featurizer.features()
-        assert not np.array_equal(after[0], before[0])
-        assert np.array_equal(after, fresh_tensor(state))
-
-    def test_invalidate_recomputes_everything(self):
-        state = build_state()
-        first = state.featurizer.features().copy()
-        state.featurizer.invalidate()
-        assert np.array_equal(state.featurizer.features(), first)
 
     def test_amend_invalidates_object_row(self):
         state = build_state()
@@ -83,7 +99,7 @@ class TestPublicApi:
         old_answer = int(state.history.matrix[1, 2])
         state.history.amend(1, 2, (old_answer + 1) % state.history.n_classes)
         assert np.array_equal(
-            state.featurizer.features(), fresh_tensor(state)
+            state.featurizer.features(), oracle_tensor(state)
         )
 
     def test_classifier_update_refreshes_clf_columns(self):
@@ -97,7 +113,7 @@ class TestPublicApi:
         proba /= proba.sum(axis=1, keepdims=True)
         state.set_classifier_proba(proba)
         assert np.array_equal(
-            state.featurizer.features(), fresh_tensor(state)
+            state.featurizer.features(), oracle_tensor(state)
         )
 
     def test_annotator_loads_track_history(self):
@@ -106,11 +122,10 @@ class TestPublicApi:
         state.platform.ask(2, 1)
         loads = state.featurizer.annotator_loads()
         assert loads[1] == 2
-        assert not loads.flags.writeable
 
 
 # ---------------------------------------------------------------------------
-# Cache-invalidation property: random interleavings of real mutations.
+# Oracle property: random interleavings of real mutations.
 # ---------------------------------------------------------------------------
 
 #: (op_code, payload) pairs; payloads are reduced modulo whatever the op
@@ -154,12 +169,15 @@ def _apply(state: LabellingState, op: int, payload: int) -> None:
 @settings(max_examples=60, deadline=None)
 def test_cached_tensor_equals_from_scratch_after_any_interleaving(ops, seed):
     state = build_state(seed)
+    featurizer = state.featurizer
     for op, payload in ops:
         _apply(state, op, payload)
-        # Read between some mutations too: a cache that is only correct
-        # when refreshed once at the end would pass a weaker test.
-        if op % 2 == 0:
-            state.featurizer.features()
-    assert np.array_equal(state.featurizer.features(), fresh_tensor(state))
-    expected_loads = (state.history.matrix != UNANSWERED).sum(axis=0)
-    assert np.array_equal(state.featurizer.annotator_loads(), expected_loads)
+    obj, ann, glob, loads = oracle_blocks(state)
+    np.testing.assert_allclose(featurizer.object_features(), obj,
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(featurizer.annotator_features(), ann,
+                               rtol=1e-12, atol=1e-12)
+    assert np.array_equal(featurizer.global_features(), glob)
+    assert np.array_equal(featurizer.annotator_loads(), loads)
+    np.testing.assert_allclose(featurizer.features(), oracle_tensor(state),
+                               rtol=1e-12, atol=1e-12)

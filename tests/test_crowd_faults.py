@@ -1,5 +1,7 @@
 """Tests for the fault-injection layer (repro.crowd.faults)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -111,9 +113,10 @@ class TestUnreliablePlatform:
         with pytest.raises(ConfigurationError):
             wrap(platform, faults=FaultModel(99))
 
-    def test_direct_construction_warns_deprecation(self):
+    def test_direct_construction_is_silent(self):
         _, platform = make_unreliable()
-        with pytest.warns(DeprecationWarning, match="repro.crowd.wrap"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             UnreliablePlatform(platform, FaultModel(len(platform.pool)))
 
     def test_timeout_raises_and_charges_partial_cost(self):

@@ -1,5 +1,7 @@
 """Tests for the Platform protocol and wrap() composition (repro.crowd)."""
 
+import warnings
+
 import pytest
 
 from repro.crowd.compose import wrap
@@ -129,12 +131,14 @@ class TestWrapComposition:
         assert a.stats == b.stats
 
 
-class TestDeprecatedDirectConstruction:
-    def test_unreliable_platform_warns(self):
+class TestDirectConstruction:
+    def test_unreliable_platform_is_silent(self):
         platform = make_platform()
-        with pytest.warns(DeprecationWarning, match="repro.crowd.wrap"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             UnreliablePlatform(platform, FaultModel(len(platform.pool)))
 
-    def test_resilient_collector_warns(self):
-        with pytest.warns(DeprecationWarning, match="repro.crowd.wrap"):
+    def test_resilient_collector_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             ResilientCollector(make_platform(), rng=0)

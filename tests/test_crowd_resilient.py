@@ -1,6 +1,7 @@
 """Tests for the resilient collection layer (repro.crowd.resilient)."""
 
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -44,11 +45,12 @@ def make_stack(budget=500.0, seed=7, policy=None, collector_rng=0,
 
 
 class TestDeprecatedConstruction:
-    def test_direct_construction_warns(self):
+    def test_direct_construction_is_silent(self):
         dataset = make_blobs(20, 6, separation=3.0, name="t", rng=0)
         pool = build_pool(seed=0)
         platform = CrowdPlatform(dataset.labels, pool, BudgetManager(100.0))
-        with pytest.warns(DeprecationWarning, match="repro.crowd.wrap"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             ResilientCollector(platform, rng=2)
 
     def test_wrap_constructs_without_warning(self, recwarn):
