@@ -21,13 +21,20 @@ AnswerMap = Dict[int, Dict[int, int]]
 
 @dataclass
 class InferenceResult:
-    """Outcome of one truth-inference run."""
+    """Outcome of one truth-inference run.
+
+    EM methods fill ``max_deltas`` with each sweep's largest absolute
+    posterior change, the quantity their ``tol`` is tested against, so a
+    run that hit ``max_iter`` shows whether it was still settling or
+    oscillating.
+    """
 
     posteriors: dict[int, np.ndarray]
     labels: dict[int, int]
     confusions: dict[int, ConfusionMatrix] = field(default_factory=dict)
     iterations: int = 0
     converged: bool = True
+    max_deltas: list[float] = field(default_factory=list)
 
     def confidence(self, object_id: int) -> float:
         """Posterior probability of the inferred label for one object."""

@@ -9,6 +9,10 @@ The final ``snapshot`` event is the preferred source (it carries the full
 registry state: phase stats, counters, gauges); when a log carries only
 raw ``phase`` events — e.g. a run killed before its final flush — the
 report aggregates those instead.
+
+Phases nest (``infer`` contains ``infer.*``, ``enrich`` contains
+``retrain``), so the ``time %`` column is each phase's *self* time over
+the summed self times: it adds up to 100% and counts nothing twice.
 """
 
 from __future__ import annotations
@@ -29,10 +33,12 @@ def summarize_snapshot(snapshot: dict) -> dict:
     Accepts the dict :meth:`repro.obs.MetricsRegistry.snapshot` returns
     (e.g. :attr:`RunResult.metrics`) and keeps only what the report
     renders; ``phases`` maps phase name to ``{"calls": int, "total_s":
-    float}``.
+    float, "self_s": float}`` (``self_s`` falls back to ``total_s`` for
+    snapshots recorded before phases tracked self time).
     """
     phases = {
-        name: {"calls": stat["calls"], "total_s": stat["total_s"]}
+        name: {"calls": stat["calls"], "total_s": stat["total_s"],
+               "self_s": stat.get("self_s", stat["total_s"])}
         for name, stat in snapshot.get("phases", {}).items()
     }
     return {
@@ -45,7 +51,8 @@ def summarize_snapshot(snapshot: dict) -> dict:
 def load_summary(path: PathLike) -> dict:
     """Extract ``{phases, counters, gauges}`` from a metrics JSONL file.
 
-    ``phases`` maps phase name to ``{"calls": int, "total_s": float}``.
+    ``phases`` maps phase name to ``{"calls": int, "total_s": float,
+    "self_s": float}``.
     """
     events = read_events(path)
     snapshot: Optional[dict] = None
@@ -60,9 +67,13 @@ def load_summary(path: PathLike) -> dict:
     for event in events:
         if event.get("kind") != "phase":
             continue
-        stat = phases.setdefault(event["name"], {"calls": 0, "total_s": 0.0})
+        stat = phases.setdefault(
+            event["name"], {"calls": 0, "total_s": 0.0, "self_s": 0.0}
+        )
+        elapsed = float(event.get("elapsed_s", 0.0))
         stat["calls"] += 1
-        stat["total_s"] += float(event.get("elapsed_s", 0.0))
+        stat["total_s"] += elapsed
+        stat["self_s"] += float(event.get("self_s", elapsed))
     return {"phases": phases, "counters": {}, "gauges": {}}
 
 
@@ -78,11 +89,11 @@ def budget_by_phase(counters: Dict[str, float]) -> Dict[str, float]:
 def _phase_rows(summary: dict) -> List[List[object]]:
     phases = summary["phases"]
     budgets = budget_by_phase(summary["counters"])
-    total_time = sum(s["total_s"] for s in phases.values()) or 1.0
+    timed_work = sum(s["self_s"] for s in phases.values()) or 1.0
     names = sorted(set(phases) | set(budgets))
     rows: List[List[object]] = []
     for name in names:
-        stat = phases.get(name, {"calls": 0, "total_s": 0.0})
+        stat = phases.get(name, {"calls": 0, "total_s": 0.0, "self_s": 0.0})
         calls = stat["calls"]
         total_s = stat["total_s"]
         mean_ms = (total_s / calls * 1000.0) if calls else 0.0
@@ -90,8 +101,9 @@ def _phase_rows(summary: dict) -> List[List[object]]:
             name,
             calls,
             f"{total_s:.4f}",
+            f"{stat['self_s']:.4f}",
             f"{mean_ms:.3f}",
-            f"{100.0 * total_s / total_time:.1f}%",
+            f"{100.0 * stat['self_s'] / timed_work:.1f}%",
             f"{budgets.get(name, 0.0):.1f}",
         ])
     return rows
@@ -103,7 +115,8 @@ def render_report(summary: dict) -> str:
     lines = []
     if rows:
         lines.append(format_table(
-            ["phase", "calls", "total s", "mean ms", "time %", "budget"],
+            ["phase", "calls", "total s", "self s", "mean ms", "time %",
+             "budget"],
             rows,
         ))
     else:

@@ -92,6 +92,53 @@ class TestPhaseTimer:
         assert a["phases"]["work"]["calls"] == 3
         assert a["phases"]["work"]["total_s"] == pytest.approx(0.03)
 
+    def test_nested_phases_record_self_time(self):
+        # CountingClock: each reading advances 1 s, so an empty phase
+        # spans 1 s and a parent spans its children plus 1 s per reading.
+        reg = MetricsRegistry(clock=CountingClock(step=1.0))
+        with use_registry(reg):
+            with phase_timer("infer"):          # reads at t=1 and t=8
+                with phase_timer("infer.m_step"):   # t=2 .. t=3
+                    pass
+                with phase_timer("infer.e_step"):   # t=4 .. t=7
+                    with phase_timer("inner"):      # t=5 .. t=6
+                        pass
+            with phase_timer("dqn_train"):      # t=9 .. t=10
+                pass
+        phases = reg.snapshot()["phases"]
+        assert phases["infer"]["total_s"] == 7.0
+        assert phases["infer"]["self_s"] == 3.0
+        assert phases["infer.e_step"]["total_s"] == 3.0
+        assert phases["infer.e_step"]["self_s"] == 2.0
+        assert phases["infer.m_step"]["self_s"] == 1.0
+        assert phases["inner"]["self_s"] == 1.0
+        assert phases["dqn_train"]["self_s"] == 1.0
+        # Self times add up to the top-level phases' inclusive time.
+        assert sum(p["self_s"] for p in phases.values()) == 8.0
+
+    def test_report_time_share_uses_self_time(self, tmp_path):
+        path = tmp_path / "nested.jsonl"
+        log = JsonlEventLog(path)
+        reg = MetricsRegistry(clock=CountingClock(step=1.0), events=log)
+        with use_registry(reg):
+            with phase_timer("infer"):
+                with phase_timer("infer.refit"):
+                    pass
+        log.flush()
+        summary = load_summary(path)  # raw phase events, no snapshot
+        assert summary["phases"]["infer"] == {
+            "calls": 1, "total_s": 3.0, "self_s": 2.0,
+        }
+        from_snapshot = summarize_snapshot(reg.snapshot())
+        assert from_snapshot["phases"] == summary["phases"]
+        shares = {
+            line.split()[0]: float(line.split()[5].rstrip("%"))
+            for line in render_report(summary).splitlines()
+            if line.startswith("infer")
+        }
+        assert shares == {"infer": pytest.approx(66.7),
+                          "infer.refit": pytest.approx(33.3)}
+
     def test_decorator_form_resolves_registry_per_call(self):
         @phase_timer("fn")
         def fn():
