@@ -52,7 +52,14 @@ class LogisticRegressionClassifier(Classifier):
     def fit_soft(self, x, soft_labels,
                  sample_weights: Optional[np.ndarray] = None
                  ) -> "LogisticRegressionClassifier":
-        """Fit multinomial logistic weights to soft labels by gradient descent."""
+        """Fit multinomial logistic weights to soft labels by gradient descent.
+
+        Descent continues from the current weights: zeros on a new
+        instance, the previous optimum on a refit.  The objective is
+        convex, so a refit on slowly changing labels (each M-step of
+        joint EM) reaches the same optimum in far fewer epochs; callers
+        that want a cold fit build a new instance.
+        """
         x, soft = self._check_xy(x, soft_labels)
         n = x.shape[0]
         if sample_weights is None:
@@ -65,8 +72,6 @@ class LogisticRegressionClassifier(Classifier):
                 )
             w = w / w.sum()
 
-        self.weight = np.zeros((self.n_features, self.n_classes))
-        self.bias = np.zeros(self.n_classes)
         prev_loss = np.inf
         for _ in range(self.epochs):
             proba = self._softmax(x @ self.weight + self.bias)

@@ -90,6 +90,31 @@ class TestLogisticSpecifics:
         with pytest.raises(ConfigurationError):
             LogisticRegressionClassifier(2, 2, l2=-1)
 
+    def test_refit_continues_from_previous_weights(self, blobs):
+        soft = np.eye(2)[blobs.labels] * 0.8 + 0.1
+        clf = LogisticRegressionClassifier(blobs.n_features, 2, l2=0.02)
+        epochs = []
+        softmax = clf._softmax
+
+        def counting_softmax(logits):
+            epochs[-1] += 1
+            return softmax(logits)
+
+        clf._softmax = counting_softmax
+
+        def objective():
+            proba = clf.predict_proba(blobs.features)
+            cross_entropy = -np.mean((soft * np.log(proba)).sum(axis=1))
+            return cross_entropy + 0.5 * clf.l2 * (clf.weight ** 2).sum()
+
+        epochs.append(0)
+        clf.fit_soft(blobs.features, soft)
+        first_loss = objective()
+        epochs.append(0)
+        clf.fit_soft(blobs.features, soft)
+        assert epochs[1] < epochs[0]
+        assert objective() <= first_loss
+
     def test_multiclass(self):
         ds = make_blobs(200, 5, n_classes=3, separation=5.0, rng=2)
         clf = LogisticRegressionClassifier(5, 3).fit(ds.features, ds.labels)

@@ -13,6 +13,12 @@ the final label vector.
 If any of these comparisons drifts, the hot path changed numerics;
 either a bug was introduced or a deliberate numerical change needs these
 references (and every committed figure) regenerated together.
+
+Deliberate re-pins so far: the eleven CrowdRL, M1 and M2 entries were
+re-captured when ``LogisticRegressionClassifier.fit_soft`` began
+continuing from the model's current weights, so the classifier refits
+inside one joint-EM run warm-start (DESIGN.md section 5).  The DLTA, IDLE
+and M3 entries never run joint EM and are the original captures.
 """
 
 import hashlib
@@ -26,31 +32,32 @@ from repro.harness.experiment import (
 )
 
 #: key -> (accuracy, f1, spent, iterations, sha256[:16] of final labels),
-#: captured from the pre-vectorization implementation (see module docstring).
+#: captured from the pre-vectorization implementation, CrowdRL/M1/M2
+#: re-captured with warm-started refits (see module docstring).
 SEED_REFERENCES = {
-    "fig4:S12CP:CrowdRL-pretrained:seed7": (0.8936170212765957, 0.912280701754386, 200.0, 5, "b020e6505eab1930"),
-    "fig4:S12CP:CrowdRL:seed0": (0.6382978723404256, 0.6530612244897959, 200.0, 8, "420d864c2d301262"),
-    "fig4:S12CP:CrowdRL:seed1": (0.5957446808510638, 0.6885245901639345, 200.0, 5, "3b752fdc2ba1aa61"),
-    "fig4:S12CP:CrowdRL:seed2": (0.6170212765957447, 0.6785714285714286, 200.0, 5, "000fc427118081b1"),
+    "fig4:S12CP:CrowdRL-pretrained:seed7": (0.9361702127659575, 0.9454545454545454, 200.0, 5, "443069eae658f9b0"),
+    "fig4:S12CP:CrowdRL:seed0": (0.6595744680851063, 0.68, 200.0, 8, "44bb865b89c57ed9"),
+    "fig4:S12CP:CrowdRL:seed1": (0.574468085106383, 0.6551724137931034, 200.0, 5, "d3bec09c07f82c62"),
+    "fig4:S12CP:CrowdRL:seed2": (0.6170212765957447, 0.6896551724137931, 200.0, 5, "fd299937f5dcc00c"),
     "fig4:S12CP:DLTA:seed0": (0.8085106382978723, 0.8301886792452831, 191.0, 13, "ccc2f652d3d77291"),
     "fig4:S12CP:DLTA:seed1": (0.723404255319149, 0.7346938775510204, 191.0, 13, "f4cff0fe7a5e9e94"),
     "fig4:S12CP:DLTA:seed2": (0.7659574468085106, 0.7924528301886793, 200.0, 9, "ba6757cadd890e3f"),
     "fig4:S12CP:IDLE:seed0": (0.7659574468085106, 0.7555555555555555, 171.0, 13, "a0cfd7abad10aea2"),
     "fig4:S12CP:IDLE:seed1": (0.8723404255319149, 0.896551724137931, 191.0, 13, "72795b6c5678b32c"),
     "fig4:S12CP:IDLE:seed2": (0.8297872340425532, 0.8181818181818182, 191.0, 14, "43a6e864d73351d2"),
-    "fig4:S3CP:CrowdRL:seed0": (0.8421052631578947, 0.823529411764706, 200.0, 8, "dbab75e15d6b7b76"),
-    "fig4:S3CP:CrowdRL:seed1": (0.8421052631578947, 0.8846153846153847, 200.0, 5, "11d99e36fb25f9b8"),
-    "fig4:S3CP:CrowdRL:seed2": (0.7105263157894737, 0.717948717948718, 200.0, 5, "ca54a86a8ec67d29"),
+    "fig4:S3CP:CrowdRL:seed0": (0.8421052631578947, 0.8421052631578948, 200.0, 9, "8fc1dc6b94d4eb92"),
+    "fig4:S3CP:CrowdRL:seed1": (0.8157894736842105, 0.8571428571428572, 200.0, 5, "66b6e89a54880964"),
+    "fig4:S3CP:CrowdRL:seed2": (0.7105263157894737, 0.7755102040816326, 200.0, 5, "2d1691e252e9e4f0"),
     "fig4:S3CP:DLTA:seed0": (0.631578947368421, 0.6666666666666666, 186.0, 10, "f99bf6821ae69e23"),
     "fig4:S3CP:DLTA:seed1": (0.7105263157894737, 0.744186046511628, 114.0, 10, "440d8ac6f55b87a7"),
     "fig4:S3CP:DLTA:seed2": (0.7368421052631579, 0.761904761904762, 200.0, 9, "ff15d2f99ce723f2"),
     "fig4:S3CP:IDLE:seed0": (0.6578947368421053, 0.5806451612903226, 164.0, 11, "844910671b064ad7"),
     "fig4:S3CP:IDLE:seed1": (0.8157894736842105, 0.8444444444444444, 164.0, 11, "0ee399576fa2fc50"),
     "fig4:S3CP:IDLE:seed2": (0.8157894736842105, 0.8444444444444444, 164.0, 11, "5baa6b38fb18693f"),
-    "fig8:M1:seed0": (0.7659574468085106, 0.7441860465116279, 200.0, 8, "65a3e354d0bc6992"),
-    "fig8:M1:seed1": (0.6808510638297872, 0.7457627118644068, 200.0, 5, "165a3e04e13ed088"),
-    "fig8:M2:seed0": (0.851063829787234, 0.8444444444444444, 200.0, 4, "a51f1180fa85ad57"),
-    "fig8:M2:seed1": (0.7021276595744681, 0.7666666666666667, 200.0, 5, "be70bd52554d9637"),
+    "fig8:M1:seed0": (0.8085106382978723, 0.8085106382978724, 200.0, 8, "b1cd50d26fe60380"),
+    "fig8:M1:seed1": (0.723404255319149, 0.7936507936507937, 200.0, 5, "54fe125bb4f08e4b"),
+    "fig8:M2:seed0": (0.7872340425531915, 0.782608695652174, 200.0, 4, "7a68d50fde862e86"),
+    "fig8:M2:seed1": (0.7659574468085106, 0.8196721311475409, 200.0, 5, "1e832c64a5ae32ac"),
     "fig8:M3:seed0": (0.6808510638297872, 0.7540983606557378, 200.0, 5, "bebdd909f51e9f46"),
     "fig8:M3:seed1": (0.5531914893617021, 0.7042253521126761, 200.0, 5, "2226d4da6f5775e7"),
 }
