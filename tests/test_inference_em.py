@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crowd.cost import BudgetManager
 from repro.crowd.platform import CrowdPlatform
 from repro.exceptions import ConfigurationError
 from repro.inference.dawid_skene import DawidSkene
+from repro.inference.em import _AnswerIndex, _e_step_posteriors
 from repro.inference.glad import GladInference
 from repro.inference.majority import MajorityVote
 from repro.inference.pm import PMInference
@@ -101,6 +104,22 @@ class TestDawidSkeneSpecifics:
         assert result.converged
         assert result.iterations <= 200
 
+    def test_max_deltas_record_every_sweep(self):
+        answers, _, n_ann = simulate_answers(n_objects=40, seed=12)
+        result = DawidSkene(max_iter=7).infer(answers, 2, n_ann)
+        assert len(result.max_deltas) == result.iterations <= 7
+        assert result.converged == (result.max_deltas[-1] < 1e-5)
+
+    def test_unsmoothed_counts_tolerate_silent_annotators(self):
+        # With smoothing=0 an annotator who answered nothing has no soft
+        # counts at all; the extra annotator must not change the result.
+        answers = {0: {0: 0, 1: 0}, 1: {0: 1, 1: 1}, 2: {0: 0, 1: 1}}
+        two = DawidSkene(smoothing=0.0).infer(answers, 2, 2)
+        three = DawidSkene(smoothing=0.0).infer(answers, 2, 3)
+        for oid in answers:
+            assert np.array_equal(two.posteriors[oid], three.posteriors[oid])
+        assert sorted(three.confusions) == [0, 1]
+
     def test_invalid_params_raise(self):
         with pytest.raises(ConfigurationError):
             DawidSkene(max_iter=0)
@@ -146,3 +165,57 @@ class TestGladSpecifics:
             GladInference(max_iter=0)
         with pytest.raises(ConfigurationError):
             GladInference(learning_rate=0)
+
+
+@st.composite
+def em_states(draw):
+    """An answer map plus a posterior, prior, log term and confusions."""
+    n_classes = draw(st.integers(2, 4))
+    n_annotators = draw(st.integers(1, 5))
+    n_objects = draw(st.integers(1, 10))
+    answers = {}
+    for oid in draw(st.permutations(range(3 * n_objects)))[:n_objects]:
+        voters = draw(st.permutations(range(n_annotators)))
+        n_votes = draw(st.integers(1, n_annotators))
+        answers[oid] = {
+            voters[i]: draw(st.integers(0, n_classes - 1))
+            for i in range(n_votes)
+        }
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    post = rng.dirichlet(np.ones(n_classes), size=n_objects)
+    prior = rng.dirichlet(np.ones(n_classes))
+    clf_log = np.log(rng.dirichlet(np.ones(n_classes), size=n_objects))
+    confusions = rng.dirichlet(np.ones(n_classes),
+                               size=(n_annotators, n_classes))
+    return answers, n_classes, n_annotators, post, prior, clf_log, confusions
+
+
+@given(em_states(), st.sampled_from([0.0, 0.1, 1.0]))
+@settings(max_examples=80, deadline=None)
+def test_flat_kernels_equal_the_per_answer_loops(state, smoothing):
+    """The flat-index E/M kernels reproduce the per-answer loops bitwise."""
+    answers, n_classes, n_annotators, post, prior, clf_log, confusions = state
+    index = _AnswerIndex(answers, n_classes, n_annotators)
+    object_ids = sorted(answers)
+
+    counts = np.full((n_annotators, n_classes, n_classes), smoothing)
+    mass = np.full(n_classes, smoothing)
+    votes = np.zeros((len(object_ids), n_classes))
+    log_post = np.log(prior + 1e-12)[None, :] + clf_log
+    for row, oid in enumerate(object_ids):
+        mass += post[row]
+        for annotator_id, answer in answers[oid].items():
+            counts[annotator_id, :, answer] += post[row]
+            votes[row, answer] += 1
+            log_post[row] += np.log(confusions[annotator_id][:, answer] + 1e-12)
+    log_post -= log_post.max(axis=1, keepdims=True)
+    expected = np.exp(log_post)
+    expected /= expected.sum(axis=1, keepdims=True)
+
+    assert np.array_equal(index.soft_counts(post, smoothing), counts)
+    assert np.array_equal(index.class_mass(post, smoothing), mass)
+    assert np.array_equal(index.vote_shares(),
+                          votes / votes.sum(axis=1, keepdims=True))
+    assert np.array_equal(
+        _e_step_posteriors(index, prior, clf_log, confusions), expected
+    )
