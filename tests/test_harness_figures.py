@@ -5,8 +5,15 @@ bookkeeping at a tiny scale with cheap frameworks, so the test suite stays
 fast.
 """
 
+from dataclasses import replace
+
 import pytest
 
+from repro.harness.experiment import (
+    ExperimentSetting,
+    clear_pretrained_policies,
+    run_experiment,
+)
 from repro.harness.figures import (
     ALL_DATASETS,
     PANEL_DATASETS,
@@ -66,3 +73,32 @@ class TestFigureStructure:
         a = fig4(datasets=("S12C",), seed=5, **TINY)
         b = fig4(datasets=("S12C",), seed=5, **TINY)
         assert a[0].series == b[0].series
+
+
+class TestPolicyCacheAcrossCells:
+    """A figure's cells share one process; the policy cache must not leak.
+
+    Fig. 7 varies alpha and Fig. 8 varies the ablation on the same pool,
+    so each cell pretrains a different offline policy.  A cell's RL row
+    must come out the same whether another cell warmed the cache first
+    or not.
+    """
+
+    SETTING = ExperimentSetting("S12CP", scale=0.02, seed=0)
+
+    @staticmethod
+    def _crowdrl_summary():
+        result = run_experiment("CrowdRL", TestPolicyCacheAcrossCells.SETTING)
+        return (result.report.accuracy, result.report.f1,
+                result.outcome.spent, result.outcome.iterations)
+
+    @pytest.mark.parametrize("warm_framework, warm_alpha", [
+        ("M1", 0.05),        # fig8: another ablation on the same pool
+        ("CrowdRL", 0.01),   # fig7: another alpha on the same pool
+    ])
+    def test_warm_cache_gives_cold_result(self, warm_framework, warm_alpha):
+        cold = self._crowdrl_summary()
+        clear_pretrained_policies()
+        run_experiment(warm_framework,
+                       replace(self.SETTING, alpha=warm_alpha))
+        assert self._crowdrl_summary() == cold
