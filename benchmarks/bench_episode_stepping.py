@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import timeit
 
 import numpy as np
@@ -38,10 +39,12 @@ from repro import make_platform
 from repro.core.state import LabellingState
 from repro.datasets.registry import load_dataset
 from repro.utils.tables import format_table
-from repro.utils.topk import (
-    select_objects_by_topk_q,
-    select_objects_by_topk_q_reference,
-)
+from repro.utils.topk import select_objects_by_topk_q
+
+# The heap oracle is test code, kept beside the property tests.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "tests"))
+from topk_oracles import select_objects_by_topk_q_reference  # noqa: E402
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 RESULT_JSON = os.path.join(RESULTS_DIR, "BENCH_episode_stepping.json")

@@ -7,27 +7,17 @@ forbidden: they make results depend on import order and call count.
 Construct or thread a seeded :class:`numpy.random.Generator` instead
 (see :func:`repro.utils.rng.as_rng`).
 
-Unseeded construction hides behind three indirections this rule also
-flags (the flow analyzer's REPRO007 catches the fully interprocedural
-forms):
+Unseeded *construction* — ``np.random.default_rng()`` called directly,
+through a ``default_factory`` or as a parameter default — is the flow
+analyzer's REPRO007, which follows it across functions too.
 
-* ``field(default_factory=np.random.default_rng)`` — the dataclass
-  machinery calls the factory with zero arguments, minting a fresh
-  entropy stream per instance;
-* ``field(default_factory=lambda: np.random.default_rng())`` — same
-  hazard, one lambda deep;
-* ``def f(rng=np.random.default_rng())`` — one unseeded stream frozen
-  at import time and shared by every call.
-
-The coercion helpers in :mod:`repro.utils.rng` are exempt: ``as_rng``
-exists to turn loose seeds into generators and is allowed to construct
-from ``None`` when the caller explicitly asked for an arbitrary stream.
+The seed-coercion module :mod:`repro.utils.rng` is exempt.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Set
+from typing import Iterator, Set
 
 from repro.analysis.lint.engine import Finding, LintContext, LintRule, register_rule
 
@@ -67,102 +57,22 @@ def _numpy_aliases(tree: ast.Module) -> tuple:
     return numpy_names, random_names
 
 
-#: Names that construct a generator and accept an optional seed.
-_CONSTRUCTOR_NAMES = {"default_rng", "as_rng", "RandomState"}
-
-
-def _constructor_name(node: ast.expr) -> Optional[str]:
-    """The generator-constructor name a reference points at, if any."""
-    if isinstance(node, ast.Attribute) and node.attr in _CONSTRUCTOR_NAMES:
-        return node.attr
-    if isinstance(node, ast.Name) and node.id in _CONSTRUCTOR_NAMES:
-        return node.id
-    return None
-
-
-def _unseeded_construction(node: ast.expr) -> Optional[str]:
-    """Constructor name if ``node`` mints an unseeded generator.
-
-    Covers a bare reference (called with no arguments by whoever receives
-    it), a zero-argument / literal-``None`` call, and a lambda wrapping
-    either.
-    """
-    if isinstance(node, ast.Lambda):
-        return _unseeded_construction(node.body)
-    name = _constructor_name(node)
-    if name is not None:
-        return name
-    if isinstance(node, ast.Call):
-        name = _constructor_name(node.func)
-        if name is None:
-            return None
-        seed = node.args[0] if node.args else None
-        if seed is None:
-            for keyword in node.keywords:
-                if keyword.arg in ("seed", "rng"):
-                    seed = keyword.value
-        if seed is None or (isinstance(seed, ast.Constant)
-                            and seed.value is None):
-            return name
-    return None
-
-
 @register_rule
 class GlobalNumpyRandomRule(LintRule):
     """Flag ``np.random.<fn>(...)`` calls and global-state imports."""
 
     rule_id = "REPRO001"
     severity = "error"
-    description = ("no global np.random.* calls or unseeded Generator "
-                   "defaults; thread a seeded Generator")
+    description = "no global np.random.* calls; thread a seeded Generator"
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         """Yield this rule's findings for one parsed module."""
         if ctx.is_module("utils", "rng.py"):
             return  # the blessed seed-coercion point
         yield from self._check_global_calls(ctx)
-        yield from self._check_unseeded_defaults(ctx)
-
-    def _check_unseeded_defaults(self, ctx: LintContext) -> Iterator[Finding]:
-        """Flag default_factory / parameter-default unseeded construction."""
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call):
-                func = node.func
-                is_field = (isinstance(func, ast.Name) and func.id == "field") \
-                    or (isinstance(func, ast.Attribute) and func.attr == "field")
-                if not is_field:
-                    continue
-                for keyword in node.keywords:
-                    if keyword.arg != "default_factory":
-                        continue
-                    name = _unseeded_construction(keyword.value)
-                    if name is not None:
-                        yield self.finding(
-                            ctx, keyword.value,
-                            f"default_factory mints an unseeded generator "
-                            f"via '{name}'; accept an explicit "
-                            f"np.random.Generator and thread the seed "
-                            f"(repro.utils.rng.spawn_rngs)",
-                        )
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defaults = list(node.args.defaults) + [
-                    d for d in node.args.kw_defaults if d is not None
-                ]
-                for default in defaults:
-                    if isinstance(default, (ast.Name, ast.Attribute)):
-                        continue  # a reference default is not constructed here
-                    name = _unseeded_construction(default)
-                    if name is not None:
-                        yield self.finding(
-                            ctx, default,
-                            f"parameter default constructs an unseeded "
-                            f"generator via '{name}' once at import time; "
-                            f"default to None and coerce with "
-                            f"repro.utils.rng.as_rng inside the function",
-                        )
 
     def _check_global_calls(self, ctx: LintContext) -> Iterator[Finding]:
-        """The original REPRO001 check: global numpy RNG usage."""
+        """Flag global numpy RNG calls and global-state imports."""
         numpy_names, random_names = _numpy_aliases(ctx.tree)
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ImportFrom) and node.module == "numpy.random":

@@ -17,21 +17,19 @@ is a pure function of its seeded setting.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from dataclasses import replace as _dc_replace
-from typing import Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Sequence, Union
 
 from repro.exceptions import ConfigurationError
 from repro.harness.experiment import (
     ABLATION_NAMES,
     FRAMEWORK_NAMES,
     ExperimentSetting,
-    comparison_shard,
-    merge_comparison,
+    _Job,
+    _sweep,
     run_comparison,
 )
-from repro.harness.parallel import SweepOptions, run_sharded
-from repro.metrics.classification import ClassificationReport
+from repro.harness.parallel import SweepOptions
 
 __all__ = [
     "ALL_DATASETS",
@@ -55,11 +53,6 @@ PANEL_DATASETS = ("S12CP", "S3CP", "Fashion")
 #: knob would dominate every figure's runtime, so its scale is normalised
 #: to yield roughly the speech datasets' object count.
 _FASHION_SCALE_RATIO = 2344 / 32_398
-
-#: A sweep job: (tag, framework names, setting) — one x-axis cell of a
-#: figure, expanded into ``n_seeds`` shards by :func:`_sweep`.
-_Job = Tuple[str, Tuple[str, ...], ExperimentSetting]
-
 
 def _dataset_scale(dataset_name: str, scale: float) -> float:
     if dataset_name.lower().startswith("fashion"):
@@ -87,48 +80,6 @@ def _split_pool(total: int) -> tuple[int, int]:
         raise ConfigurationError(f"need a positive pool size, got {total}")
     n_experts = (2 if total >= 6 else 1) if total >= 2 else 0
     return total - n_experts, n_experts
-
-
-def _sweep(jobs: Sequence[_Job], *, n_seeds: int, base_seed: int,
-           parallel: Union[int, SweepOptions, None]
-           ) -> list[dict[str, ClassificationReport]]:
-    """Run a figure's whole (job x seed) grid as one sharded sweep.
-
-    Shard order is (job, seed offset) row-major, so the merged per-job
-    reports replicate the historical nested loops exactly; the engine
-    guarantees the same merge regardless of worker count, retries, or a
-    kill/resume cycle.  Returns one report dict per job, in job order.
-
-    ``base_seed`` is the sweep engine's *root* seed, not a stream: the
-    engine only ever derives children from it (per-shard spawn streams,
-    per-(shard, attempt) backoff jitter via ``SeedSequence``), so sharing
-    the figure's base seed with the settings never correlates draws.
-    """
-    if n_seeds <= 0:
-        raise ConfigurationError(f"n_seeds must be > 0, got {n_seeds}")
-    options = SweepOptions.coerce(parallel)
-    if not isinstance(parallel, SweepOptions):
-        options = _dc_replace(options, seed=base_seed)
-    payloads = []
-    tags = []
-    for tag, names, setting in jobs:
-        for offset in range(n_seeds):
-            seeded = _dc_replace(setting, seed=setting.seed + offset)
-            payloads.append({
-                "framework_names": list(names),
-                "setting": asdict(seeded),
-            })
-            tags.append(f"{tag}:seed{seeded.seed}")
-    outcomes = run_sharded(comparison_shard, payloads, tags=tags,
-                           options=options)
-    return [
-        merge_comparison(
-            [outcomes[j * n_seeds + offset].value
-             for offset in range(n_seeds)],
-            tuple(names), n_seeds,
-        )
-        for j, (tag, names, setting) in enumerate(jobs)
-    ]
 
 
 @dataclass

@@ -12,11 +12,13 @@ REPRO013-018 was built to guard:
   rebuilt inside whichever worker — or retry attempt — executes it, so
   serial (``parallel=1``), parallel, retried and resumed executions of the
   same shard are bit-identical.
-* **Crash and hang survival.**  Workers heartbeat from a side thread
-  while the shard computes; a worker that dies (crash, OOM-kill,
-  ``SIGKILL``) or stops beating for ``shard_timeout`` seconds is killed
-  and its shard is requeued onto a fresh worker after a *seeded*
-  exponential backoff, up to ``shard_retries`` relaunches per shard.
+* **Crash and hang survival.**  Each worker talks to the parent over one
+  duplex pipe and heartbeats over it from a side thread while the shard
+  computes.  The parent blocks on the busy workers' pipes and process
+  sentinels; a worker that dies (crash, OOM-kill, ``SIGKILL``, a dead
+  pipe) or stops beating for ``shard_timeout`` seconds is killed and its
+  shard is requeued onto a fresh worker after a *seeded* exponential
+  backoff, up to ``shard_retries`` relaunches per shard.
 * **Graceful degradation.**  When workers keep dying — a shard exhausts
   its retry budget, the sweep-wide death budget is spent, or the platform
   cannot spawn at all — the engine falls back to in-process serial
@@ -36,6 +38,13 @@ reference; REPRO015 flags anything else) with the signature
 is a :class:`ShardContext` and ``value`` is JSON-safe when journalling.
 A task exception is *not* retried — identical inputs would fail
 identically — but crashes and hangs are.
+
+The engine keeps its own workers rather than using
+``concurrent.futures.ProcessPoolExecutor``: when one pool worker is
+killed, the executor fails every pending future at once, so a rebuilt
+pool cannot tell the victim shard from innocent in-flight ones (and
+charge only the victim a retry), and killing one hung pool worker needs
+the executor's private process map.
 """
 
 from __future__ import annotations
@@ -49,9 +58,9 @@ import threading
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from pathlib import Path
-from queue import Empty
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -64,9 +73,12 @@ logger = logging.getLogger(__name__)
 
 SWEEP_MANIFEST_VERSION = 1
 
-#: Result-queue poll period (seconds): the parent's reaction latency to
-#: heartbeats, completions and deaths.
-_TICK = 0.05
+#: Seconds between a busy worker's heartbeats.
+HEARTBEAT_EVERY = 0.2
+#: First relaunch delay (seconds) of the seeded backoff; doubles per
+#: attempt up to :data:`BACKOFF_CAP`, then gets a 0.5-1.5x seeded jitter.
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 5.0
 
 
 @dataclass(frozen=True)
@@ -87,9 +99,6 @@ class SweepOptions:
     parallel: int = 1
     shard_timeout: float = 120.0
     shard_retries: int = 2
-    heartbeat_every: float = 0.2
-    backoff_base: float = 0.05
-    backoff_cap: float = 5.0
     journal_dir: Optional[PathLike] = None
     resume: bool = False
     metrics: bool = False
@@ -107,10 +116,6 @@ class SweepOptions:
         if self.shard_retries < 0:
             raise ConfigurationError(
                 f"shard_retries must be >= 0, got {self.shard_retries}"
-            )
-        if self.heartbeat_every <= 0:
-            raise ConfigurationError(
-                f"heartbeat_every must be > 0, got {self.heartbeat_every}"
             )
         if self.resume and self.journal_dir is None:
             raise ConfigurationError("resume=True requires journal_dir")
@@ -166,18 +171,13 @@ class ShardOutcome:
     resumed: bool = False
 
 
-@dataclass(frozen=True)
-class _ShardSpec:
+@dataclass
+class _Attempt:
+    """One shard — index, payload, tag — and its relaunch state."""
+
     index: int
     payload: object
     tag: str
-
-
-@dataclass
-class _Attempt:
-    """A shard waiting to run (or re-run after a crash/hang)."""
-
-    spec: _ShardSpec
     attempt: int = 0
     not_before: float = 0.0  # engine-clock gate for backoff
 
@@ -185,7 +185,7 @@ class _Attempt:
 @dataclass
 class _Worker:
     process: multiprocessing.process.BaseProcess
-    jobs: object  # per-worker job queue
+    conn: object  # parent end of the worker's duplex pipe
     name: str
     busy: Optional[_Attempt] = None
     last_beat: float = field(default_factory=monotonic)
@@ -198,16 +198,6 @@ def _write_json_atomic(path: Path, payload: dict) -> None:
     os.replace(tmp, path)
 
 
-def _payload_fingerprint(payloads: Sequence[object]) -> str:
-    """Content hash identifying a sweep: payloads, in shard order."""
-    blob = json.dumps(list(payloads), sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
-
-
-def _task_name(task: Callable) -> str:
-    return f"{getattr(task, '__module__', '?')}.{getattr(task, '__qualname__', '?')}"
-
-
 def _backoff_delay(options: SweepOptions, index: int, attempt: int) -> float:
     """Seeded exponential backoff before relaunching shard ``index``.
 
@@ -215,62 +205,63 @@ def _backoff_delay(options: SweepOptions, index: int, attempt: int) -> float:
     worker identity and of wall-clock timing — so two operators replaying
     the same failing sweep see the same pacing.
     """
-    base = min(options.backoff_cap,
-               options.backoff_base * (2.0 ** max(0, attempt - 1)))
+    base = min(BACKOFF_CAP, BACKOFF_BASE * (2.0 ** max(0, attempt - 1)))
     jitter_rng = np.random.default_rng(
         np.random.SeedSequence((options.seed, index, attempt))
     )
     return base * (0.5 + jitter_rng.random())
 
 
+def _run_job(task: Callable, job: tuple) -> tuple:
+    """Execute one shard job in this process; returns ``(value, wall_s)``.
+
+    ``job`` carries the sweep's integer seed, never a ``Generator``: the
+    shard's stream is rebuilt here, in whichever process runs the job.
+    """
+    index, attempt, payload, seed, shard_dir, metrics, resuming = job
+    context = ShardContext(
+        index=index,
+        attempt=attempt,
+        rng=spawn_rng_at(seed, index),
+        journal_dir=shard_dir,
+        metrics_dir=shard_dir if metrics else None,
+        resuming=resuming,
+    )
+    start = monotonic()
+    value = task(payload, context)
+    return value, monotonic() - start
+
+
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-def _shard_worker(worker_name: str, task: Callable, jobs, results,
-                  heartbeat_every: float) -> None:
-    """Worker main loop: run journalled jobs, heartbeating from the side.
+def _shard_worker(conn, task: Callable) -> None:
+    """Worker main loop: run jobs from the pipe, heartbeating from the side.
 
     The heartbeat thread keeps beating while the task computes, so the
     parent can tell "long shard" from "dead worker": a crash or SIGKILL
     stops the beats (and the process); a C-level hang that holds the GIL
-    stops the beats while the process stays alive.
+    stops the beats while the process stays alive.  The beater is joined
+    before the reply is sent, so the reply is the last message of a job.
     """
-    while True:
-        job = jobs.get()
-        if job is None:
-            return
-        (index, attempt, payload, seed, journal_dir, metrics_dir,
-         resuming) = job
+    for job in iter(conn.recv, None):
         stop = threading.Event()
 
-        def _beat(index: int = index) -> None:
-            while not stop.wait(heartbeat_every):
-                results.put(("hb", worker_name, index))
+        def _beat(stop: threading.Event = stop) -> None:
+            while not stop.wait(HEARTBEAT_EVERY):
+                conn.send(("hb",))
 
         beater = threading.Thread(target=_beat, daemon=True)
         beater.start()
-        start = monotonic()
         try:
-            context = ShardContext(
-                index=index,
-                attempt=attempt,
-                rng=spawn_rng_at(seed, index),
-                journal_dir=Path(journal_dir) if journal_dir else None,
-                metrics_dir=Path(metrics_dir) if metrics_dir else None,
-                resuming=resuming,
-            )
-            value = task(payload, context)
+            reply = ("ok", *_run_job(task, job))
         except BaseException as exc:  # noqa: B036 - report, parent decides
+            reply = ("err", type(exc).__name__, str(exc),
+                     traceback.format_exc())
+        finally:
             stop.set()
             beater.join()
-            results.put(("err", worker_name, index, type(exc).__name__,
-                         str(exc), traceback.format_exc(),
-                         monotonic() - start))
-        else:
-            stop.set()
-            beater.join()
-            results.put(("ok", worker_name, index, value,
-                         monotonic() - start))
+        conn.send(reply)
 
 
 # ----------------------------------------------------------------------
@@ -306,16 +297,16 @@ class ShardedRunner:
             raise ConfigurationError(
                 f"{len(tags)} tags for {len(payloads)} payloads"
             )
-        specs = [
-            _ShardSpec(index=i, payload=payload,
-                       tag=tags[i] if tags is not None else f"shard{i}")
+        shards = [
+            _Attempt(index=i, payload=payload,
+                     tag=tags[i] if tags is not None else f"shard{i}")
             for i, payload in enumerate(payloads)
         ]
-        journal = self._prepare_journal(specs)
+        journal = self._prepare_journal(shards)
         done: Dict[int, ShardOutcome] = {}
-        if journal is not None:
-            done = self._load_resumed(journal, specs)
-        pending = [_Attempt(spec) for spec in specs if spec.index not in done]
+        if journal is not None and self.options.resume:
+            done = self._load_resumed(journal, shards)
+        pending = [shard for shard in shards if shard.index not in done]
 
         registry = get_registry()
         if self._use_pool(pending):
@@ -323,37 +314,37 @@ class ShardedRunner:
             # Bottom rung: whatever the pool could not finish runs here,
             # serially, in index order — slower but unkillable-by-worker.
             for attempt in survivors:
-                if attempt.spec.index in done:
-                    continue  # completed in the pool's final drain
                 registry.inc("shards.degraded")
-                done[attempt.spec.index] = self._run_inline(
+                done[attempt.index] = self._run_inline(
                     attempt, journal, worker="degraded"
                 )
         else:
             for attempt in pending:
-                done[attempt.spec.index] = self._run_inline(
+                done[attempt.index] = self._run_inline(
                     attempt, journal, worker="serial"
                 )
         if journal is not None and self.options.metrics:
-            self._merge_metrics(journal, specs)
-        return [done[spec.index] for spec in specs]
+            self._merge_metrics(journal, shards)
+        return [done[shard.index] for shard in shards]
 
     # ------------------------------------------------------------------
     # Journal
     # ------------------------------------------------------------------
-    def _prepare_journal(self, specs: Sequence[_ShardSpec]) -> Optional[Path]:
+    def _prepare_journal(self, shards: Sequence[_Attempt]) -> Optional[Path]:
         options = self.options
         if options.journal_dir is None:
             return None
         journal = Path(options.journal_dir)
         journal.mkdir(parents=True, exist_ok=True)
         manifest_path = journal / "sweep.json"
-        fingerprint = _payload_fingerprint([s.payload for s in specs])
+        # The fingerprint identifies the sweep: its payloads, in shard order.
+        blob = json.dumps([s.payload for s in shards], sort_keys=True)
         manifest = {
             "version": SWEEP_MANIFEST_VERSION,
-            "task": _task_name(self.task),
-            "n_shards": len(specs),
-            "fingerprint": fingerprint,
+            "task": f"{getattr(self.task, '__module__', '?')}."
+                    f"{getattr(self.task, '__qualname__', '?')}",
+            "n_shards": len(shards),
+            "fingerprint": hashlib.sha256(blob.encode("utf-8")).hexdigest(),
         }
         if manifest_path.exists():
             try:
@@ -381,8 +372,8 @@ class ShardedRunner:
                     f"nothing to resume from"
                 )
             _write_json_atomic(manifest_path, manifest)
-        for spec in specs:
-            self._shard_dir(journal, spec.index).mkdir(exist_ok=True)
+        for shard in shards:
+            self._shard_dir(journal, shard.index).mkdir(exist_ok=True)
         return journal
 
     @staticmethod
@@ -390,14 +381,12 @@ class ShardedRunner:
         return journal / f"shard-{index:04d}"
 
     def _load_resumed(self, journal: Path,
-                      specs: Sequence[_ShardSpec]) -> Dict[int, ShardOutcome]:
+                      shards: Sequence[_Attempt]) -> Dict[int, ShardOutcome]:
         """Completed shards from a previous (killed) execution of this sweep."""
         registry = get_registry()
         done: Dict[int, ShardOutcome] = {}
-        if not self.options.resume:
-            return done
-        for spec in specs:
-            path = self._shard_dir(journal, spec.index) / "result.json"
+        for shard in shards:
+            path = self._shard_dir(journal, shard.index) / "result.json"
             if not path.exists():
                 continue
             try:
@@ -407,16 +396,16 @@ class ShardedRunner:
                 # the final name; anything unreadable is treated as not-done
                 # and recomputed — the deterministic task makes that safe.
                 logger.warning("unreadable shard result %s (%s); shard %d "
-                               "will be recomputed", path, exc, spec.index)
+                               "will be recomputed", path, exc, shard.index)
                 continue
-            if payload.get("index") != spec.index:
+            if payload.get("index") != shard.index:
                 raise ShardError(
                     f"{path} records shard {payload.get('index')}, "
-                    f"expected {spec.index}"
+                    f"expected {shard.index}"
                 )
-            done[spec.index] = ShardOutcome(
-                index=spec.index,
-                tag=str(payload.get("tag", spec.tag)),
+            done[shard.index] = ShardOutcome(
+                index=shard.index,
+                tag=str(payload.get("tag", shard.tag)),
                 value=payload["value"],
                 attempts=int(payload.get("attempts", 1)),
                 worker=str(payload.get("worker", "?")),
@@ -446,13 +435,13 @@ class ShardedRunner:
             )
 
     def _merge_metrics(self, journal: Path,
-                       specs: Sequence[_ShardSpec]) -> None:
+                       shards: Sequence[_Attempt]) -> None:
         """Concatenate per-shard event logs in shard-index order."""
         merged = journal / "metrics.jsonl"
         tmp = merged.with_name(merged.name + ".tmp")
         with open(tmp, "w", encoding="utf-8") as sink:
-            for spec in specs:
-                shard_dir = self._shard_dir(journal, spec.index)
+            for shard in shards:
+                shard_dir = self._shard_dir(journal, shard.index)
                 for log in sorted(shard_dir.glob("metrics-*.jsonl")):
                     sink.write(log.read_text())
         os.replace(tmp, merged)
@@ -469,35 +458,24 @@ class ShardedRunner:
             return False
         return True
 
-    def _context_fields(self, spec: _ShardSpec, journal: Optional[Path]):
-        shard_dir = (
-            self._shard_dir(journal, spec.index) if journal is not None
-            else None
+    def _job(self, attempt: _Attempt, journal: Optional[Path]) -> tuple:
+        """The picklable job :func:`_run_job` executes for ``attempt``."""
+        options = self.options
+        return (
+            attempt.index, attempt.attempt, attempt.payload, options.seed,
+            self._shard_dir(journal, attempt.index) if journal is not None
+            else None,
+            options.metrics, options.resume or attempt.attempt > 0,
         )
-        metrics_dir = shard_dir if (self.options.metrics and shard_dir) else None
-        return shard_dir, metrics_dir
 
     def _run_inline(self, attempt: _Attempt, journal: Optional[Path],
                     worker: str) -> ShardOutcome:
         """In-process execution: the serial rung of the ladder."""
-        spec = attempt.spec
-        shard_dir, metrics_dir = self._context_fields(spec, journal)
-        registry = get_registry()
-        registry.inc("shards.launched")
-        context = ShardContext(
-            index=spec.index,
-            attempt=attempt.attempt,
-            rng=spawn_rng_at(self.options.seed, spec.index),
-            journal_dir=shard_dir,
-            metrics_dir=metrics_dir,
-            resuming=self.options.resume or attempt.attempt > 0,
-        )
-        start = monotonic()
-        value = self.task(spec.payload, context)
+        get_registry().inc("shards.launched")
+        value, wall = _run_job(self.task, self._job(attempt, journal))
         outcome = ShardOutcome(
-            index=spec.index, tag=spec.tag, value=value,
-            attempts=attempt.attempt + 1, worker=worker,
-            wall_s=monotonic() - start,
+            index=attempt.index, tag=attempt.tag, value=value,
+            attempts=attempt.attempt + 1, worker=worker, wall_s=wall,
         )
         self._record_done(outcome, journal)
         return outcome
@@ -516,8 +494,7 @@ class ShardedRunner:
         options = self.options
         registry = get_registry()
         mp = multiprocessing.get_context("spawn")
-        results = mp.Queue()
-        queue: deque = deque(sorted(pending, key=lambda a: a.spec.index))
+        queue: deque = deque(sorted(pending, key=lambda a: a.index))
         workers: Dict[str, _Worker] = {}
         death_budget = 2 * options.parallel + 2
         deaths = 0
@@ -530,41 +507,35 @@ class ShardedRunner:
             nonlocal next_id
             name = f"worker-{next_id}"
             next_id += 1
-            jobs = mp.Queue()
+            conn, child_conn = mp.Pipe()
             process = mp.Process(
                 target=_shard_worker,
-                args=(name, self.task, jobs, results,
-                      options.heartbeat_every),
+                args=(child_conn, self.task),
                 daemon=True,
                 name=f"repro-shard-{name}",
             )
             process.start()
-            workers[name] = _Worker(process=process, jobs=jobs, name=name)
+            # Only the worker may hold the child end, so its death shows
+            # up here as end-of-file on the pipe.
+            child_conn.close()
+            workers[name] = _Worker(process=process, conn=conn, name=name)
 
         def dispatch() -> None:
             now = monotonic()
-            for worker in workers.values():
-                if worker.busy is not None or not queue:
+            for worker in list(workers.values()):
+                if worker.busy is not None:
                     continue
-                ready = None
-                for candidate in queue:  # backoff gates some entries
-                    if candidate.not_before <= now:
-                        ready = candidate
-                        break
+                ready = next((a for a in queue if a.not_before <= now), None)
                 if ready is None:
-                    continue
+                    return  # empty, or every entry still in backoff
                 queue.remove(ready)
-                spec = ready.spec
-                shard_dir, metrics_dir = self._context_fields(spec, journal)
                 worker.busy = ready
                 worker.last_beat = now
                 registry.inc("shards.launched")
-                worker.jobs.put((
-                    spec.index, ready.attempt, spec.payload, options.seed,
-                    str(shard_dir) if shard_dir else None,
-                    str(metrics_dir) if metrics_dir else None,
-                    options.resume or ready.attempt > 0,
-                ))
+                try:
+                    worker.conn.send(self._job(ready, journal))
+                except OSError:
+                    reap(worker, "crashed")
 
         def reap(worker: _Worker, reason: str) -> None:
             """Bury a dead/hung worker; requeue its shard; refill the pool."""
@@ -590,92 +561,89 @@ class ShardedRunner:
                     logger.warning(
                         "shard %d (%s) exhausted its retry budget of %d; "
                         "degrading to in-process serial execution",
-                        attempt.spec.index, attempt.spec.tag,
-                        options.shard_retries,
+                        attempt.index, attempt.tag, options.shard_retries,
                     )
                     return
                 registry.inc("shards.retried")
                 attempt.attempt += 1
                 attempt.not_before = monotonic() + _backoff_delay(
-                    options, attempt.spec.index, attempt.attempt
+                    options, attempt.index, attempt.attempt
                 )
                 logger.warning(
                     "worker %s %s on shard %d (%s); requeued as attempt %d",
-                    worker.name, reason, attempt.spec.index,
-                    attempt.spec.tag, attempt.attempt,
+                    worker.name, reason, attempt.index, attempt.tag,
+                    attempt.attempt,
                 )
             spawn_worker()
 
-        def handle(message: Tuple) -> None:
+        def receive(worker: _Worker) -> None:
+            """Handle everything ``worker`` has sent; a dead pipe is a crash."""
             nonlocal n_done
-            kind, name = message[0], message[1]
-            worker = workers.get(name)
-            if worker is not None:
-                worker.last_beat = monotonic()
-            if worker is None or worker.busy is None:
-                return  # stale message from an already-reaped worker
-            if kind == "ok":
-                _, _, index, value, wall = message
-                attempt = worker.busy
-                worker.busy = None
-                outcome = ShardOutcome(
-                    index=index, tag=attempt.spec.tag, value=value,
-                    attempts=attempt.attempt + 1, worker=name, wall_s=wall,
-                )
-                self._record_done(outcome, journal)
-                done[index] = outcome
-                n_done += 1
-            elif kind == "err":
-                _, _, index, exc_name, exc_msg, tb, _wall = message
-                worker.busy = None
-                raise ShardError(
-                    f"shard {index} raised {exc_name}: {exc_msg}\n"
-                    f"--- worker traceback ---\n{tb}"
-                )
+            try:
+                while worker.conn.poll():
+                    message = worker.conn.recv()
+                    worker.last_beat = monotonic()
+                    if message[0] == "ok":
+                        _, value, wall = message
+                        attempt = worker.busy
+                        worker.busy = None
+                        outcome = ShardOutcome(
+                            index=attempt.index, tag=attempt.tag,
+                            value=value, attempts=attempt.attempt + 1,
+                            worker=worker.name, wall_s=wall,
+                        )
+                        self._record_done(outcome, journal)
+                        done[attempt.index] = outcome
+                        n_done += 1
+                    elif message[0] == "err":
+                        _, exc_name, exc_msg, tb = message
+                        raise ShardError(
+                            f"shard {worker.busy.index} raised {exc_name}: "
+                            f"{exc_msg}\n--- worker traceback ---\n{tb}"
+                        )
+            except (EOFError, OSError):
+                reap(worker, "crashed")
 
         try:
             for _ in range(min(options.parallel, n_target)):
                 spawn_worker()
             while n_done < n_target and not degraded:
                 dispatch()
-                # Block briefly for the first message, then drain whatever
-                # has piled up so heartbeats can never starve completions.
-                draining = True
-                try:
-                    message = results.get(timeout=_TICK)
-                except Empty:
-                    draining = False
-                while draining:
-                    handle(message)
-                    try:
-                        message = results.get_nowait()
-                    except Empty:
-                        draining = False
-                now = monotonic()
-                for worker in list(workers.values()):
+                busy = [w for w in workers.values() if w.busy is not None]
+                # Wake for a message, a death, the earliest heartbeat
+                # deadline, or the earliest backoff gate an idle worker
+                # could take.
+                deadlines = [w.last_beat + options.shard_timeout
+                             for w in busy]
+                if queue and len(busy) < len(workers):
+                    deadlines.append(min(a.not_before for a in queue))
+                ready = wait(
+                    [w.conn for w in busy]
+                    + [w.process.sentinel for w in busy],
+                    timeout=max(0.0, min(deadlines) - monotonic()),
+                )
+                for worker in busy:
+                    if degraded:
+                        break
+                    if worker.conn in ready:
+                        receive(worker)
                     if worker.busy is None:
                         continue
-                    if not worker.process.is_alive():
+                    if worker.process.sentinel in ready:
                         reap(worker, "crashed")
-                    elif now - worker.last_beat > options.shard_timeout:
+                    elif (monotonic() - worker.last_beat
+                          > options.shard_timeout):
                         reap(worker, "stopped heartbeating")
         finally:
             for worker in list(workers.values()):
                 self._kill(worker)
-            results.cancel_join_thread()
-            results.close()
         survivors = list(queue) + [
             w.busy for w in workers.values() if w.busy is not None
         ]
-        return sorted(survivors, key=lambda a: a.spec.index)
+        return sorted(survivors, key=lambda a: a.index)
 
     @staticmethod
     def _kill(worker: _Worker) -> None:
-        try:
-            worker.jobs.cancel_join_thread()
-            worker.jobs.close()
-        except (OSError, ValueError) as exc:
-            logger.debug("closing %s job queue: %s", worker.name, exc)
         process = worker.process
         if process.is_alive():
             process.terminate()
@@ -683,6 +651,7 @@ class ShardedRunner:
             if process.is_alive():
                 process.kill()
                 process.join(timeout=1.0)
+        worker.conn.close()
 
 
 def run_sharded(task: Callable, payloads: Sequence[object], *,

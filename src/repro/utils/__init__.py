@@ -3,9 +3,7 @@
 from repro.utils.rng import as_rng, spawn_rngs
 from repro.utils.topk import (
     select_objects_by_topk_q,
-    select_objects_by_topk_q_reference,
     top_k_indices,
-    top_k_indices_reference,
     top_k_sum,
 )
 from repro.utils.validation import (
@@ -19,10 +17,8 @@ __all__ = [
     "as_rng",
     "spawn_rngs",
     "top_k_indices",
-    "top_k_indices_reference",
     "top_k_sum",
     "select_objects_by_topk_q",
-    "select_objects_by_topk_q_reference",
     "check_fraction",
     "check_positive",
     "check_probability_matrix",

@@ -5,9 +5,9 @@ computing, for each candidate object, the sum of the top-``k`` Q-values over
 annotators and then selecting the objects with the largest sums via a
 min-heap.  :func:`select_objects_by_topk_q` implements exactly that
 selection — but vectorized: the production path ranks whole matrices with
-``np.argsort``/``np.argpartition`` instead of Python-level heaps, while
-:func:`select_objects_by_topk_q_reference` keeps the paper-literal heap
-procedure as the oracle the property tests pin the vectorized path against.
+``np.argsort``/``np.argpartition`` instead of Python-level heaps.  The
+paper-literal heap procedures live with the tests (``tests/topk_oracles.py``)
+as the oracles the property tests pin the vectorized path against.
 
 Every function here breaks ties deterministically by **lower index** (the
 ``(value, -index)`` ordering of the original heap formulation), so the
@@ -17,7 +17,6 @@ selections, same output order.
 
 from __future__ import annotations
 
-import heapq
 from typing import Optional, Sequence
 
 import numpy as np
@@ -71,7 +70,7 @@ def top_k_indices(values: Sequence[float], k: int, *,
         return [int(i) for i in order]
     # Partition once to find the k-th largest value, then resolve the tie
     # group at the boundary by lowest index — the exact (value, -index)
-    # ordering of the heap reference.
+    # ordering of the heap formulation.
     part = np.argpartition(-arr, k - 1)
     kth_value = arr[part[k - 1]]
     above = np.flatnonzero(arr > kth_value)
@@ -81,19 +80,6 @@ def top_k_indices(values: Sequence[float], k: int, *,
     # sort on value alone reproduces (value desc, index asc).
     order = chosen[np.argsort(-arr[chosen], kind="stable")]
     return [int(i) for i in order]
-
-
-def top_k_indices_reference(values: Sequence[float], k: int) -> list[int]:
-    """The original heap-based top-k — kept as the property-test oracle."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    arr = np.asarray(values, dtype=float).ravel()
-    k = min(k, arr.size)
-    if k == 0:
-        return []
-    # heapq.nlargest on (value, -index) gives deterministic tie-breaking.
-    best = heapq.nlargest(k, ((v, -i) for i, v in enumerate(arr)))
-    return [-neg_i for _v, neg_i in best]
 
 
 def top_k_sum(values: Sequence[float], k: int) -> float:
@@ -153,9 +139,9 @@ def select_objects_by_topk_q(
     -------
     list of ``(object_index, [annotator indices])`` pairs, ordered by
     decreasing top-``k`` Q-value sum, ties by lower object index —
-    identical membership and order to the paper's min-heap procedure
-    (:func:`select_objects_by_topk_q_reference`), but computed with one
-    matrix-level ranking pass instead of a per-row Python loop.
+    identical membership and order to the paper's min-heap procedure, but
+    computed with one matrix-level ranking pass instead of a per-row
+    Python loop.
     """
     q = np.asarray(q_matrix, dtype=float)
     group_mask = _check_select_args(q, k_annotators, group_mask, max_group)
@@ -210,61 +196,3 @@ def select_objects_by_topk_q(
         (int(i), [int(j) for j in order[i][chosen[i]]])
         for i in ranked
     ]
-
-
-def select_objects_by_topk_q_reference(
-    q_matrix: np.ndarray,
-    k_annotators: int,
-    n_objects: int,
-    *,
-    group_mask: Optional[np.ndarray] = None,
-    max_group: Optional[int] = None,
-) -> list[tuple[int, list[int]]]:
-    """The paper-literal min-heap selection — the property-test oracle.
-
-    Same contract as :func:`select_objects_by_topk_q`; kept verbatim from
-    the pre-vectorization implementation so the property tests can pin
-    ``vectorized == heap`` on arbitrary inputs, including ties.
-    """
-    q = np.asarray(q_matrix, dtype=float)
-    group_mask = _check_select_args(q, k_annotators, group_mask, max_group)
-    if n_objects <= 0:
-        return []
-
-    def row_top_k(row: np.ndarray) -> list[int]:
-        ranked = [j for j in top_k_indices_reference(row, row.size)
-                  if np.isfinite(row[j])]
-        if group_mask is None:
-            return ranked[:k_annotators]
-        chosen: list[int] = []
-        in_group = 0
-        for j in ranked:
-            if group_mask[j]:
-                if in_group >= max_group:
-                    continue
-                in_group += 1
-            chosen.append(j)
-            if len(chosen) == k_annotators:
-                break
-        return chosen
-
-    # Min-heap of (score, -object_index) holding the best candidates so far.
-    heap: list[tuple[float, int]] = []
-    assignments: dict[int, list[int]] = {}
-    for i in range(q.shape[0]):
-        # Only unmasked pairs may be assigned; a partially masked row is
-        # still selectable through its remaining valid annotators.
-        annotators = row_top_k(q[i])
-        if not annotators:
-            continue  # fully masked row: object already labelled
-        score = float(q[i, annotators].sum())
-        if len(heap) < n_objects:
-            heapq.heappush(heap, (score, -i))
-            assignments[i] = annotators
-        elif score > heap[0][0]:
-            _, neg_evicted = heapq.heapreplace(heap, (score, -i))
-            del assignments[-neg_evicted]
-            assignments[i] = annotators
-
-    ranked = sorted(heap, key=lambda item: (-item[0], -item[1]))
-    return [(-neg_i, assignments[-neg_i]) for _score, neg_i in ranked]

@@ -31,6 +31,7 @@ def rule_ids(findings):
     "fixture, rule_id, n_hits",
     [
         ("rng_unseeded.py", "REPRO007", 3),
+        ("rng_unseeded_indirect.py", "REPRO007", 4),
         ("rng_global.py", "REPRO008", 3),
         ("rng_shared.py", "REPRO009", 1),
         ("shapes_transposed.py", "REPRO010", 2),

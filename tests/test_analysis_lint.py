@@ -31,7 +31,6 @@ def rule_ids(findings):
     "fixture, rule_id, n_hits",
     [
         ("bad_rng.py", "REPRO001", 1),
-        ("bad_rng_indirect.py", "REPRO001", 3),
         ("bad_defaults.py", "REPRO002", 1),
         ("inference/unvalidated.py", "REPRO003", 1),
         ("bad_excepts.py", "REPRO004", 1),

@@ -28,6 +28,8 @@ import pytest
 
 from repro.exceptions import ConfigurationError, ShardError
 from repro.harness.parallel import (
+    BACKOFF_BASE,
+    BACKOFF_CAP,
     ShardedRunner,
     SweepOptions,
     _backoff_delay,
@@ -123,7 +125,6 @@ class TestSweepOptions:
         {"parallel": 0},
         {"shard_timeout": 0.0},
         {"shard_retries": -1},
-        {"heartbeat_every": 0.0},
         {"resume": True},                  # without journal_dir
         {"metrics": True},                 # without journal_dir
     ])
@@ -138,13 +139,13 @@ class TestSweepOptions:
         assert SweepOptions.coerce(options) is options
 
     def test_backoff_is_seeded_bounded_and_growing(self):
-        options = SweepOptions(seed=5, backoff_base=0.1, backoff_cap=0.4)
+        options = SweepOptions(seed=5)
         first = _backoff_delay(options, index=3, attempt=1)
         assert first == _backoff_delay(options, index=3, attempt=1)
         assert first != _backoff_delay(options, index=4, attempt=1)
-        for attempt in range(1, 8):
+        for attempt in range(1, 12):
             delay = _backoff_delay(options, 3, attempt)
-            base = min(0.4, 0.1 * 2.0 ** (attempt - 1))
+            base = min(BACKOFF_CAP, BACKOFF_BASE * 2.0 ** (attempt - 1))
             assert base * 0.5 <= delay <= base * 1.5
 
 
@@ -245,8 +246,6 @@ def pool_options(tmp_path=None, **overrides):
         "parallel": 2,
         "seed": CHAOS_SEED + 29,
         "shard_timeout": 60.0,
-        "heartbeat_every": 0.1,
-        "backoff_base": 0.01,
     }
     if tmp_path is not None:
         kwargs["journal_dir"] = tmp_path / "sweep"

@@ -1,8 +1,8 @@
 """Property tests: vectorized top-k == the paper's heap oracle, ties included.
 
 The vectorized implementations in :mod:`repro.utils.topk` promise to be
-bit-compatible drop-ins for the original heap-based procedures, which
-are kept in the module as ``*_reference`` oracles.  These tests pin that
+bit-compatible drop-ins for the original heap-based procedures, kept
+beside these tests in ``topk_oracles.py``.  These tests pin that
 equivalence on adversarial inputs: values are drawn from a small pool of
 levels (ties are the norm, not the exception), ``-inf`` masking is mixed
 in, and the grouped-selection cap is exercised — membership *and* order
@@ -12,13 +12,9 @@ must match exactly.
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from topk_oracles import select_objects_by_topk_q_reference, top_k_indices_reference
 
-from repro.utils.topk import (
-    select_objects_by_topk_q,
-    select_objects_by_topk_q_reference,
-    top_k_indices,
-    top_k_indices_reference,
-)
+from repro.utils.topk import select_objects_by_topk_q, top_k_indices
 
 #: A few repeated levels plus -inf: almost every draw contains ties.
 tie_rich_values = st.lists(
