@@ -2,28 +2,25 @@
 
 Subcommands::
 
-    python -m repro.analysis lint src            # exit 1 on any finding
-    python -m repro.analysis lint src --format json
-    python -m repro.analysis lint src --select REPRO001,REPRO005
-    python -m repro.analysis flow src/repro      # interprocedural rules
-    python -m repro.analysis flow src/repro --fail-on-new
+    python -m repro.analysis flow src/repro      # every REPRO rule
+    python -m repro.analysis flow src/repro --fail-on-new --stats
+    python -m repro.analysis flow src/repro --select REPRO001-REPRO006
+    python -m repro.analysis flow src/repro --format json
     python -m repro.analysis flow src/repro --write-baseline
     python -m repro.analysis contracts-report --format json
 
-``lint`` prints ``path:line:col: RULE message`` lines (or a JSON document)
-and exits non-zero when findings survive suppression, so it slots
-directly into CI; its ``--select`` accepts the same single ids and
-inclusive ranges (``REPRO001-REPRO006``) as ``flow``.  ``flow`` runs
-the interprocedural dataflow rules (REPRO007-024; ``--select`` accepts
-single ids and inclusive ranges like ``REPRO019-REPRO024``, and
-``--stats`` appends a per-rule hit count over the selected rules, zeros
-included, for CI job logs) with committed-baseline ratcheting:
-findings recorded in
-a ``.repro-flow-baseline.json`` (auto-discovered by walking up from the
-analyzed path, like ``.gitignore``) are reported but do not fail the
-run; ``--fail-on-new`` additionally *requires* a baseline so CI breaks
-loudly if the file goes missing.  ``contracts-report`` imports the
-modules that carry runtime contracts and lists every decorator
+``flow`` runs the one analyzer: REPRO001-024 over one parse of the
+given paths, plus REPRO000 for any file that does not parse.  It prints
+``path:line:col: RULE [severity] message`` lines (or a JSON document)
+and exits 1 when new findings survive suppression, so it slots directly
+into CI.  ``--select`` accepts single ids and inclusive ranges like
+``REPRO019-REPRO024``, and ``--stats`` appends a per-rule hit count over
+the selected rules, zeros included, for CI job logs.  Findings recorded
+in a ``.repro-flow-baseline.json`` (auto-discovered by walking up from
+the analyzed path, like ``.gitignore``) are reported but do not fail
+the run; ``--fail-on-new`` additionally *requires* a baseline so CI
+breaks loudly if the file goes missing.  ``contracts-report`` imports
+the modules that carry runtime contracts and lists every decorator
 application with its active/inactive status under the current
 ``REPRO_CONTRACTS`` setting.
 """
@@ -44,15 +41,11 @@ from repro.analysis.flow import (
     analyze_paths,
     discover_baseline,
     load_baseline,
+    selected_rules,
     split_by_baseline,
     write_baseline,
 )
-from repro.analysis.lint.engine import (
-    Finding,
-    all_rules,
-    expand_rule_ranges,
-    lint_paths,
-)
+from repro.analysis.lint.engine import Finding
 from repro.exceptions import ReproError
 
 #: Modules importing these registers the library's contract decorations.
@@ -69,28 +62,17 @@ def build_parser() -> argparse.ArgumentParser:
     """The ``repro.analysis`` argument parser."""
     parser = argparse.ArgumentParser(
         prog="repro.analysis",
-        description="Static lint rules and runtime-contract reporting "
-                    "for the CrowdRL reproduction.",
+        description="Static analysis rules and runtime-contract "
+                    "reporting for the CrowdRL reproduction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    lint = sub.add_parser("lint", help="run the REPRO lint rules")
-    lint.add_argument("paths", nargs="+", help="files or directories to lint")
-    lint.add_argument("--format", choices=("text", "json"), default="text")
-    lint.add_argument("--select", default=None,
-                      help="comma-separated rule ids or inclusive ranges "
-                           "like REPRO001-REPRO006 (default: all rules)")
-    lint.add_argument("--statistics", action="store_true",
-                      help="append a per-rule finding count summary")
-
-    flow = sub.add_parser(
-        "flow", help="run the interprocedural dataflow rules (REPRO007-024)"
-    )
+    flow = sub.add_parser("flow", help="run the REPRO rules (REPRO001-024)")
     flow.add_argument("paths", nargs="+", help="files or directories to analyze")
     flow.add_argument("--format", choices=("text", "json"), default="text")
     flow.add_argument("--select", default=None,
                       help="comma-separated rule ids or inclusive ranges "
-                           "like REPRO013-REPRO018 (default: all flow rules)")
+                           "like REPRO013-REPRO018 (default: all rules)")
     flow.add_argument(
         "--baseline", default=None, metavar="PATH",
         help=f"baseline file (default: the nearest {BASELINE_FILENAME} "
@@ -117,37 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render_lint_text(findings: List[Finding], statistics: bool) -> str:
-    lines = [finding.format() for finding in findings]
-    if statistics and findings:
-        lines.append("")
-        by_rule: dict = {}
-        for finding in findings:
-            by_rule[finding.rule_id] = by_rule.get(finding.rule_id, 0) + 1
-        for rule_id in sorted(by_rule):
-            lines.append(f"{rule_id}: {by_rule[rule_id]}")
-    n_files = len({finding.path for finding in findings})
-    lines.append(
-        f"{len(findings)} finding(s) in {n_files} file(s)"
-        if findings else "no findings"
-    )
-    return "\n".join(lines)
-
-
-def _run_lint(args: argparse.Namespace) -> int:
-    select = args.select.split(",") if args.select else None
-    findings = lint_paths(args.paths, rules=all_rules(select))
-    if args.format == "json":
-        payload = {
-            "findings": [finding.to_dict() for finding in findings],
-            "count": len(findings),
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(_render_lint_text(findings, args.statistics))
-    return 1 if findings else 0
-
-
 def _flow_stats(select: Optional[List[str]],
                 *finding_lists: List[Finding]) -> dict:
     """Per-rule hit counts over the selected rules, zeros included.
@@ -155,11 +106,7 @@ def _flow_stats(select: Optional[List[str]],
     Zero rows matter: the CI job log uses this to show which rules
     actually ran, not just which ones fired.
     """
-    if select is None:
-        selected: List[str] = list(FLOW_RULES)
-    else:
-        selected = expand_rule_ranges(select, FLOW_RULES, kind="flow rule")
-    counts = {rule_id: 0 for rule_id in selected}
+    counts = {rule_id: 0 for rule_id in selected_rules(select)}
     for findings in finding_lists:
         for finding in findings:
             counts[finding.rule_id] = counts.get(finding.rule_id, 0) + 1
@@ -253,8 +200,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "lint":
-            return _run_lint(args)
         if args.command == "flow":
             return _run_flow(args)
         return _run_contracts_report(args)

@@ -1,9 +1,15 @@
-"""Interprocedural dataflow analysis for the CrowdRL reproduction.
+"""The REPRO static analyzer for the CrowdRL reproduction.
 
-Where :mod:`repro.analysis.lint` judges one module at a time, this
-package loads the whole ``repro`` tree into a :class:`~.project.Project`
-graph and runs three engines across function and module boundaries:
+:meth:`~.project.Project.load` parses every file once into a whole-tree
+:class:`~.project.Project` graph; :func:`analyze_project` then runs the
+per-module rules and the five flow engines over it, following
+values across function and module boundaries:
 
+* :mod:`repro.analysis.lint.rules` — one module at a time (REPRO001
+  global numpy RNG calls, REPRO002 mutable defaults, REPRO003
+  unvalidated array inputs in ``inference``/``rl``/``core``, REPRO004
+  swallowed exceptions, REPRO005 in-place mutation of shared run
+  state, REPRO006 public docstrings);
 * :mod:`~.rng` — RNG provenance (REPRO007 unseeded construction,
   REPRO008 global numpy state in dataflow, REPRO009 one stream shared
   across components);
@@ -23,17 +29,17 @@ graph and runs three engines across function and module boundaries:
 * :mod:`~.serve` — serve-safety rules certifying the multi-tenant
   event loop (REPRO019 dropped futures, REPRO020 blocking calls in
   event-loop-reachable code, REPRO021 per-session state in shared
-  scope, REPRO022 completion dispatch off the ``(due, seq)`` total
-  order, REPRO023 episode-generator protocol misuse, REPRO024
+  engine slots, REPRO022 completion dispatch off the ``(due, seq)``
+  total order, REPRO023 episode-generator protocol misuse, REPRO024
   delivered payloads mutated after delivery).
 
-Findings reuse the lint engine's :class:`~repro.analysis.lint.engine.Finding`
-record and honour the same ``# repro: noqa REPROxxx`` suppression
-comments; REPRO013 additionally honours a ``# repro: process-local``
-annotation on a global's defining line for state that is *deliberately*
-per-process; :mod:`~.baseline` adds committed-baseline ratcheting for
-CI.  ``select`` accepts both single ids and inclusive ranges
-(``REPRO013-REPRO018``).
+A file that does not parse is reported as REPRO000 whatever ``select``
+says.  Every other finding goes through one path: ``select`` (single
+ids and inclusive ranges such as ``REPRO013-REPRO018``), the
+``# repro: noqa REPROxxx`` suppression comments, and the committed
+baseline of :mod:`~.baseline`.  REPRO013 additionally honours a
+``# repro: process-local`` annotation on a global's defining line for
+state that is *deliberately* per-process.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from repro.analysis.lint.engine import (
     _is_suppressed,
     expand_rule_ranges,
 )
+from repro.analysis.lint.rules import check_module_rules
 from repro.analysis.flow.baseline import (
     BASELINE_FILENAME,
     discover_baseline,
@@ -60,8 +67,17 @@ from repro.analysis.flow.rng import check_rng
 from repro.analysis.flow.serve import check_serve
 from repro.analysis.flow.shapes import check_shapes
 
-#: Rule id -> one-line description, in report order.
+#: Rule id -> one-line description, in report order: the one rule table
+#: behind ``--select``, ``--stats`` and the JSON ``rules`` payload.
 FLOW_RULES = {
+    "REPRO001": "no global np.random.* calls; thread a seeded Generator",
+    "REPRO002": "no mutable default arguments",
+    "REPRO003": "public inference/rl/core functions must validate array "
+                "inputs (repro.utils.validation or repro.analysis.contracts)",
+    "REPRO004": "no bare 'except:' or silently swallowed exceptions",
+    "REPRO005": "no in-place mutation of state/history/answers arguments "
+                "outside core/state.py",
+    "REPRO006": "docstrings required on the public API (warning)",
     "REPRO007": "no unseeded Generator construction (incl. default_factory"
                 "/lambda/default-arg indirection)",
     "REPRO008": "global np.random state must not enter dataflow",
@@ -87,8 +103,8 @@ FLOW_RULES = {
                 "routed to a handler or collected",
     "REPRO020": "no blocking calls reachable from event-loop-driven code "
                 "(annotate '# repro: blocking[<call>]' to justify)",
-    "REPRO021": "no per-session state written to engine- or module-scope "
-                "slots reachable from another session",
+    "REPRO021": "no per-session state written to shared engine slots "
+                "reachable from another session",
     "REPRO022": "completion dispatch must key on the (due, seq) total "
                 "order — no bare heaps, min() over dicts, or set/dict "
                 "iteration",
@@ -98,39 +114,40 @@ FLOW_RULES = {
                 "list after delivery",
 }
 
-_ENGINES = (check_rng, check_shapes, check_determinism, check_parallel,
-            check_serve)
+_ENGINES = (check_module_rules, check_rng, check_shapes, check_determinism,
+            check_parallel, check_serve)
 
 
-def _selected(select: Optional[Iterable[str]]) -> Sequence[str]:
+def selected_rules(select: Optional[Iterable[str]]) -> Sequence[str]:
+    """The rule ids ``select`` names (ids and ranges), or every rule."""
     if select is None:
         return tuple(FLOW_RULES)
-    return tuple(expand_rule_ranges(select, FLOW_RULES, kind="flow rule"))
+    return tuple(expand_rule_ranges(select, FLOW_RULES))
 
 
 def analyze_project(project: Project,
                     select: Optional[Iterable[str]] = None) -> List[Finding]:
-    """Run the flow engines over an already-loaded project."""
-    wanted = set(_selected(select))
+    """Run every selected rule over an already-loaded project.
+
+    The project's REPRO000 syntax errors are always reported; the other
+    findings are filtered by ``select`` and by ``# repro: noqa``.
+    """
+    wanted = set(selected_rules(select))
     by_path = {module.path: module for module in project.modules}
-    findings = [
-        finding
-        for engine in _ENGINES
-        for finding in engine(project)
-        if finding.rule_id in wanted
-    ]
-    kept = []
-    for finding in findings:
-        module = by_path.get(finding.path)
-        suppressions = module.suppressions if module is not None else {}
-        if not _is_suppressed(finding, suppressions):
-            kept.append(finding)
+    kept = list(project.syntax_errors)
+    for engine in _ENGINES:
+        for finding in engine(project):
+            module = by_path.get(finding.path)
+            suppressions = module.suppressions if module is not None else {}
+            if finding.rule_id in wanted and not _is_suppressed(
+                    finding, suppressions):
+                kept.append(finding)
     return sorted(kept)
 
 
 def analyze_paths(paths: Iterable[str],
                   select: Optional[Iterable[str]] = None) -> List[Finding]:
-    """Load ``paths`` into a project and run the flow engines over it."""
+    """Load ``paths`` into a project and run every selected rule over it."""
     return analyze_project(Project.load(paths), select=select)
 
 
@@ -144,6 +161,7 @@ __all__ = [
     "discover_baseline",
     "finding_key",
     "load_baseline",
+    "selected_rules",
     "split_by_baseline",
     "write_baseline",
 ]

@@ -85,18 +85,6 @@ def _clock_exempted(module: ModuleInfo, exemptions: Dict[int, str],
     return exempted_key(module, exemptions, lineno) == resolved
 
 
-def _finding(rule_id: str, module: ModuleInfo, node: ast.AST,
-             message: str) -> Finding:
-    return Finding(
-        path=module.path,
-        line=getattr(node, "lineno", 1),
-        col=getattr(node, "col_offset", 0) + 1,
-        rule_id=rule_id,
-        message=message,
-        severity="error",
-    )
-
-
 #: Builtins whose value varies between runs/processes — useless as sort keys.
 _NONDET_KEY_BUILTINS = {"id", "hash"}
 
@@ -177,8 +165,8 @@ def _check_fs_order(module: ModuleInfo) -> Iterator[Finding]:
         if label is None:
             continue
         if not _ordered_by_ancestor(module, node):
-            yield _finding(
-                "REPRO011", module, node,
+            yield module.finding(
+                "REPRO011", node,
                 f"'{label}' enumerates in filesystem order; wrap in "
                 f"sorted(...) before the entries feed any computation",
             )
@@ -203,8 +191,8 @@ def _check_set_iteration(module: ModuleInfo) -> Iterator[Finding]:
             and target.func.id in ("set", "frozenset")
         )
         if is_set and not _ordered_by_ancestor(module, target):
-            yield _finding(
-                "REPRO011", module, target,
+            yield module.finding(
+                "REPRO011", target,
                 "iterating a set is hash-order (PYTHONHASHSEED-dependent "
                 "for str keys); iterate sorted(...) instead",
             )
@@ -229,8 +217,8 @@ def _check_wall_clock(module: ModuleInfo) -> Iterator[Finding]:
             lineno = getattr(node, "lineno", 1)
             if _clock_exempted(module, exemptions, lineno, resolved):
                 continue
-            yield _finding(
-                "REPRO012", module, node,
+            yield module.finding(
+                "REPRO012", node,
                 f"wall-clock read '{resolved}' outside repro.obs breaks "
                 f"run reproducibility; inject a clock or move the timing "
                 f"into the observability layer, or annotate a deliberate "

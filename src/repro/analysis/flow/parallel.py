@@ -116,18 +116,6 @@ _ENV_READ_CALLS = {
 }
 
 
-def _finding(rule_id: str, module: ModuleInfo, node: ast.AST,
-             message: str) -> Finding:
-    return Finding(
-        path=module.path,
-        line=getattr(node, "lineno", 1),
-        col=getattr(node, "col_offset", 0) + 1,
-        rule_id=rule_id,
-        message=message,
-        severity="error",
-    )
-
-
 def _subscript_base(node: ast.expr) -> ast.expr:
     while isinstance(node, ast.Subscript):
         node = node.value
@@ -202,8 +190,8 @@ def _check_module_globals(project: Project) -> Iterator[Finding]:
         if record.process_local:
             continue  # deliberately per-process, justified at the definition
         writers = ", ".join(sorted(mutations[key]))
-        yield _finding(
-            "REPRO013", record.module, record.node,
+        yield record.module.finding(
+            "REPRO013", record.node,
             f"module-global '{record.name}' is written after import time "
             f"by {writers}; forked workers clone it and spawned workers "
             f"reset it, so shards diverge — refactor to explicit ownership "
@@ -345,8 +333,8 @@ def _check_rng_boundary(project: Project,
             if payload is None:
                 continue
             if isinstance(payload, ast.Name) and payload.id in generators:
-                yield _finding(
-                    "REPRO014", module, payload,
+                yield module.finding(
+                    "REPRO014", payload,
                     f"Generator '{payload.id}' crosses a process boundary "
                     f"via {submission.label}; parent and worker then replay "
                     f"the same draws — derive a child via spawn_rngs/"
@@ -358,8 +346,8 @@ def _check_rng_boundary(project: Project,
                 node, label = resolved
                 captured = sorted(free_loads(node) & generators)
                 if captured:
-                    yield _finding(
-                        "REPRO014", module, payload,
+                    yield module.finding(
+                        "REPRO014", payload,
                         f"worker payload '{label}' closes over parent "
                         f"Generator '{captured[0]}'; every worker forks the "
                         f"same stream state — derive child streams or pass "
@@ -367,8 +355,8 @@ def _check_rng_boundary(project: Project,
                     )
             for extra in submission.extras:
                 for name in sorted(_names_in(extra) & generators):
-                    yield _finding(
-                        "REPRO014", module, extra,
+                    yield module.finding(
+                        "REPRO014", extra,
                         f"parent Generator '{name}' is passed into "
                         f"{submission.label}; shards sharing one stream "
                         f"cannot be bit-identical — spawn a child per "
@@ -432,15 +420,15 @@ def _check_picklability(project: Project,
             if payload is None:
                 continue
             if isinstance(payload, ast.Lambda):
-                yield _finding(
-                    "REPRO015", module, payload,
+                yield module.finding(
+                    "REPRO015", payload,
                     f"lambda payload reaches {submission.label} but cannot "
                     f"be pickled into a worker process; define a "
                     f"module-level function instead",
                 )
             elif isinstance(payload, ast.Name) and payload.id in unpicklable:
-                yield _finding(
-                    "REPRO015", module, payload,
+                yield module.finding(
+                    "REPRO015", payload,
                     f"payload '{payload.id}' holds a "
                     f"{unpicklable[payload.id]}, which cannot be pickled "
                     f"into a worker process",
@@ -454,8 +442,8 @@ def _check_picklability(project: Project,
                     )
                     if captured:
                         kind = unpicklable[captured[0]]
-                        yield _finding(
-                            "REPRO015", module, payload,
+                        yield module.finding(
+                            "REPRO015", payload,
                             f"worker payload '{label}' closes over "
                             f"{kind} '{captured[0]}' and will fail to "
                             f"pickle at {submission.label}; pass explicit "
@@ -463,15 +451,15 @@ def _check_picklability(project: Project,
                         )
             for extra in submission.extras:
                 if isinstance(extra, ast.Lambda):
-                    yield _finding(
-                        "REPRO015", module, extra,
+                    yield module.finding(
+                        "REPRO015", extra,
                         f"lambda argument reaches {submission.label} but "
                         f"cannot be pickled into a worker process",
                     )
                     continue
                 for name in sorted(_names_in(extra) & set(unpicklable)):
-                    yield _finding(
-                        "REPRO015", module, extra,
+                    yield module.finding(
+                        "REPRO015", extra,
                         f"{unpicklable[name]} '{name}' is shipped to "
                         f"{submission.label} but cannot be pickled into a "
                         f"worker process",
@@ -519,14 +507,6 @@ def _call_label(module: ModuleInfo, call: ast.Call) -> str:
     return getattr(call.func, "id", "<call>")
 
 
-def _enclosing_statement(module: ModuleInfo,
-                         node: ast.AST) -> Optional[ast.stmt]:
-    for ancestor in module.ancestors(node):
-        if isinstance(ancestor, ast.stmt):
-            return ancestor
-    return None
-
-
 def _collect_mutators(project: Project) -> Dict[int, Set[str]]:
     """``id(record)`` -> the parameters that record mutates in place."""
     mutators: Dict[int, Set[str]] = {}
@@ -552,7 +532,7 @@ def _check_aliased_mutation(project: Project, module: ModuleInfo,
             if callee is None or id(callee) not in mutators:
                 continue
             mutated = mutators[id(callee)]
-            statement = _enclosing_statement(module, call)
+            statement = module.enclosing_statement(call)
             if statement is None:
                 continue
             end = getattr(statement, "end_lineno", statement.lineno)
@@ -569,8 +549,8 @@ def _check_aliased_mutation(project: Project, module: ModuleInfo,
                         k.value for k in later.keywords
                     ]
                     if any(arg.id in _names_in(a) for a in later_args):
-                        yield _finding(
-                            "REPRO016", module, call,
+                        yield module.finding(
+                            "REPRO016", call,
                             f"{callee.qualname}() mutates parameter "
                             f"'{param}' in place, and '{arg.id}' is read "
                             f"by {_call_label(module, later)} afterwards; "
@@ -666,8 +646,8 @@ def _check_reductions(project: Project,
                         and isinstance(inner.op, (ast.Add, ast.Sub, ast.Mult))
                     ]
                     if accumulations:
-                        yield _finding(
-                            "REPRO017", module, accumulations[0],
+                        yield module.finding(
+                            "REPRO017", accumulations[0],
                             f"accumulating while iterating {label}: float "
                             f"addition is not associative, so the result "
                             f"depends on iteration/merge order — iterate "
@@ -688,8 +668,8 @@ def _check_reductions(project: Project,
                     label = _unordered_iter_label(
                         module, it, set_locals, merged)
                     if label is not None:
-                        yield _finding(
-                            "REPRO017", module, node,
+                        yield module.finding(
+                            "REPRO017", node,
                             f"sum() over {label} depends on iteration/"
                             f"merge order; use math.fsum (exact and "
                             f"order-independent) or sum over sorted(...)",
@@ -768,8 +748,8 @@ def _check_worker_env(project: Project) -> Iterator[Finding]:
             if key in seen:
                 continue
             seen.add(key)
-            yield _finding(
-                "REPRO018", module, node,
+            yield module.finding(
+                "REPRO018", node,
                 f"'{resolved}' read inside '{record.qualname}', which is "
                 f"reachable from worker entry '{entry}'; the shard's "
                 f"result then depends on the worker's inherited "

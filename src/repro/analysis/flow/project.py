@@ -1,13 +1,16 @@
-"""Whole-project model for the interprocedural flow analyzer.
+"""Whole-project model for the REPRO analyzer.
 
-The lint engine (:mod:`repro.analysis.lint`) sees one module at a time;
-the flow engines need to follow values *across* modules — a
-``default_factory`` in ``crowd/`` resolving to a helper in ``utils/``, a
-``@shaped`` declaration in ``rl/`` constraining a call site in ``core/``.
-This module builds that shared substrate once per run:
+Each file is parsed once.  The per-module rules (REPRO001-006) read one
+:class:`ModuleInfo` at a time; the flow engines follow values *across*
+modules — a ``default_factory`` in ``crowd/`` resolving to a helper in
+``utils/``, a ``@shaped`` declaration in ``rl/`` constraining a call
+site in ``core/``.  This module builds that shared substrate once per
+run:
 
 * :class:`ModuleInfo` — one parsed module with its dotted name, import
-  alias table and per-line suppression map;
+  alias table, per-line suppression map and the :meth:`ModuleInfo.finding`
+  constructor every rule reports through (a file that does not parse
+  becomes a REPRO000 finding in :attr:`Project.syntax_errors`);
 * :class:`FunctionRecord` — one function/method definition, indexed both
   by qualified and by short name so attribute calls (``agent.q_matrix``)
   resolve to their unique project definition when the short name is
@@ -44,7 +47,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.lint.engine import iter_python_files, suppressed_rules
+from repro.analysis.lint.engine import Finding, iter_python_files, suppressed_rules
 
 #: Annotation that declares a module-global as deliberate per-process
 #: state (REPRO013); place it on the global's defining line together
@@ -287,6 +290,25 @@ class ModuleInfo:
             yield current
             current = self.parent(current)
 
+    def enclosing_statement(self, node: ast.AST) -> Optional[ast.stmt]:
+        """The innermost statement containing ``node`` (None at the root)."""
+        for ancestor in self.ancestors(node):
+            if isinstance(ancestor, ast.stmt):
+                return ancestor
+        return None
+
+    def finding(self, rule_id: str, node: ast.AST, message: str,
+                severity: str = "error") -> Finding:
+        """A finding of ``rule_id`` anchored at ``node`` in this module."""
+        return Finding(
+            path=self.path,
+            line=getattr(node, "lineno", 1),
+            col=getattr(node, "col_offset", 0) + 1,
+            rule_id=rule_id,
+            message=message,
+            severity=severity,
+        )
+
     def resolve(self, node: ast.expr) -> Optional[str]:
         """Fully qualified dotted name of an expression, or ``None``.
 
@@ -386,8 +408,11 @@ def enclosing_scopes(module: ModuleInfo, node: ast.AST) -> List[ast.AST]:
 class Project:
     """The parsed module set with cross-module name resolution."""
 
-    def __init__(self, modules: Sequence[ModuleInfo]) -> None:
+    def __init__(self, modules: Sequence[ModuleInfo],
+                 syntax_errors: Sequence[Finding] = ()) -> None:
         self.modules = list(modules)
+        #: one REPRO000 finding per file that does not parse
+        self.syntax_errors = list(syntax_errors)
         self.by_name: Dict[str, ModuleInfo] = {m.name: m for m in modules}
         #: short function name -> every project definition with that name
         self.functions_by_short: Dict[str, List[FunctionRecord]] = {}
@@ -412,8 +437,13 @@ class Project:
 
     @classmethod
     def load(cls, paths: Iterable[str]) -> "Project":
-        """Parse every ``*.py`` file under ``paths`` into a project."""
+        """Parse every ``*.py`` file under ``paths`` into a project.
+
+        A file that does not parse becomes a REPRO000 finding in
+        :attr:`syntax_errors` instead of a module.
+        """
         modules: List[ModuleInfo] = []
+        syntax_errors: List[Finding] = []
         seen: Set[str] = set()
         for file_path in iter_python_files(paths):
             resolved = str(Path(file_path).resolve())
@@ -423,8 +453,15 @@ class Project:
             source = Path(file_path).read_text(encoding="utf-8")
             try:
                 tree = ast.parse(source, filename=str(file_path))
-            except SyntaxError:  # repro: noqa REPRO004
-                continue  # the lint engine owns REPRO000 syntax reporting
+            except SyntaxError as err:
+                syntax_errors.append(Finding(
+                    path=str(file_path),
+                    line=err.lineno or 1,
+                    col=(err.offset or 0) + 1,
+                    rule_id="REPRO000",
+                    message=f"syntax error: {err.msg}",
+                ))
+                continue
             modules.append(
                 ModuleInfo(
                     path=str(file_path),
@@ -433,7 +470,7 @@ class Project:
                     source=source,
                 )
             )
-        return cls(modules)
+        return cls(modules, syntax_errors)
 
     # ------------------------------------------------------------------
     # Resolution

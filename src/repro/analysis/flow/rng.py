@@ -15,9 +15,9 @@ chain, and each gets a rule:
   constructor, and call/parameter defaults resolved through imports.
 * **REPRO008 — global numpy RNG state escaping into dataflow.**
   Binding the ``np.random`` *module object* to a variable, passing it as
-  an argument, or calling ``np.random.seed``/``set_state``/``get_state``
-  reintroduces process-global state that REPRO001 only catches at direct
-  call sites.
+  an argument, or returning it reintroduces process-global state that
+  REPRO001 only catches at direct call sites (REPRO001 also reports
+  ``np.random.seed``/``set_state``/``get_state`` calls).
 * **REPRO009 — one stream shared across phases.**  Handing the *same*
   generator variable to two or more distinct components couples their
   draw sequences: adding one draw in component A silently perturbs
@@ -71,18 +71,6 @@ _EXEMPT_MODULES = {"repro.utils.rng"}
 def _is_none(node: Optional[ast.expr]) -> bool:
     return node is None or (
         isinstance(node, ast.Constant) and node.value is None
-    )
-
-
-def _finding(rule_id: str, module: ModuleInfo, node: ast.AST,
-             message: str) -> Finding:
-    return Finding(
-        path=module.path,
-        line=getattr(node, "lineno", 1),
-        col=getattr(node, "col_offset", 0) + 1,
-        rule_id=rule_id,
-        message=message,
-        severity="error",
     )
 
 
@@ -162,8 +150,8 @@ def _check_unseeded(project: Project, module: ModuleInfo) -> Iterator[Finding]:
             continue
         target = _unseeded_call(module, node)
         if target is not None:
-            yield _finding(
-                "REPRO007", module, node,
+            yield module.finding(
+                "REPRO007", node,
                 f"unseeded '{target.rsplit('.', 1)[-1]}()' mints a fresh "
                 f"entropy stream; thread a seed via repro.utils.rng.as_rng "
                 f"or spawn_rngs",
@@ -176,8 +164,8 @@ def _check_unseeded(project: Project, module: ModuleInfo) -> Iterator[Finding]:
                 continue
             verdict = _factory_is_unseeded(project, module, factory)
             if verdict is not None:
-                yield _finding(
-                    "REPRO007", module, node,
+                yield module.finding(
+                    "REPRO007", node,
                     f"default_factory resolves to unseeded "
                     f"'{verdict.rsplit('.', 1)[-1]}'; construction order "
                     f"then decides the stream — accept an explicit "
@@ -188,9 +176,6 @@ def _check_unseeded(project: Project, module: ModuleInfo) -> Iterator[Finding]:
 # ----------------------------------------------------------------------
 # REPRO008 — the np.random module object escaping into dataflow
 # ----------------------------------------------------------------------
-_GLOBAL_STATE_CALLS = {"seed", "set_state", "get_state"}
-
-
 def _is_np_random_module(module: ModuleInfo, node: ast.expr) -> bool:
     return module.resolve(node) == "numpy.random"
 
@@ -198,19 +183,10 @@ def _is_np_random_module(module: ModuleInfo, node: ast.expr) -> bool:
 def _check_global_state(module: ModuleInfo) -> Iterator[Finding]:
     for node in ast.walk(module.tree):
         if isinstance(node, ast.Call):
-            target = module.resolve(node.func)
-            if target is not None and target.startswith("numpy.random."):
-                tail = target.rsplit(".", 1)[-1]
-                if tail in _GLOBAL_STATE_CALLS:
-                    yield _finding(
-                        "REPRO008", module, node,
-                        f"'np.random.{tail}' manipulates process-global RNG "
-                        f"state; results then depend on import/call order",
-                    )
             for arg in list(node.args) + [k.value for k in node.keywords]:
                 if _is_np_random_module(module, arg):
-                    yield _finding(
-                        "REPRO008", module, arg,
+                    yield module.finding(
+                        "REPRO008", arg,
                         "the global 'np.random' module object is passed as "
                         "an argument; pass a seeded np.random.Generator",
                     )
@@ -218,16 +194,16 @@ def _check_global_state(module: ModuleInfo) -> Iterator[Finding]:
             if _is_np_random_module(module, node.value):
                 # ``import numpy.random`` style aliases are import nodes,
                 # not assigns, so anything here is a real rebinding.
-                yield _finding(
-                    "REPRO008", module, node,
+                yield module.finding(
+                    "REPRO008", node,
                     "binding the global 'np.random' module as a value "
                     "smuggles process-global state past the linter; bind "
                     "a seeded Generator instead",
                 )
         elif isinstance(node, ast.Return) and node.value is not None:
             if _is_np_random_module(module, node.value):
-                yield _finding(
-                    "REPRO008", module, node,
+                yield module.finding(
+                    "REPRO008", node,
                     "returning the global 'np.random' module hands callers "
                     "process-global state; return a seeded Generator",
                 )
@@ -418,8 +394,8 @@ def _shared_in_scope(project: Project, module: ModuleInfo, fn: ast.AST,
         if len(shared) >= 2:
             labels = ", ".join(sorted(shared))
             anchor = min(shared.values(), key=lambda c: c.lineno)
-            yield _finding(
-                "REPRO009", module, anchor,
+            yield module.finding(
+                "REPRO009", anchor,
                 f"in {where}: stream '{name}' is handed to "
                 f"{len(shared)} components ({labels}); adding a draw "
                 f"in one perturbs the others — derive children via "

@@ -34,10 +34,11 @@ invariant gets static rules:
   ``MetricsRegistry``, a ``LabellingHistory``, an RNG stream, anything
   flowing from a ``registry``/``history``/``rng`` parameter or
   attribute — written to a plain attribute of a *shared* class (one
-  whose methods take a ``session`` parameter) or to a module global is
-  reachable from every other session on the engine.  Writes keyed by
-  session (``self._grants[session] = ...``) preserve isolation and stay
-  silent, as do globals annotated ``# repro: process-local — <why>``.
+  whose methods take a ``session`` parameter) is reachable from every
+  other session on the engine.  Writes keyed by session
+  (``self._grants[session] = ...``) preserve isolation and stay silent.
+  Session state written to a module global is REPRO013's finding: that
+  rule reports every mutated global at its definition.
 * **REPRO022 — scheduling off the ``(due, seq)`` total order.**  The
   bit-identity proofs all reduce to one fact: completions dispatch in
   ``(due, submission seq)`` order.  A heap of pending completions
@@ -76,7 +77,6 @@ from repro.analysis.flow.parallel import (
     MUTATING_METHODS,
     _LOCK_CONSTRUCTORS,
     _collect_mutators,
-    _finding,
     _function_scopes,
     _reachable,
     _subscript_base,
@@ -87,7 +87,6 @@ from repro.analysis.flow.project import (
     ModuleInfo,
     Project,
     bind_arguments,
-    bound_names,
     call_keyword,
     exempted_key,
     iter_scope_nodes,
@@ -265,14 +264,6 @@ def _future_producers(project: Project,
 # ----------------------------------------------------------------------
 # REPRO019 — dropped futures
 # ----------------------------------------------------------------------
-def _enclosing_statement(module: ModuleInfo,
-                         node: ast.AST) -> Optional[ast.stmt]:
-    for ancestor in module.ancestors(node):
-        if isinstance(ancestor, ast.stmt):
-            return ancestor
-    return None
-
-
 def _used_outside(module: ModuleInfo, scope: ast.AST, statement: ast.stmt,
                   name: str) -> bool:
     """Whether ``name`` is read anywhere in ``scope`` outside ``statement``."""
@@ -300,7 +291,7 @@ def _check_dropped_futures(project: Project, module: ModuleInfo,
                                        producers)
             if label is None:
                 continue
-            statement = _enclosing_statement(module, node)
+            statement = module.enclosing_statement(node)
             if statement is None:
                 continue
             if isinstance(statement, ast.Expr):
@@ -308,8 +299,8 @@ def _check_dropped_futures(project: Project, module: ModuleInfo,
                 if isinstance(value, ast.Await):
                     value = value.value
                 if value is node:
-                    yield _finding(
-                        "REPRO019", module, node,
+                    yield module.finding(
+                        "REPRO019", node,
                         f"pending answer from '{label}' is created and "
                         f"immediately dropped; the event loop will pop its "
                         f"completion with nobody listening — route it to a "
@@ -325,8 +316,8 @@ def _check_dropped_futures(project: Project, module: ModuleInfo,
                     continue
                 name = statement.targets[0].id
                 if not _used_outside(module, scope, statement, name):
-                    yield _finding(
-                        "REPRO019", module, node,
+                    yield module.finding(
+                        "REPRO019", node,
                         f"pending answer '{name}' from '{label}' is never "
                         f"routed to a completion handler or collected; the "
                         f"future leaks out of the delivery path",
@@ -413,8 +404,8 @@ def _check_blocking(project: Project,
             seen.add(key)
             if exempted_key(module, exemptions, node.lineno) == label:
                 continue
-            yield _finding(
-                "REPRO020", module, node,
+            yield module.finding(
+                "REPRO020", node,
                 f"blocking call '{label}' inside '{record.qualname}', "
                 f"reachable from event-loop entry '{entry}'; the loop is "
                 f"single-threaded, so this stalls every session — move the "
@@ -527,8 +518,8 @@ def _check_shared_attributes(project: Project, module: ModuleInfo,
             value = getattr(node, "value", None)
             if value is None or not _is_session_state(module, value, state):
                 continue
-            yield _finding(
-                "REPRO021", module, node,
+            yield module.finding(
+                "REPRO021", node,
                 f"per-session state ({_state_label(module, value)}) is "
                 f"written to shared slot '{attr}' of '{cls.short_name}'; "
                 f"every other session on the engine reads the same slot — "
@@ -551,65 +542,12 @@ def _check_shared_attributes(project: Project, module: ModuleInfo,
                     continue
                 if _keyed_by_session(target.slice):
                     continue
-                yield _finding(
-                    "REPRO021", module, node,
+                yield module.finding(
+                    "REPRO021", node,
                     f"per-session state ({_state_label(module, node.value)}) "
                     f"is stored in shared '{base_expr.attr}' of "
                     f"'{cls.short_name}' under a key that does not isolate "
                     f"the session; key the slot by session",
-                )
-
-
-def _check_global_sinks(project: Project,
-                        module: ModuleInfo) -> Iterator[Finding]:
-    for record in _function_scopes(project, module):
-        scope = record.node
-        state = _session_state_names(module, scope)
-        if not state:
-            continue
-        local = bound_names(scope)
-        declared: Set[str] = set()
-        for node in iter_scope_nodes(scope):
-            if isinstance(node, ast.Global):
-                declared.update(node.names)
-        for node in iter_scope_nodes(scope):
-            sinks: List[Tuple[str, ast.expr, bool]] = []
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Name) \
-                            and target.id in declared:
-                        sinks.append((target.id, node.value, False))
-                    elif isinstance(target, ast.Subscript):
-                        base = _subscript_base(target)
-                        if isinstance(base, ast.Name) \
-                                and base.id not in local:
-                            sinks.append((
-                                base.id, node.value,
-                                _keyed_by_session(target.slice),
-                            ))
-            elif (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("append", "add", "insert",
-                                           "setdefault")
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id not in local):
-                for arg in node.args:
-                    if _is_session_state(module, arg, state):
-                        sinks.append((node.func.value.id, arg, False))
-                        break
-            for name, value, keyed in sinks:
-                if keyed or not _is_session_state(module, value, state):
-                    continue
-                grec = project.resolve_global(module, name)
-                if grec is None or grec.process_local:
-                    continue
-                yield _finding(
-                    "REPRO021", module, node,
-                    f"per-session state ({_state_label(module, value)}) is "
-                    f"written to module-global '{name}'; every session in "
-                    f"the process aliases it — key it by session, keep it "
-                    f"on the session object, or annotate the definition "
-                    f"'# repro: process-local — <why>'",
                 )
 
 
@@ -776,8 +714,8 @@ def _check_scheduling(project: Project, module: ModuleInfo,
                         and any(_seq_keyed(elt) for elt in item.elts)
                     if not ordered:
                         label = slot if slot is not None else "heap"
-                        yield _finding(
-                            "REPRO022", module, node,
+                        yield module.finding(
+                            "REPRO022", node,
                             f"completion heap '{label}' is pushed without "
                             f"the (due, seq) total-order key; ties on due "
                             f"break by heap-internal order — push "
@@ -792,8 +730,8 @@ def _check_scheduling(project: Project, module: ModuleInfo,
                     key = call_keyword(node, "key")
                     if key is not None and _seq_keyed(key):
                         continue
-                    yield _finding(
-                        "REPRO022", module, node,
+                    yield module.finding(
+                        "REPRO022", node,
                         f"{node.func.id}() over pending completions "
                         f"'{slot}' dispatches outside the (due, seq) total "
                         f"order; pop a (due, seq)-keyed heap (or key by "
@@ -807,8 +745,8 @@ def _check_scheduling(project: Project, module: ModuleInfo,
                 if kinds.get(slot) not in ("set", "dict") \
                         or slot not in futures:
                     continue
-                yield _finding(
-                    "REPRO022", module, node,
+                yield module.finding(
+                    "REPRO022", node,
                     f"dispatching pending completions by iterating "
                     f"{kinds[slot]} '{slot}' is {kinds[slot]}-order, not "
                     f"the (due, seq) total order; pop a (due, seq)-keyed "
@@ -926,8 +864,8 @@ def _check_yield_in_try(gens: Dict[int, FunctionRecord]) -> Iterator[Finding]:
                     break
                 if isinstance(ancestor, ast.Try):
                     if not ancestor.finalbody:
-                        yield _finding(
-                            "REPRO023", module, node,
+                        yield module.finding(
+                            "REPRO023", node,
                             f"yield inside try without finally in episode "
                             f"generator '{record.qualname}': a close() "
                             f"during the suspension skips the handler's "
@@ -950,8 +888,8 @@ def _check_generator_protocol(project: Project, module: ModuleInfo,
                         and _matches_episode(module, node.iter, names, attrs):
                     label = (node.iter.id if isinstance(node.iter, ast.Name)
                              else module.resolve(node.iter))
-                    yield _finding(
-                        "REPRO023", module, node,
+                    yield module.finding(
+                        "REPRO023", node,
                         f"episode generator '{label}' is advanced by "
                         f"iteration, which sends None each step — the "
                         f"collected records never reach the episode; drive "
@@ -972,8 +910,8 @@ def _check_generator_protocol(project: Project, module: ModuleInfo,
                 len(nexts) >= 2
                 or any(_in_loop(module, n, scope) for n in nexts)
             ):
-                yield _finding(
-                    "REPRO023", module, nexts[0],
+                yield module.finding(
+                    "REPRO023", nexts[0],
                     f"episode generator in '{record.qualname}' is advanced "
                     f"with next() but never handed records via send(); the "
                     f"protocol is one priming next(), then send(records) "
@@ -989,8 +927,8 @@ def _check_generator_protocol(project: Project, module: ModuleInfo,
                     continue
                 if _class_closes(project, record, attr):
                     continue
-                yield _finding(
-                    "REPRO023", module, node,
+                yield module.finding(
+                    "REPRO023", node,
                     f"episode generator parked on 'self.{attr}' with no "
                     f"close() path anywhere in the class; an abort or "
                     f"fault leaves a suspended generator frame (and its "
@@ -1062,8 +1000,8 @@ def _check_delivery_alias(project: Project, module: ModuleInfo,
                 how = _mutation_of(project, module, node, name, mutators)
                 if how is None:
                     continue
-                yield _finding(
-                    "REPRO024", module, node,
+                yield module.finding(
+                    "REPRO024", node,
                     f"delivered records '{name}' are mutated after "
                     f"delivery ({how}); the session's history and answer "
                     f"log alias the same objects, so the books are "
@@ -1088,7 +1026,6 @@ def check_serve(project: Project) -> Iterator[Finding]:
         yield from _check_dropped_futures(project, module, future_shorts,
                                           producers)
         yield from _check_shared_attributes(project, module, shared)
-        yield from _check_global_sinks(project, module)
         yield from _check_scheduling(project, module, future_shorts,
                                      producers)
         yield from _check_generator_protocol(project, module, gens)

@@ -430,19 +430,11 @@ def _check_function(project: Project, module: ModuleInfo,
                     continue
                 clash = _incompatible(passed, declared)
                 if clash is not None:
-                    self.findings.append(
-                        Finding(
-                            path=module.path,
-                            line=arg.lineno,
-                            col=arg.col_offset + 1,
-                            rule_id="REPRO010",
-                            message=(
-                                f"argument '{param_name}' of "
-                                f"{callee.qualname}: {clash}"
-                            ),
-                            severity="error",
-                        )
-                    )
+                    self.findings.append(module.finding(
+                        "REPRO010", arg,
+                        f"argument '{param_name}' of "
+                        f"{callee.qualname}: {clash}",
+                    ))
 
     visitor = _Visitor()
     for statement in fn.body:

@@ -1,23 +1,7 @@
-"""Project lint engine: an ``ast``-based rule framework plus REPRO rules."""
+"""Per-module REPRO rules (REPRO001-006) and the analyzer's shared pieces.
 
-from repro.analysis.lint.engine import (
-    Finding,
-    LintContext,
-    LintRule,
-    all_rules,
-    lint_file,
-    lint_paths,
-    lint_source,
-    register_rule,
-)
-
-__all__ = [
-    "Finding",
-    "LintContext",
-    "LintRule",
-    "all_rules",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
-    "register_rule",
-]
+:mod:`~repro.analysis.lint.engine` holds the finding record, suppression
+comments and rule selection; :mod:`~repro.analysis.lint.rules` the six
+per-module rules.  Both run inside the one analyzer pass,
+:func:`repro.analysis.flow.analyze_project`.
+"""

@@ -1,25 +1,22 @@
-"""Rule framework for the project linter.
+"""Rule-agnostic pieces of the REPRO analyzer.
 
-A :class:`LintRule` inspects one parsed module (:class:`LintContext`) and
-yields :class:`Finding` records.  The engine owns everything rule-agnostic:
-discovering ``*.py`` files, parsing, dispatching rules, and honouring
-per-line suppression comments of the form::
+The :class:`Finding` record every rule yields, ``*.py`` discovery, the
+``--select`` id/range parser, and per-line suppression comments of the
+form::
 
     risky_call()  # repro: noqa REPRO001
     another()     # repro: noqa            (suppresses every rule)
 
-Rules register themselves via :func:`register_rule` when their module is
-imported; :func:`all_rules` imports :mod:`repro.analysis.lint.rules` so
-callers always see the full REPRO rule set.
+The rules themselves run in one pass over a parsed project, see
+:func:`repro.analysis.flow.analyze_project`.
 """
 
 from __future__ import annotations
 
-import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Type
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
 from repro.exceptions import ConfigurationError
 
@@ -33,7 +30,7 @@ _NOQA_RE = re.compile(
 
 @dataclass(frozen=True, order=True)
 class Finding:
-    """One structured lint finding, sortable into report order."""
+    """One structured analyzer finding, sortable into report order."""
 
     path: str
     line: int
@@ -67,85 +64,15 @@ class Finding:
         }
 
 
-@dataclass
-class LintContext:
-    """Everything a rule may inspect about one module."""
-
-    path: str
-    tree: ast.Module
-    source: str
-    lines: List[str] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.lines:
-            self.lines = self.source.splitlines()
-
-    @property
-    def parts(self) -> tuple:
-        """Path components, used by rules scoped to sub-packages."""
-        return Path(self.path).parts
-
-    def in_package(self, *names: str) -> bool:
-        """Whether the module lives under any directory named in ``names``."""
-        return any(name in self.parts[:-1] for name in names)
-
-    def is_module(self, *tail: str) -> bool:
-        """Whether the path ends with the given components (e.g. core/state.py)."""
-        return self.parts[-len(tail):] == tuple(tail)
-
-
-class LintRule:
-    """Base class for REPRO rules.
-
-    Subclasses set :attr:`rule_id`, :attr:`severity` and
-    :attr:`description`, and implement :meth:`check` as a generator of
-    :class:`Finding` records.
-    """
-
-    rule_id: str = ""
-    severity: str = "error"
-    description: str = ""
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        """Yield findings for one module; the base class yields nothing."""
-        raise NotImplementedError
-
-    def finding(self, ctx: LintContext, node: ast.AST, message: str) -> Finding:
-        """Convenience constructor anchoring a finding to an AST node."""
-        return Finding(
-            path=ctx.path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0) + 1,
-            rule_id=self.rule_id,
-            message=message,
-            severity=self.severity,
-        )
-
-
-_REGISTRY: Dict[str, Type[LintRule]] = {}  # repro: process-local — rule-class registry populated at import time by decorators; identical in every process
-
-
-def register_rule(cls: Type[LintRule]) -> Type[LintRule]:
-    """Class decorator adding a rule to the global registry."""
-    if not cls.rule_id:
-        raise ConfigurationError(f"{cls.__name__} does not define a rule_id")
-    if cls.rule_id in _REGISTRY and _REGISTRY[cls.rule_id] is not cls:
-        raise ConfigurationError(f"duplicate rule id {cls.rule_id}")
-    _REGISTRY[cls.rule_id] = cls
-    return cls
-
-
 #: Inclusive rule-id range, e.g. ``REPRO001-REPRO006`` or ``REPRO001-006``.
 _SELECT_RANGE_RE = re.compile(r"^(REPRO)(\d+)-(?:REPRO)?(\d+)$", re.IGNORECASE)
 
 
 def expand_rule_ranges(select: Iterable[str],
-                       known: Iterable[str],
-                       kind: str = "rule") -> List[str]:
+                       known: Iterable[str]) -> List[str]:
     """Expand ``--select`` tokens (ids and inclusive ranges) against ``known``.
 
-    The one parser behind both the lint and the flow CLIs: a token is
-    either a single id (``REPRO005``) or an inclusive range
+    A token is either a single id (``REPRO005``) or an inclusive range
     (``REPRO001-REPRO006``, short form ``REPRO001-006``); every expanded
     id must exist in ``known`` or the whole selection is rejected.
     """
@@ -157,34 +84,18 @@ def expand_rule_ranges(select: Iterable[str],
         if match is not None:
             lo, hi = int(match.group(2)), int(match.group(3))
             if hi < lo:
-                raise ConfigurationError(f"empty {kind} range {token!r}")
+                raise ConfigurationError(f"empty flow rule range {token!r}")
             expanded = [f"REPRO{i:03d}" for i in range(lo, hi + 1)]
         else:
             expanded = [token]
         for rule_id in expanded:
             if rule_id not in known:
                 raise ConfigurationError(
-                    f"unknown {kind} {rule_id!r}; known: "
+                    f"unknown flow rule {rule_id!r}; known: "
                     f"{', '.join(sorted(known))}"
                 )
             chosen.append(rule_id)
     return chosen
-
-
-def all_rules(select: Optional[Iterable[str]] = None) -> List[LintRule]:
-    """Instantiate the registered rules, optionally restricted to ``select``.
-
-    ``select`` accepts single ids and inclusive ranges
-    (``REPRO001-REPRO006``), the same syntax as the flow CLI.
-    """
-    # Importing the rules package triggers registration of the REPRO rules.
-    import repro.analysis.lint.rules  # noqa: F401  (import for side effect)
-
-    if select is None:
-        chosen: List[str] = sorted(_REGISTRY)
-    else:
-        chosen = expand_rule_ranges(select, _REGISTRY, kind="rule")
-    return [_REGISTRY[rule_id]() for rule_id in chosen]
 
 
 # ----------------------------------------------------------------------
@@ -218,9 +129,6 @@ def _is_suppressed(finding: Finding,
     return codes is None or finding.rule_id in codes
 
 
-# ----------------------------------------------------------------------
-# Running
-# ----------------------------------------------------------------------
 def iter_python_files(paths: Iterable[str]) -> Iterator[Path]:
     """Expand files/directories into a sorted stream of ``*.py`` paths."""
     for raw in paths:
@@ -231,47 +139,3 @@ def iter_python_files(paths: Iterable[str]) -> Iterator[Path]:
             yield from sorted(p for p in path.rglob("*.py") if p.is_file())
         else:
             yield path
-
-
-def lint_source(source: str, path: str,
-                rules: Sequence[LintRule]) -> List[Finding]:
-    """Lint already-loaded source text (the unit the tests exercise)."""
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as err:
-        return [
-            Finding(
-                path=path,
-                line=err.lineno or 1,
-                col=(err.offset or 0) + 1,
-                rule_id="REPRO000",
-                message=f"syntax error: {err.msg}",
-                severity="error",
-            )
-        ]
-    ctx = LintContext(path=path, tree=tree, source=source)
-    suppressions = suppressed_rules(ctx.lines)
-    findings = [
-        finding
-        for rule in rules
-        for finding in rule.check(ctx)
-        if not _is_suppressed(finding, suppressions)
-    ]
-    return sorted(findings)
-
-
-def lint_file(path: Path, rules: Sequence[LintRule]) -> List[Finding]:
-    """Lint one file from disk."""
-    source = Path(path).read_text(encoding="utf-8")
-    return lint_source(source, str(path), rules)
-
-
-def lint_paths(paths: Iterable[str],
-               rules: Optional[Sequence[LintRule]] = None) -> List[Finding]:
-    """Lint every ``*.py`` file under ``paths`` with ``rules`` (default: all)."""
-    if rules is None:
-        rules = all_rules()
-    findings: List[Finding] = []
-    for path in iter_python_files(paths):
-        findings.extend(lint_file(path, rules))
-    return sorted(findings)

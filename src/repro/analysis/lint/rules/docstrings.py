@@ -9,9 +9,12 @@ docstring onto ``return self._x`` adds noise, not information.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator
 
-from repro.analysis.lint.engine import Finding, LintContext, LintRule, register_rule
+from repro.analysis.lint.engine import Finding
+
+if TYPE_CHECKING:  # annotations only; the flow package imports this one
+    from repro.analysis.flow.project import ModuleInfo
 from repro.analysis.lint.rules._ast_utils import (
     decorator_name,
     is_public,
@@ -31,43 +34,38 @@ def _is_trivial(fn) -> bool:
     return len(_effective_body(fn)) <= 1
 
 
-@register_rule
-class PublicDocstringRule(LintRule):
+def check_public_docstrings(module: ModuleInfo) -> Iterator[Finding]:
     """Flag missing docstrings on modules, public classes and functions."""
+    tree = module.tree
+    if tree.body and ast.get_docstring(tree) is None:
+        yield module.finding("REPRO006", tree.body[0],
+                             "module is missing a docstring", "warning")
 
-    rule_id = "REPRO006"
-    severity = "warning"
-    description = "docstrings required on the public API"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and is_public(node.name):
+            if ast.get_docstring(node) is None:
+                yield module.finding(
+                    "REPRO006", node,
+                    f"public class '{node.name}' is missing a docstring",
+                    "warning",
+                )
 
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        """Yield this rule's findings for one parsed module."""
-        tree = ctx.tree
-        if tree.body and ast.get_docstring(tree) is None:
-            yield self.finding(ctx, tree.body[0], "module is missing a docstring")
-
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and is_public(node.name):
-                if ast.get_docstring(node) is None:
-                    yield self.finding(
-                        ctx, node,
-                        f"public class '{node.name}' is missing a docstring",
-                    )
-
-        seen_nested = set()
-        for fn, cls in iter_functions(tree):
-            if id(fn) in seen_nested:
-                continue
-            for inner, _ in iter_functions(fn):
-                seen_nested.add(id(inner))
-            if not is_public(fn.name):
-                continue
-            if cls is not None and not is_public(cls.name):
-                continue
-            if any(decorator_name(d) == "overload" for d in fn.decorator_list):
-                continue
-            if ast.get_docstring(fn) is not None or _is_trivial(fn):
-                continue
-            where = f"{cls.name}.{fn.name}" if cls is not None else fn.name
-            yield self.finding(
-                ctx, fn, f"public function '{where}' is missing a docstring"
-            )
+    seen_nested = set()
+    for fn, cls in iter_functions(tree):
+        if id(fn) in seen_nested:
+            continue
+        for inner, _ in iter_functions(fn):
+            seen_nested.add(id(inner))
+        if not is_public(fn.name):
+            continue
+        if cls is not None and not is_public(cls.name):
+            continue
+        if any(decorator_name(d) == "overload" for d in fn.decorator_list):
+            continue
+        if ast.get_docstring(fn) is not None or _is_trivial(fn):
+            continue
+        where = f"{cls.name}.{fn.name}" if cls is not None else fn.name
+        yield module.finding(
+            "REPRO006", fn, f"public function '{where}' is missing a docstring",
+            "warning",
+        )

@@ -10,9 +10,12 @@ log, or re-raise).
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from repro.analysis.lint.engine import Finding, LintContext, LintRule, register_rule
+from repro.analysis.lint.engine import Finding
+
+if TYPE_CHECKING:  # annotations only; the flow package imports this one
+    from repro.analysis.flow.project import ModuleInfo
 
 
 def _is_noop(stmt: ast.stmt) -> bool:
@@ -23,28 +26,21 @@ def _is_noop(stmt: ast.stmt) -> bool:
     return False
 
 
-@register_rule
-class ExceptionHygieneRule(LintRule):
+def check_exception_hygiene(module: ModuleInfo) -> Iterator[Finding]:
     """Flag bare ``except:`` clauses and handlers whose body is a no-op."""
-
-    rule_id = "REPRO004"
-    severity = "error"
-    description = "no bare 'except:' or silently swallowed exceptions"
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ExceptHandler):
-                continue
-            if node.type is None:
-                yield self.finding(
-                    ctx, node,
-                    "bare 'except:' catches SystemExit/KeyboardInterrupt too; "
-                    "name the exception class",
-                )
-                continue
-            if all(_is_noop(stmt) for stmt in node.body):
-                yield self.finding(
-                    ctx, node,
-                    "exception caught and silently swallowed; handle, log, "
-                    "or re-raise it",
-                )
+    for node in ast.walk(module.tree):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        if node.type is None:
+            yield module.finding(
+                "REPRO004", node,
+                "bare 'except:' catches SystemExit/KeyboardInterrupt too; "
+                "name the exception class",
+            )
+            continue
+        if all(_is_noop(stmt) for stmt in node.body):
+            yield module.finding(
+                "REPRO004", node,
+                "exception caught and silently swallowed; handle, log, "
+                "or re-raise it",
+            )

@@ -9,9 +9,12 @@ independent.  Use ``None`` plus an in-body default instead.
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from repro.analysis.lint.engine import Finding, LintContext, LintRule, register_rule
+from repro.analysis.lint.engine import Finding
+
+if TYPE_CHECKING:  # annotations only; the flow package imports this one
+    from repro.analysis.flow.project import ModuleInfo
 from repro.analysis.lint.rules._ast_utils import iter_functions
 
 _MUTABLE_CALLS = {
@@ -36,24 +39,17 @@ def _is_mutable_default(node: ast.expr) -> bool:
     return False
 
 
-@register_rule
-class MutableDefaultRule(LintRule):
+def check_mutable_defaults(module: ModuleInfo) -> Iterator[Finding]:
     """Flag list/dict/set/ndarray literals used as parameter defaults."""
-
-    rule_id = "REPRO002"
-    severity = "error"
-    description = "no mutable default arguments"
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for fn, _cls in iter_functions(ctx.tree):
-            defaults = list(fn.args.defaults) + [
-                d for d in fn.args.kw_defaults if d is not None
-            ]
-            for default in defaults:
-                if _is_mutable_default(default):
-                    yield self.finding(
-                        ctx, default,
-                        f"mutable default argument in '{fn.name}' is shared "
-                        f"across calls; default to None and create it in the "
-                        f"body",
-                    )
+    for fn, _cls in iter_functions(module.tree):
+        defaults = list(fn.args.defaults) + [
+            d for d in fn.args.kw_defaults if d is not None
+        ]
+        for default in defaults:
+            if _is_mutable_default(default):
+                yield module.finding(
+                    "REPRO002", default,
+                    f"mutable default argument in '{fn.name}' is shared "
+                    f"across calls; default to None and create it in the "
+                    f"body",
+                )

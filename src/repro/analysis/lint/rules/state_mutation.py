@@ -11,9 +11,13 @@ owner of state transitions — may mutate them.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Set
+from pathlib import Path
+from typing import TYPE_CHECKING, Iterator, Set
 
-from repro.analysis.lint.engine import Finding, LintContext, LintRule, register_rule
+from repro.analysis.lint.engine import Finding
+
+if TYPE_CHECKING:  # annotations only; the flow package imports this one
+    from repro.analysis.flow.project import ModuleInfo
 from repro.analysis.lint.rules._ast_utils import (
     FUNCTION_NODES,
     all_parameters,
@@ -36,56 +40,46 @@ def _protected_params(fn) -> Set[str]:
     return {p.arg for p in all_parameters(fn) if p.arg in _PROTECTED}
 
 
-@register_rule
-class StateMutationRule(LintRule):
+def check_state_mutation(module: ModuleInfo) -> Iterator[Finding]:
     """Flag writes through protected parameters outside core/state.py."""
+    if Path(module.path).parts[-2:] == ("core", "state.py"):
+        return
+    for fn, _cls in iter_functions(module.tree):
+        protected = _protected_params(fn)
+        if not protected:
+            continue
+        yield from _check_body(module, fn, protected)
 
-    rule_id = "REPRO005"
-    severity = "error"
-    description = (
-        "no in-place mutation of state/history/answers arguments outside "
-        "core/state.py"
-    )
 
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        """Yield this rule's findings for one parsed module."""
-        if ctx.is_module("core", "state.py"):
-            return
-        for fn, _cls in iter_functions(ctx.tree):
-            protected = _protected_params(fn)
-            if not protected:
+def _check_body(module: ModuleInfo, fn, protected: Set[str]
+                ) -> Iterator[Finding]:
+    for node in ast.walk(fn):
+        # Nested defs that rebind a protected name get their own pass.
+        if node is not fn and isinstance(node, FUNCTION_NODES):
+            continue
+        targets = []
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target
+            ]
+        elif isinstance(node, ast.Delete):
+            targets = node.targets
+        for target in targets:
+            if not isinstance(target, (ast.Subscript, ast.Attribute)):
                 continue
-            yield from self._check_body(ctx, fn, protected)
-
-    def _check_body(self, ctx: LintContext, fn, protected: Set[str]
-                    ) -> Iterator[Finding]:
-        for node in ast.walk(fn):
-            # Nested defs that rebind a protected name get their own pass.
-            if node is not fn and isinstance(node, FUNCTION_NODES):
-                continue
-            targets = []
-            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [
-                    node.target
-                ]
-            elif isinstance(node, ast.Delete):
-                targets = node.targets
-            for target in targets:
-                if not isinstance(target, (ast.Subscript, ast.Attribute)):
-                    continue
-                name = root_name(target)
+            name = root_name(target)
+            if name in protected:
+                yield module.finding(
+                    "REPRO005", node,
+                    f"in-place write to argument '{name}' leaks state "
+                    f"outside core/state.py; copy it first",
+                )
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in _MUTATORS:
+                name = root_name(node.func.value)
                 if name in protected:
-                    yield self.finding(
-                        ctx, node,
-                        f"in-place write to argument '{name}' leaks state "
-                        f"outside core/state.py; copy it first",
+                    yield module.finding(
+                        "REPRO005", node,
+                        f"call to mutating method '.{node.func.attr}' on "
+                        f"argument '{name}'; copy it first",
                     )
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                if node.func.attr in _MUTATORS:
-                    name = root_name(node.func.value)
-                    if name in protected:
-                        yield self.finding(
-                            ctx, node,
-                            f"call to mutating method '.{node.func.attr}' on "
-                            f"argument '{name}'; copy it first",
-                        )

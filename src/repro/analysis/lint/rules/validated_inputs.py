@@ -14,9 +14,13 @@ decorator.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from pathlib import Path
+from typing import TYPE_CHECKING, Iterator, Optional
 
-from repro.analysis.lint.engine import Finding, LintContext, LintRule, register_rule
+from repro.analysis.lint.engine import Finding
+
+if TYPE_CHECKING:  # annotations only; the flow package imports this one
+    from repro.analysis.flow.project import ModuleInfo
 from repro.analysis.lint.rules._ast_utils import (
     all_parameters,
     annotation_text,
@@ -85,38 +89,29 @@ def _is_entry_point(fn, cls: Optional[ast.ClassDef]) -> bool:
     return cls is not None and fn.name in _CONSTRUCTORS
 
 
-@register_rule
-class ValidatedInputsRule(LintRule):
+def check_validated_inputs(module: ModuleInfo) -> Iterator[Finding]:
     """Flag unvalidated array-contract parameters on public entry points."""
-
-    rule_id = "REPRO003"
-    severity = "error"
-    description = (
-        "public inference/rl/core functions must validate array inputs "
-        "(repro.utils.validation or repro.analysis.contracts)"
-    )
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        """Yield this rule's findings for one parsed module."""
-        if not ctx.in_package(*_SCOPED_PACKAGES):
-            return
-        seen_nested = set()
-        for fn, cls in iter_functions(ctx.tree):
-            # Skip nested defs: only module/class level defs are entry points.
-            if id(fn) in seen_nested:
-                continue
-            for inner, _ in iter_functions(fn):
-                seen_nested.add(id(inner))
-            if not _is_entry_point(fn, cls):
-                continue
-            params = _contract_params(fn)
-            if not params or _has_validation_evidence(fn):
-                continue
-            where = f"{cls.name}.{fn.name}" if cls is not None else fn.name
-            yield self.finding(
-                ctx, fn,
-                f"public function '{where}' takes array-contract parameter(s) "
-                f"{', '.join(repr(p) for p in params)} but shows no input "
-                f"validation (use repro.utils.validation or a contracts "
-                f"decorator)",
-            )
+    # Scoped by directory, not dotted name: fixture trees lack __init__.py.
+    if not any(name in Path(module.path).parts[:-1]
+               for name in _SCOPED_PACKAGES):
+        return
+    seen_nested = set()
+    for fn, cls in iter_functions(module.tree):
+        # Skip nested defs: only module/class level defs are entry points.
+        if id(fn) in seen_nested:
+            continue
+        for inner, _ in iter_functions(fn):
+            seen_nested.add(id(inner))
+        if not _is_entry_point(fn, cls):
+            continue
+        params = _contract_params(fn)
+        if not params or _has_validation_evidence(fn):
+            continue
+        where = f"{cls.name}.{fn.name}" if cls is not None else fn.name
+        yield module.finding(
+            "REPRO003", fn,
+            f"public function '{where}' takes array-contract parameter(s) "
+            f"{', '.join(repr(p) for p in params)} but shows no input "
+            f"validation (use repro.utils.validation or a contracts "
+            f"decorator)",
+        )

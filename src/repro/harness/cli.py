@@ -9,16 +9,14 @@ Usage::
     python -m repro.harness.cli run --framework CrowdRL --dataset S12CP
     python -m repro.harness.cli run --framework CrowdRL --dataset S12CP --serve
     python -m repro.harness.cli serve --projects 8 --max-active 3
-    python -m repro.harness.cli lint src
 
 The figure subcommands print the same rows/series the paper plots (see
 :mod:`repro.harness.figures`); ``run`` executes a single framework on a
 single dataset and prints its metric report (``--serve`` routes it
 through the online serving layer, bit-identical to the sync path);
 ``serve`` drives many concurrent projects on one shared annotator pool
-through :class:`repro.serve.ServeEngine`; ``lint`` forwards its
-arguments to :mod:`repro.analysis` so the reproducibility linter is
-reachable from the harness entry point.
+through :class:`repro.serve.ServeEngine`.  The static analyzer has its
+own entry point, ``python -m repro.analysis flow``.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from repro.harness.experiment import (
 )
 from repro.harness.figures import fig4, fig5, fig6, fig7, fig8
 from repro.harness.parallel import SweepOptions
-from repro.harness.report import render_figure, render_figures
+from repro.harness.report import render_figures
 
 _FIGURES = {
     "fig4": lambda **kw: fig4(**kw),
@@ -48,7 +46,7 @@ _FIGURES = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Build the harness parser (figure, ``run`` and ``lint`` subcommands)."""
+    """Build the harness parser (figure, ``run`` and ``serve`` subcommands)."""
     parser = argparse.ArgumentParser(
         prog="repro.harness.cli",
         description="Regenerate the CrowdRL paper's evaluation figures.",
@@ -88,16 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--metrics", action="store_true",
             help="collect per-shard obs event logs and merge them (in "
                  "shard-index order) into DIR/metrics.jsonl; needs --journal")
-
-    lint_parser = sub.add_parser(
-        "lint", help="run the repro static-analysis linter (repro.analysis); "
-                     "`lint flow ...` forwards to the interprocedural "
-                     "flow analyzer"
-    )
-    lint_parser.add_argument("lint_args", nargs=argparse.REMAINDER,
-                             help="arguments forwarded to repro.analysis "
-                                  "(first token may name a subcommand: "
-                                  "lint, flow, contracts-report)")
 
     run_parser = sub.add_parser("run", help="run one framework once")
     run_parser.add_argument("--framework", required=True,
@@ -232,14 +220,6 @@ def _run_serve(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Dispatch the parsed subcommand and return a process exit code."""
     args = build_parser().parse_args(argv)
-
-    if args.command == "lint":
-        from repro.analysis.cli import main as analysis_main
-
-        forwarded = list(args.lint_args or ["src"])
-        if forwarded[0] not in ("lint", "flow", "contracts-report"):
-            forwarded = ["lint", *forwarded]
-        return analysis_main(forwarded)
 
     if args.command == "serve":
         return _run_serve(args)

@@ -1,14 +1,17 @@
 """REPRO013 fixture: module-global mutable state written after import time.
 
-Two hits, both anchored at the offending *definitions*: a module-level
-cache dict written through a subscript from a function body, and a
-backend name rebound via ``global``.  The annotated process-local
-registry and the function-local accumulator stay silent.
+Three hits, all anchored at the offending *definitions*: a module-level
+cache dict written through a subscript from a function body, a backend
+name rebound via ``global``, and a list that collects one session's
+registry per call.  The annotated process-local registry and the
+function-local accumulator stay silent.
 """
 
 _RESULT_CACHE: dict = {}
 
 _ACTIVE_BACKEND = "serial"
+
+_LEAKED_REGISTRIES: list = []
 
 _LOCAL_REGISTRY: dict = {}  # repro: process-local — rebuilt identically at import time in every process
 
@@ -23,6 +26,11 @@ def hit_rebinding(name):
     """Rebinds a module global via ``global`` (flags the definition)."""
     global _ACTIVE_BACKEND
     _ACTIVE_BACKEND = name
+
+
+def hit_register_fallback(registry):
+    """Appends one session's registry to the module list (flags it)."""
+    _LEAKED_REGISTRIES.append(registry)
 
 
 def register_local(key, value):

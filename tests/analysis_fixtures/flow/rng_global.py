@@ -1,8 +1,8 @@
 """REPRO008 fixture: global numpy RNG state entering dataflow.
 
-Three hits: the ``np.random`` module object passed as an argument,
-bound to a variable, and ``np.random.seed`` mutating process state.
-Passing a real generator stays silent.
+Two hits: the ``np.random`` module object passed as an argument and
+bound to a variable.  Passing a real generator stays silent.
+(``np.random.seed`` and friends are REPRO001 calls; see bad_rng_seed.py.)
 """
 
 import numpy as np
@@ -22,11 +22,6 @@ def hit_bound_as_value():
     """Aliasing the module smuggles global state (flagged)."""
     rng = np.random
     return consume(rng=rng)
-
-
-def hit_seed_call():
-    """Re-seeding global state couples unrelated call sites (flagged)."""
-    np.random.seed(0)  # repro: noqa REPRO001
 
 
 def clean_generator(seed):

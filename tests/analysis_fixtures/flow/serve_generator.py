@@ -68,6 +68,7 @@ class LeakyOwner:
     """Parks the frame with no way to release it."""
 
     def start(self, dataset):
+        """Parks the primed generator on the owner."""
         self._episode = episode(dataset)
         return next(self._episode)
 
@@ -76,6 +77,7 @@ class ClosingOwner:
     """The abort path releases the frame (silent)."""
 
     def start(self, dataset):
+        """Parks the primed generator on the owner."""
         self._episode = episode(dataset)
         return next(self._episode)
 

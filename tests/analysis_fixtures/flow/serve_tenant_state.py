@@ -1,12 +1,10 @@
 """REPRO021 fixture: per-session state parked in shared scope.
 
-Two hits: a registry written to a plain attribute of the shared router
-(whose methods take a ``session``), and a registry appended to a
-module-global list.  The session-keyed slot and the annotated
-process-local list stay silent.
+One hit: a registry written to a plain attribute of the shared router
+(whose methods take a ``session``).  The session-keyed slot and the
+annotated process-local list stay silent.  A registry appended to an
+unannotated module-global list is REPRO013's hit (par_global_state.py).
 """
-
-_LEAKED_REGISTRIES: list = []  # repro: noqa REPRO013
 
 _WARMUP_CACHES: list = []  # repro: process-local — rebuilt identically at import time in every process
 
@@ -28,11 +26,6 @@ class AnswerRouter:
     def clean_bind(self, session, registry):
         """A session-keyed slot preserves isolation (silent)."""
         self._per_session[session] = registry
-
-
-def hit_register_fallback(registry):
-    """Appends one session's registry to a module-global list."""
-    _LEAKED_REGISTRIES.append(registry)
 
 
 def clean_warm_cache(registry):

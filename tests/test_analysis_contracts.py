@@ -257,3 +257,26 @@ def test_contracts_report_cli_json(capsys):
     assert payload["count"] == len(payload["contracts"]) > 0
     kinds = {c["kind"] for c in payload["contracts"]}
     assert {"shaped", "row_stochastic", "prob_simplex"} <= kinds
+
+
+def test_library_import_does_not_load_the_analyzer():
+    """Importing a contract-carrying module leaves the analyzer unloaded."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    probe = (
+        "import sys, repro.inference.em\n"
+        "print(sorted(m for m in sys.modules if m.startswith("
+        "('repro.analysis.lint', 'repro.analysis.flow'))))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

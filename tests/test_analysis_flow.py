@@ -32,7 +32,7 @@ def rule_ids(findings):
     [
         ("rng_unseeded.py", "REPRO007", 3),
         ("rng_unseeded_indirect.py", "REPRO007", 4),
-        ("rng_global.py", "REPRO008", 3),
+        ("rng_global.py", "REPRO008", 2),
         ("rng_shared.py", "REPRO009", 1),
         ("shapes_transposed.py", "REPRO010", 2),
         ("shapes_container.py", "REPRO010", 3),
@@ -248,11 +248,23 @@ def test_baseline_keys_survive_line_shifts(tmp_path, capsys):
     assert analysis_main(["flow", str(module), "--fail-on-new"]) == 0
 
 
-def test_harness_cli_flow_passthrough(capsys):
-    """``repro.harness.cli lint flow ...`` forwards to the flow analyzer."""
-    from repro.harness.cli import main as harness_main
 
-    assert harness_main(["lint", "flow", str(SRC / "repro")]) == 0
-    assert harness_main(
-        ["lint", "flow", str(FIXTURES / "det_clock.py"), "--no-baseline"]
-    ) == 1
+# ----------------------------------------------------------------------
+# One analyzer: syntax errors and the merged rule table
+# ----------------------------------------------------------------------
+def test_unparsable_file_fails_the_gate(tmp_path, capsys):
+    """A file that does not parse is REPRO000, whatever ``select`` says."""
+    broken = tmp_path / "broken.py"
+    broken.write_text("def broken(:\n")
+    assert rule_ids(analyze_paths([str(broken)])) == ["REPRO000"]
+    assert rule_ids(analyze_paths([str(broken)], select=["REPRO012"])) == [
+        "REPRO000"
+    ]
+    assert analysis_main(["flow", str(tmp_path), "--no-baseline"]) == 1
+    assert "REPRO000" in capsys.readouterr().out
+
+
+def test_every_rule_fires_on_some_fixture():
+    """Each id in the one rule table has at least one fixture hit."""
+    findings = analyze_paths([str(FIXTURES.parent)])
+    assert set(FLOW_RULES) <= set(rule_ids(findings))

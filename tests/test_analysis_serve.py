@@ -3,8 +3,7 @@
 Covers the six rules' hit/silent fixture pairs, the clean-tree
 acceptance run over ``src/repro``, baseline round-tripping with line
 shifts, ``noqa`` and keyed ``blocking[...]`` exemption suppression, the
-lint/flow shared ``--select`` range parser, and the ``--stats``
-summary mode.
+``--select`` range parser, and the ``--stats`` summary mode.
 """
 
 import json
@@ -34,7 +33,7 @@ def rule_ids(findings):
     [
         ("serve_future_leak.py", "REPRO019", 2),
         ("serve_blocking.py", "REPRO020", 2),
-        ("serve_tenant_state.py", "REPRO021", 2),
+        ("serve_tenant_state.py", "REPRO021", 1),
         ("serve_scheduling.py", "REPRO022", 3),
         ("serve_generator.py", "REPRO023", 3),
         ("serve_delivery_alias.py", "REPRO024", 2),
@@ -180,7 +179,7 @@ def test_serve_baseline_round_trip_survives_line_shifts(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# The shared --select range parser: lint/flow parity
+# The --select range parser
 # ----------------------------------------------------------------------
 def test_expand_rule_ranges_short_form():
     known = [f"REPRO{i:03d}" for i in range(19, 25)]
@@ -190,19 +189,19 @@ def test_expand_rule_ranges_short_form():
 
 
 def test_lint_select_accepts_ranges():
-    """The lint CLI shares the flow CLI's range syntax."""
-    assert analysis_main(["lint", str(SRC / "repro"),
+    """Ranges select the per-module rules too."""
+    assert analysis_main(["flow", str(SRC / "repro"),
                           "--select", "REPRO001-REPRO006"]) == 0
 
 
 def test_lint_select_range_usage_errors_exit_2(capsys):
     target = str(SRC / "repro" / "serve" / "clock.py")
-    assert analysis_main(["lint", target,
+    assert analysis_main(["flow", target,
                           "--select", "REPRO006-REPRO001"]) == 2
-    assert "empty rule range" in capsys.readouterr().err
-    assert analysis_main(["lint", target,
+    assert "empty flow rule range" in capsys.readouterr().err
+    assert analysis_main(["flow", target,
                           "--select", "REPRO001-REPRO099"]) == 2
-    assert "unknown rule" in capsys.readouterr().err
+    assert "unknown flow rule" in capsys.readouterr().err
 
 
 def test_flow_serve_range_selects_exactly_the_new_rules():
