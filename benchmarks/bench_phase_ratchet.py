@@ -1,9 +1,9 @@
 """Produce the deterministic metrics run the per-phase perf ratchet reads.
 
 Runs one small CrowdRL experiment (fixed dataset/scale/seed — it
-exercises all eight ratcheted phases: featurize, q_forward, select,
-collect, e_step, m_step, enrich, dqn_train) several times with metrics
-enabled and concatenates the raw ``phase`` events of every repeat into
+exercises all ten ratcheted phases: featurize, q_forward, select,
+collect, infer, e_step, m_step, refit, enrich, dqn_train) several times
+with metrics enabled and concatenates the raw ``phase`` events of every repeat into
 one JSONL.  The minimum over that file is a min-over-calls *and*
 min-over-runs — the tight-loop-minima idiom ``bench_obs.py`` uses,
 applied to whole episodes — which is what

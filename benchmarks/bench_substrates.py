@@ -35,7 +35,7 @@ def answered_platform():
 
 
 @pytest.mark.parametrize("algo_factory,algo_name", [
-    (lambda: MajorityVote(rng=0), "majority-vote"),
+    (lambda: MajorityVote(), "majority-vote"),
     (lambda: DawidSkene(), "dawid-skene"),
     (lambda: PMInference(), "pm"),
 ], ids=["mv", "ds", "pm"])

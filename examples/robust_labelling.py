@@ -110,7 +110,7 @@ def main() -> None:
                                            corrupted)):
         rows.append([
             label,
-            inference_accuracy(pool, dataset, MajorityVote(rng=0)),
+            inference_accuracy(pool, dataset, MajorityVote()),
             inference_accuracy(pool, dataset, DawidSkene()),
             crowdrl_accuracy(pool, dataset),
         ])

@@ -2,8 +2,8 @@
 
 A standalone tour of the inference substrate (no RL loop): simulates one
 batch of crowd answers at varying redundancy (answers per object) and
-compares Majority Voting, Dawid-Skene EM, PM, GLAD and the CrowdRL joint
-model (which additionally sees object features).  Reproduces the paper's
+compares Majority Voting, Dawid-Skene EM, PM and the CrowdRL joint model
+(which additionally sees object features).  Reproduces the paper's
 Section V argument: feature-aware joint inference pays off most when
 annotator redundancy is low.
 
@@ -15,7 +15,12 @@ import numpy as np
 from repro import make_platform
 from repro.classifiers.logistic import LogisticRegressionClassifier
 from repro.datasets.synthetic import make_blobs
-from repro.inference import get
+from repro.inference import (
+    DawidSkene,
+    JointInference,
+    MajorityVote,
+    PMInference,
+)
 from repro.utils.tables import format_table
 
 
@@ -44,27 +49,19 @@ def main() -> None:
                 [result.labels[i] == truths[i] for i in range(len(truths))]
             ))
 
-        # Every algorithm comes from the string registry (repro.inference.get);
-        # the joint model additionally needs a classifier and the features.
-        joint = get(
-            "joint",
-            classifier=LogisticRegressionClassifier(dataset.n_features, 2,
-                                                    l2=0.02),
-            features=dataset.features,
+        # The joint model additionally needs a classifier and the features.
+        joint = JointInference(
+            LogisticRegressionClassifier(dataset.n_features, 2, l2=0.02),
+            dataset.features,
             expert_mask=platform.pool.expert_mask,
         )
-        rows.append([
-            redundancy,
-            accuracy(get("majority", rng=0).infer(answers, 2, n_ann)),
-            accuracy(get("dawid_skene").infer(answers, 2, n_ann)),
-            accuracy(get("pm").infer(answers, 2, n_ann)),
-            accuracy(get("glad", max_iter=15).infer(answers, 2, n_ann)),
-            accuracy(joint.infer(answers, 2, n_ann)),
+        models = (MajorityVote(), DawidSkene(), PMInference(), joint)
+        rows.append([redundancy] + [
+            accuracy(model.infer(answers, 2, n_ann)) for model in models
         ])
 
     print(format_table(
-        ["answers/object", "MV", "Dawid-Skene", "PM", "GLAD",
-         "CrowdRL joint"],
+        ["answers/object", "MV", "Dawid-Skene", "PM", "CrowdRL joint"],
         rows,
     ))
     print(

@@ -30,7 +30,6 @@ from repro.crowd.pool import AnnotatorPool
 from repro.datasets.base import LabelledDataset
 from repro.datasets.registry import DATASET_NAMES, load_dataset
 from repro.inference.base import TruthInference
-from repro.inference.registry import INFERENCE_NAMES, get
 from repro.metrics.classification import ClassificationReport, evaluate_labels
 from repro.utils.rng import SeedLike, as_rng, spawn_rngs
 
@@ -50,8 +49,6 @@ __all__ = [
     "load_dataset",
     "DATASET_NAMES",
     "TruthInference",
-    "get",
-    "INFERENCE_NAMES",
     "ClassificationReport",
     "evaluate_labels",
     "make_platform",

@@ -1,20 +1,10 @@
-"""Active-learning toolkit: uncertainty measures and task selectors.
+"""Active-learning toolkit: the bootstrap MinExpError scores.
 
-Used by the baselines (DLTA's acquisition step, DALC's informativeness,
-Hybrid's bootstrap MinExpError) and by the CrowdRL ablation M1 (random
-selection).
+Used by the Hybrid baseline's task selection (Mozafari et al.).  DLTA,
+DALC and the CrowdRL ablation M1 compute their entropy and random picks
+inline.
 """
 
 from repro.active.bootstrap import min_exp_error_scores
-from repro.active.selectors import RandomSelector, TaskSelector, UncertaintySelector
-from repro.active.uncertainty import entropy, least_confidence, margin
 
-__all__ = [
-    "entropy",
-    "margin",
-    "least_confidence",
-    "min_exp_error_scores",
-    "TaskSelector",
-    "RandomSelector",
-    "UncertaintySelector",
-]
+__all__ = ["min_exp_error_scores"]

@@ -53,7 +53,6 @@ _CONTRACT_MODULES = (
     "repro.inference.joint",
     "repro.rl.qnetwork",
     "repro.rl.dqn",
-    "repro.rl.selection",
     "repro.core.agent",
 )
 

@@ -9,12 +9,10 @@ from repro.classifiers.base import Classifier
 from repro.classifiers.knn import KNNClassifier
 from repro.classifiers.logistic import LogisticRegressionClassifier
 from repro.classifiers.mlp import MLPClassifier
-from repro.classifiers.naive_bayes import NaiveBayesClassifier
 
 __all__ = [
     "Classifier",
     "MLPClassifier",
     "LogisticRegressionClassifier",
     "KNNClassifier",
-    "NaiveBayesClassifier",
 ]

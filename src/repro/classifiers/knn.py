@@ -17,15 +17,13 @@ from repro.exceptions import ConfigurationError
 
 
 class KNNClassifier(Classifier):
-    """Brute-force KNN with optional distance weighting."""
+    """Brute-force KNN with inverse-distance-weighted neighbour votes."""
 
-    def __init__(self, n_classes: int, *, k: int = 5,
-                 distance_weighted: bool = True) -> None:
+    def __init__(self, n_classes: int, *, k: int = 5) -> None:
         super().__init__(n_classes)
         if k <= 0:
             raise ConfigurationError(f"k must be > 0, got {k}")
         self.k = k
-        self.distance_weighted = distance_weighted
         self._x: Optional[np.ndarray] = None
         self._soft: Optional[np.ndarray] = None
 
@@ -67,12 +65,8 @@ class KNNClassifier(Classifier):
         nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
         proba = np.empty((x.shape[0], self.n_classes))
         for row, idx in enumerate(nearest):
-            neighbours = self._soft[idx]
-            if self.distance_weighted:
-                weights = 1.0 / (np.sqrt(d2[row, idx]) + 1e-8)
-                dist = (neighbours * weights[:, None]).sum(axis=0)
-            else:
-                dist = neighbours.sum(axis=0)
+            weights = 1.0 / (np.sqrt(d2[row, idx]) + 1e-8)
+            dist = (self._soft[idx] * weights[:, None]).sum(axis=0)
             total = dist.sum()
             proba[row] = dist / total if total > 0 else 1.0 / self.n_classes
         return proba

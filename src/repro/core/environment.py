@@ -108,7 +108,7 @@ class Environment:
             if joint.fitted_classifier is not None:
                 self.classifier = joint.fitted_classifier
         else:
-            result = MajorityVote(rng=self._rng).infer(
+            result = MajorityVote().infer(
                 answers, self.platform.n_classes, len(self.platform.pool)
             )
 

@@ -1,48 +1,29 @@
 """Truth inference: aggregating noisy answers into true labels.
 
-Implements the aggregation algorithms the paper uses or compares against:
+Holds exactly the four aggregation algorithms the paper uses:
 
-* :class:`MajorityVote` / weighted variant — the naive baseline (Section V-A1).
-* :class:`DawidSkene` — classic confusion-matrix EM, used by DLTA/IDLE.
+* :class:`MajorityVote` — the naive baseline (Section V-A1).
+* :class:`DawidSkene` — classic confusion-matrix EM, used by DLTA, IDLE
+  and DALC.
 * :class:`PMInference` — the PM algorithm of Zheng et al. [48], used by the
   Hybrid baseline and the M3 ablation.
-* :class:`GladInference` — one-parameter-per-annotator EM with task
-  difficulty, included for completeness of the inference substrate.
 * :class:`JointInference` — the paper's contribution (Section V): EM over
   classifier parameters, annotator confusion matrices and latent truths
   simultaneously, with expert-quality bounding.
 """
 
 from repro.inference.base import AnswerMap, InferenceResult, TruthInference
-from repro.inference.catd import CATDInference
 from repro.inference.dawid_skene import DawidSkene
-from repro.inference.glad import GladInference
 from repro.inference.joint import JointInference
-from repro.inference.majority import MajorityVote, WeightedMajorityVote
-from repro.inference.ingest import (
-    answers_from_matrix,
-    answers_from_records,
-    answers_to_matrix,
-)
+from repro.inference.majority import MajorityVote
 from repro.inference.pm import PMInference
-from repro.inference.registry import INFERENCE_NAMES, get
-from repro.inference.zencrowd import ZenCrowd
 
 __all__ = [
-    "INFERENCE_NAMES",
-    "get",
-    "answers_from_matrix",
-    "answers_from_records",
-    "answers_to_matrix",
     "AnswerMap",
     "InferenceResult",
     "TruthInference",
     "MajorityVote",
-    "WeightedMajorityVote",
     "DawidSkene",
     "PMInference",
-    "GladInference",
-    "ZenCrowd",
-    "CATDInference",
     "JointInference",
 ]

@@ -9,8 +9,6 @@ as their inference component.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.crowd.confusion import ConfusionMatrix
@@ -35,13 +33,10 @@ class DawidSkene(TruthInference):
     smoothing:
         Laplace smoothing added to the soft confusion counts so no entry
         collapses to zero probability.
-    class_prior:
-        Optional fixed class prior; learned from posteriors when omitted.
     """
 
     def __init__(self, *, max_iter: int = 100, tol: float = 1e-5,
-                 smoothing: float = 0.1,
-                 class_prior: Optional[np.ndarray] = None) -> None:
+                 smoothing: float = 0.1) -> None:
         if max_iter <= 0:
             raise ConfigurationError(f"max_iter must be > 0, got {max_iter}")
         if tol <= 0:
@@ -51,7 +46,6 @@ class DawidSkene(TruthInference):
         self.max_iter = max_iter
         self.tol = tol
         self.smoothing = smoothing
-        self.class_prior = class_prior
 
     def infer(self, answers: AnswerMap, n_classes: int,
               n_annotators: int) -> InferenceResult:
@@ -63,11 +57,6 @@ class DawidSkene(TruthInference):
 
         # Initialise posteriors with majority voting.
         post = index.vote_shares()
-        prior = (
-            np.asarray(self.class_prior, dtype=float)
-            if self.class_prior is not None
-            else np.full(n_classes, 1.0 / n_classes)
-        )
         no_classifier = np.zeros_like(post)
 
         converged = False
@@ -78,9 +67,8 @@ class DawidSkene(TruthInference):
             confusions = _m_step_confusions(
                 index.soft_counts(post, self.smoothing)
             )
-            if self.class_prior is None:
-                prior_mass = index.class_mass(post, self.smoothing)
-                prior = prior_mass / prior_mass.sum()
+            prior_mass = index.class_mass(post, self.smoothing)
+            prior = prior_mass / prior_mass.sum()
 
             # E-step: posterior per object.
             new_post = _e_step_posteriors(index, prior, no_classifier, confusions)

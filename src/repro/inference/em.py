@@ -1,4 +1,4 @@
-"""Flat-index E- and M-step kernels shared by the confusion-matrix EMs.
+"""Flat-index kernels shared by the EM-style truth inferences.
 
 :class:`~repro.inference.dawid_skene.DawidSkene` and
 :class:`~repro.inference.joint.JointInference` run the same two inner
@@ -13,6 +13,11 @@ are one gather plus one ``np.add.at`` instead of a Python loop per answer.
 the flat arrays list answers row by row in each object's dict order, so
 every sum is accumulated in exactly the order the per-answer loops used:
 the kernels are bit-identical to them.
+
+:class:`~repro.inference.pm.PMInference` runs on the same index: its
+weighted votes are one ``np.add.at`` over ``(row, answer)``, and its
+per-annotator seen and wrong counts are ``np.bincount`` over the flat
+annotator array.
 """
 
 from __future__ import annotations

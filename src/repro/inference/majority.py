@@ -1,32 +1,17 @@
-"""Majority voting and quality-weighted majority voting.
+"""Majority voting: the naive strategy of Section V-A1.
 
-The naive strategies of Section V-A1.  Plain MV treats every annotator
-equally; the weighted variant weights each vote by a supplied scalar quality
-(e.g. the State's estimated quality column), which is what "taking the
-classifier as a special annotator" style aggregation reduces to.
+Every annotator's vote counts equally; ties go to the lowest class index.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 import numpy as np
 
-from repro.exceptions import ConfigurationError
 from repro.inference.base import AnswerMap, InferenceResult, TruthInference
-from repro.utils.rng import SeedLike, as_rng
 
 
 class MajorityVote(TruthInference):
-    """Plain majority voting; ties broken deterministically or at random."""
-
-    def __init__(self, *, tie_break: str = "lowest", rng: SeedLike = None) -> None:
-        if tie_break not in ("lowest", "random"):
-            raise ConfigurationError(
-                f"tie_break must be 'lowest' or 'random', got {tie_break!r}"
-            )
-        self.tie_break = tie_break
-        self._rng = as_rng(rng)
+    """Plain majority voting; ties broken by the lowest class index."""
 
     def infer(self, answers: AnswerMap, n_classes: int,
               n_annotators: int) -> InferenceResult:
@@ -39,43 +24,5 @@ class MajorityVote(TruthInference):
             for answer in votes.values():
                 counts[answer] += 1
             posteriors[object_id] = counts / counts.sum()
-            winners = np.flatnonzero(counts == counts.max())
-            if len(winners) == 1 or self.tie_break == "lowest":
-                labels[object_id] = int(winners[0])
-            else:
-                labels[object_id] = int(self._rng.choice(winners))
-        return InferenceResult(posteriors=posteriors, labels=labels)
-
-
-class WeightedMajorityVote(TruthInference):
-    """Majority voting with per-annotator vote weights."""
-
-    def __init__(self, weights: Sequence[float]) -> None:
-        w = np.asarray(weights, dtype=float)
-        if w.ndim != 1 or w.size == 0:
-            raise ConfigurationError("weights must be a non-empty 1-D sequence")
-        if np.any(w < 0):
-            raise ConfigurationError("weights must be non-negative")
-        self.weights = w
-
-    def infer(self, answers: AnswerMap, n_classes: int,
-              n_annotators: int) -> InferenceResult:
-        """Aggregate by quality-weighted majority vote."""
-        self._validate(answers, n_classes, n_annotators)
-        if self.weights.size != n_annotators:
-            raise ConfigurationError(
-                f"expected {n_annotators} weights, got {self.weights.size}"
-            )
-        posteriors: dict[int, np.ndarray] = {}
-        for object_id, votes in answers.items():
-            scores = np.zeros(n_classes)
-            for annotator_id, answer in votes.items():
-                scores[answer] += self.weights[annotator_id]
-            total = scores.sum()
-            if total <= 0:
-                # All voters carry zero weight; fall back to uniform.
-                posteriors[object_id] = np.full(n_classes, 1.0 / n_classes)
-            else:
-                posteriors[object_id] = scores / total
-        labels = self._posterior_to_labels(posteriors)
+            labels[object_id] = int(np.argmax(counts))
         return InferenceResult(posteriors=posteriors, labels=labels)

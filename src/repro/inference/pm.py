@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.inference.base import AnswerMap, InferenceResult, TruthInference
+from repro.inference.em import _AnswerIndex
 
 
 class PMInference(TruthInference):
@@ -42,44 +43,34 @@ class PMInference(TruthInference):
               n_annotators: int) -> InferenceResult:
         """Run PM's distance-based iterative weighting over ``answers``."""
         self._validate(answers, n_classes, n_annotators)
-        object_ids = sorted(answers)
-        if not object_ids:
+        index = _AnswerIndex(answers, n_classes, n_annotators)
+        if not index.object_ids:
             return InferenceResult(posteriors={}, labels={})
 
+        n_seen = np.bincount(index.annotators, minlength=n_annotators)
+        seen = n_seen > 0
         weights = np.ones(n_annotators)
-        posteriors: dict[int, np.ndarray] = {}
         converged = False
         iteration = 0
 
         for iteration in range(1, self.max_iter + 1):
             # Truth update: weighted votes.
-            for oid in object_ids:
-                scores = np.zeros(n_classes)
-                for annotator_id, answer in answers[oid].items():
-                    scores[answer] += weights[annotator_id]
-                total = scores.sum()
-                posteriors[oid] = (
-                    scores / total if total > 0
-                    else np.full(n_classes, 1.0 / n_classes)
-                )
-            labels = self._posterior_to_labels(posteriors)
+            scores = np.zeros((len(index.object_ids), n_classes))
+            np.add.at(scores, (index.rows, index.answers),
+                      weights[index.annotators])
+            # Every object has an answer and every weight is positive
+            # (err <= 1 - regulariser), so no row total is zero.
+            post = scores / scores.sum(axis=1, keepdims=True)
+            labels = post.argmax(axis=1)
 
             # Weight update: w_j = -log(regularised error rate).
+            wrong = index.answers != labels[index.rows]
+            n_wrong = np.bincount(index.annotators[wrong],
+                                  minlength=n_annotators)
+            err = np.clip(n_wrong[seen] / n_seen[seen],
+                          self.regulariser, 1.0 - self.regulariser)
             new_weights = weights.copy()
-            for j in range(n_annotators):
-                n_seen = 0
-                n_wrong = 0
-                for oid in object_ids:
-                    if j in answers[oid]:
-                        n_seen += 1
-                        if answers[oid][j] != labels[oid]:
-                            n_wrong += 1
-                if n_seen == 0:
-                    continue
-                err = np.clip(
-                    n_wrong / n_seen, self.regulariser, 1.0 - self.regulariser
-                )
-                new_weights[j] = -np.log(err)
+            new_weights[seen] = -np.log(err)
 
             delta = float(np.abs(new_weights - weights).max())
             weights = new_weights
@@ -87,6 +78,7 @@ class PMInference(TruthInference):
                 converged = True
                 break
 
+        posteriors = {oid: post[row] for row, oid in enumerate(index.object_ids)}
         return InferenceResult(
             posteriors=posteriors,
             labels=self._posterior_to_labels(posteriors),

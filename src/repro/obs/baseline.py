@@ -40,15 +40,18 @@ from repro.obs.events import PathLike, read_events
 from repro.utils.tables import format_table
 
 #: Ratcheted phase -> the ``phase_timer`` name carrying it in the JSONL.
-#: (``e_step``/``m_step`` run inside the ``infer`` phase, hence the
-#: namespaced names.)  DESIGN.md documents the map next to the featurizer.
+#: (``e_step``/``m_step``/``refit`` run inside the ``infer`` phase, hence
+#: the namespaced names.)  DESIGN.md documents the map next to the
+#: featurizer.
 PHASE_BASELINE_MAP: Dict[str, str] = {
     "featurize": "featurize",
     "q_forward": "q_forward",
     "select": "select",
     "collect": "collect",
+    "infer": "infer",
     "e_step": "infer.e_step",
     "m_step": "infer.m_step",
+    "refit": "infer.refit",
     "enrich": "enrich",
     "dqn_train": "dqn_train",
 }

@@ -9,13 +9,7 @@ UCB1-flavoured action selection of Eq. 6.
 from repro.rl.dqn import DQNAgent, DQNConfig
 from repro.rl.qnetwork import QNetwork
 from repro.rl.replay import PrioritizedReplayBuffer, ReplayBuffer, Transition
-from repro.rl.schedule import ConstantSchedule, LinearSchedule
-from repro.rl.selection import (
-    ActionStatistics,
-    epsilon_greedy_action,
-    greedy_action,
-    ucb_action,
-)
+from repro.rl.selection import ActionStatistics
 
 __all__ = [
     "Transition",
@@ -24,10 +18,5 @@ __all__ = [
     "QNetwork",
     "DQNAgent",
     "DQNConfig",
-    "ConstantSchedule",
-    "LinearSchedule",
     "ActionStatistics",
-    "greedy_action",
-    "epsilon_greedy_action",
-    "ucb_action",
 ]

@@ -1,18 +1,17 @@
-"""Action-selection policies, including the paper's UCB1 variant (Eq. 6).
+"""Selection counts behind the paper's UCB1 action selection (Eq. 6).
 
 Eq. 6 selects ``A(t) = argmax[ Q(S, A') + sqrt(2 ln(n') / n) ]`` where ``n``
 counts how often ``A'`` was chosen and ``n'`` counts total selections.
-Masked actions (e.g. already-labelled objects) carry ``Q = -inf`` and are
-never selected regardless of the exploration bonus.
+:class:`ActionStatistics` keeps those counts and computes the bonus;
+:meth:`repro.core.agent.Agent.act` adds it to the Q-values, keeping masked
+actions (``Q = -inf``) masked.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.contracts import shaped
 from repro.exceptions import ConfigurationError
-from repro.utils.rng import SeedLike, as_rng
 
 
 class ActionStatistics:
@@ -51,46 +50,3 @@ class ActionStatistics:
             bonus = np.sqrt(2.0 * np.log(self.total) / self.counts)
         bonus[self.counts == 0] = np.inf
         return bonus
-
-
-@shaped(q_values="(n_actions,)")
-def greedy_action(q_values: np.ndarray) -> int:
-    """Plain argmax; raises if every action is masked."""
-    q = np.asarray(q_values, dtype=float)
-    best = int(np.argmax(q))
-    if not np.isfinite(q[best]):
-        raise ConfigurationError("all actions are masked (-inf)")
-    return best
-
-
-@shaped(q_values="(n_actions,)")
-def epsilon_greedy_action(q_values: np.ndarray, epsilon: float,
-                          rng: SeedLike = None) -> int:
-    """Explore uniformly over unmasked actions with probability ``epsilon``."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ConfigurationError(f"epsilon must be in [0, 1], got {epsilon}")
-    q = np.asarray(q_values, dtype=float)
-    valid = np.flatnonzero(np.isfinite(q))
-    if valid.size == 0:
-        raise ConfigurationError("all actions are masked (-inf)")
-    rng = as_rng(rng)
-    if rng.random() < epsilon:
-        return int(rng.choice(valid))
-    return greedy_action(q)
-
-
-@shaped(q_values="(n_actions,)")
-def ucb_action(q_values: np.ndarray, stats: ActionStatistics) -> int:
-    """The paper's Eq. 6: argmax of Q plus the UCB1 bonus, masks respected."""
-    q = np.asarray(q_values, dtype=float)
-    if q.size != stats.counts.size:
-        raise ConfigurationError(
-            f"{q.size} q-values but statistics track {stats.counts.size} actions"
-        )
-    masked = ~np.isfinite(q)
-    if masked.all():
-        raise ConfigurationError("all actions are masked (-inf)")
-    # -inf + inf would be nan; masked actions must stay masked.
-    score = np.where(masked, -np.inf, np.where(masked, 0.0, q) + stats.bonus())
-    # An unmasked never-tried action has +inf score and wins, as in UCB1.
-    return int(np.argmax(score))

@@ -22,12 +22,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 
-def top_k_indices(values: Sequence[float], k: int, *,
-                  tie_break: str = "index") -> list[int]:
+def top_k_indices(values: Sequence[float], k: int) -> list[int]:
     """Return indices of the ``k`` largest entries, largest first.
 
-    The single top-k entry point used by agent selection, the
-    active-learning selectors and enrichment alike.
+    Equal values are ordered by lower index — the deterministic
+    ``(value, -index)`` ordering every caller relies on.  The single
+    top-k entry point used by agent selection and the cold-start
+    annotator ranking alike.
 
     Parameters
     ----------
@@ -37,13 +38,6 @@ def top_k_indices(values: Sequence[float], k: int, *,
     k:
         How many indices to return; ``k`` larger than ``len(values)``
         returns every index.
-    tie_break:
-        ``"index"`` (default) orders equal values by lower index — the
-        deterministic ``(value, -index)`` ordering every caller in this
-        repository relies on.  ``"none"`` skips the deterministic
-        ordering entirely: the result is the ``k`` largest entries in
-        unspecified order (pure ``np.argpartition``, the fastest option
-        when the caller re-sorts or only needs set membership).
 
     Notes
     -----
@@ -53,18 +47,10 @@ def top_k_indices(values: Sequence[float], k: int, *,
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    if tie_break not in ("index", "none"):
-        raise ValueError(
-            f"tie_break must be 'index' or 'none', got {tie_break!r}"
-        )
     arr = np.asarray(values, dtype=float).ravel()
     k = min(k, arr.size)
     if k == 0:
         return []
-    if tie_break == "none":
-        if k >= arr.size:
-            return list(range(arr.size))
-        return [int(i) for i in np.argpartition(-arr, k - 1)[:k]]
     if k >= arr.size:
         order = np.argsort(-arr, kind="stable")
         return [int(i) for i in order]

@@ -1,37 +1,12 @@
-"""Tests for repro.active (uncertainty, bootstrap MinExpError, selectors)."""
+"""Tests for repro.active (bootstrap MinExpError)."""
 
 import numpy as np
 import pytest
 
 from repro.active.bootstrap import min_exp_error_scores
-from repro.active.selectors import RandomSelector, UncertaintySelector
-from repro.active.uncertainty import entropy, least_confidence, margin
 from repro.classifiers.logistic import LogisticRegressionClassifier
 from repro.datasets.synthetic import make_blobs
 from repro.exceptions import ConfigurationError
-
-
-UNIFORM = np.array([[0.5, 0.5]])
-CONFIDENT = np.array([[0.99, 0.01]])
-
-
-class TestUncertainty:
-    def test_entropy_ordering(self):
-        assert entropy(UNIFORM)[0] > entropy(CONFIDENT)[0]
-
-    def test_entropy_max_at_uniform(self):
-        assert entropy(UNIFORM)[0] == pytest.approx(np.log(2))
-
-    def test_margin_ordering(self):
-        assert margin(UNIFORM)[0] > margin(CONFIDENT)[0]
-
-    def test_least_confidence_values(self):
-        assert least_confidence(CONFIDENT)[0] == pytest.approx(0.01)
-        assert least_confidence(UNIFORM)[0] == pytest.approx(0.5)
-
-    def test_1d_input_raises(self):
-        with pytest.raises(ConfigurationError):
-            entropy(np.array([0.5, 0.5]))
 
 
 class TestMinExpError:
@@ -81,38 +56,3 @@ class TestMinExpError:
                 lambda: LogisticRegressionClassifier(1, 2),
                 np.ones((3, 1)), np.array([0, 1]), np.ones((1, 1)),
             )
-
-
-class TestSelectors:
-    def test_random_selector_size_and_membership(self):
-        selector = RandomSelector(rng=0)
-        chosen = selector.select([10, 20, 30, 40], 2)
-        assert len(chosen) == 2
-        assert set(chosen) <= {10, 20, 30, 40}
-
-    def test_random_selector_no_duplicates(self):
-        chosen = RandomSelector(rng=0).select(list(range(10)), 10)
-        assert len(set(chosen)) == 10
-
-    def test_random_selector_caps_at_pool(self):
-        assert len(RandomSelector(rng=0).select([1, 2], 5)) == 2
-
-    def test_random_selector_empty(self):
-        assert RandomSelector(rng=0).select([], 3) == []
-
-    def test_uncertainty_selector_picks_most_uncertain(self):
-        proba = np.array([[0.95, 0.05], [0.55, 0.45], [0.7, 0.3]])
-        chosen = UncertaintySelector().select([100, 200, 300], 2, proba)
-        assert chosen == [200, 300]
-
-    def test_uncertainty_selector_requires_proba(self):
-        with pytest.raises(ConfigurationError):
-            UncertaintySelector().select([1, 2], 1)
-
-    def test_uncertainty_selector_length_check(self):
-        with pytest.raises(ConfigurationError):
-            UncertaintySelector().select([1, 2], 1, np.ones((3, 2)) / 2)
-
-    def test_invalid_batch_size_raises(self):
-        with pytest.raises(ConfigurationError):
-            RandomSelector(rng=0).select([1], 0)

@@ -1,4 +1,4 @@
-"""Tests for annotator capacity limits and external answer ingestion."""
+"""Tests for annotator capacity limits."""
 
 import numpy as np
 import pytest
@@ -10,11 +10,6 @@ from repro.crowd.platform import CrowdPlatform
 from repro.crowd.pool import AnnotatorPool
 from repro.datasets.synthetic import make_blobs
 from repro.exceptions import ConfigurationError
-from repro.inference.ingest import (
-    answers_from_matrix,
-    answers_from_records,
-    answers_to_matrix,
-)
 
 
 def capped_pool(capacities=(2, None, None), n_classes=2):
@@ -81,54 +76,3 @@ class TestCapacity:
         assert outcome.final_labels.shape == (30,)
         for j in range(3):
             assert platform.history.annotator_load(j) <= 10
-
-
-class TestIngest:
-    def test_from_matrix(self):
-        matrix = np.array([
-            [1, -1, 0],
-            [-1, -1, -1],
-            [0, 0, -1],
-        ])
-        answers = answers_from_matrix(matrix)
-        assert answers == {0: {0: 1, 2: 0}, 2: {0: 0, 1: 0}}
-
-    def test_from_matrix_custom_sentinel(self):
-        matrix = np.array([[9, 1], [0, 9]])
-        answers = answers_from_matrix(matrix, unanswered=9)
-        assert answers == {0: {1: 1}, 1: {0: 0}}
-
-    def test_from_matrix_shape_checked(self):
-        with pytest.raises(ConfigurationError):
-            answers_from_matrix(np.array([1, 2, 3]))
-
-    def test_from_records(self):
-        answers = answers_from_records([(0, 1, 1), (0, 2, 0), (3, 1, 1)])
-        assert answers == {0: {1: 1, 2: 0}, 3: {1: 1}}
-
-    def test_from_records_duplicate_raises(self):
-        with pytest.raises(ConfigurationError):
-            answers_from_records([(0, 1, 1), (0, 1, 0)])
-
-    def test_from_records_negative_raises(self):
-        with pytest.raises(ConfigurationError):
-            answers_from_records([(0, -1, 1)])
-
-    def test_matrix_roundtrip(self):
-        answers = {0: {0: 1, 2: 0}, 2: {1: 1}}
-        matrix = answers_to_matrix(answers, 3, 3)
-        assert answers_from_matrix(matrix) == answers
-
-    def test_to_matrix_range_checked(self):
-        with pytest.raises(ConfigurationError):
-            answers_to_matrix({5: {0: 0}}, 3, 3)
-        with pytest.raises(ConfigurationError):
-            answers_to_matrix({0: {5: 0}}, 3, 3)
-
-    def test_ingested_answers_feed_inference(self):
-        from repro.inference.majority import MajorityVote
-
-        matrix = np.array([[1, 1, 0], [0, 0, 1]])
-        answers = answers_from_matrix(matrix)
-        result = MajorityVote().infer(answers, 2, 3)
-        assert result.labels == {0: 1, 1: 0}

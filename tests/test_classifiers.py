@@ -143,12 +143,6 @@ class TestKNNSpecifics:
         with pytest.raises(ConfigurationError):
             KNNClassifier(2, k=0)
 
-    def test_unweighted_variant(self, blobs):
-        clf = KNNClassifier(2, k=3, distance_weighted=False)
-        clf.fit(blobs.features, blobs.labels)
-        acc = (clf.predict(blobs.features) == blobs.labels).mean()
-        assert acc > 0.9
-
 
 class TestMLPSpecifics:
     def test_warm_start_continues(self):

@@ -112,7 +112,7 @@ class TestRobustnessUnderContamination:
         platform.ask_batch((i, [0, 1, 2]) for i in range(300))
         answers = {i: platform.history.answers_for(i) for i in range(300)}
         ds_acc = self._accuracy(DawidSkene(), answers, truths, 3)
-        mv_acc = self._accuracy(MajorityVote(rng=0), answers, truths, 3)
+        mv_acc = self._accuracy(MajorityVote(), answers, truths, 3)
         assert ds_acc >= mv_acc
 
     def test_platform_accepts_drifting_annotators(self):

@@ -1,8 +1,7 @@
-"""Smoke tests: the example scripts run end to end.
+"""Smoke tests: every example script runs end to end.
 
-The slower sweeps (speech_assessment, budget_planning) are exercised by
-the harness/benchmark tests that run the same code paths; here we execute
-the quick examples verbatim so a README user's first contact never breaks.
+Each example is executed verbatim, so a README user's first contact never
+breaks.
 """
 
 import importlib.util
@@ -13,11 +12,14 @@ import pytest
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
-FAST_EXAMPLES = [
+EXAMPLES = [
     "quickstart",
     "medical_triage",
     "truth_inference_comparison",
     "run_trace_analysis",
+    "robust_labelling",
+    "speech_assessment",
+    "budget_planning",
 ]
 
 
@@ -30,7 +32,7 @@ def load_example(name: str):
     return module
 
 
-@pytest.mark.parametrize("name", FAST_EXAMPLES)
+@pytest.mark.parametrize("name", EXAMPLES)
 def test_example_runs(name, capsys):
     module = load_example(name)
     module.main()

@@ -58,7 +58,7 @@ class TestJointInference:
             joint.infer(answers, 2, n_ann).labels[i] == truths[i]
             for i in range(len(truths))
         ])
-        mv = MajorityVote(rng=0).infer(answers, 2, n_ann)
+        mv = MajorityVote().infer(answers, 2, n_ann)
         mv_acc = np.mean([mv.labels[i] == truths[i] for i in range(len(truths))])
         assert j_acc >= mv_acc
 

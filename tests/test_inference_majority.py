@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.inference.majority import MajorityVote, WeightedMajorityVote
+from repro.inference.majority import MajorityVote
 
 
 class TestMajorityVote:
@@ -21,17 +21,7 @@ class TestMajorityVote:
 
     def test_tie_break_lowest(self):
         answers = {0: {0: 0, 1: 1}}
-        assert MajorityVote(tie_break="lowest").infer(answers, 2, 2).labels[0] == 0
-
-    def test_tie_break_random_is_seeded(self):
-        answers = {0: {0: 0, 1: 1}}
-        a = MajorityVote(tie_break="random", rng=0).infer(answers, 2, 2)
-        b = MajorityVote(tie_break="random", rng=0).infer(answers, 2, 2)
-        assert a.labels[0] == b.labels[0]
-
-    def test_invalid_tie_break_raises(self):
-        with pytest.raises(ConfigurationError):
-            MajorityVote(tie_break="coin")
+        assert MajorityVote().infer(answers, 2, 2).labels[0] == 0
 
     def test_empty_answer_set_raises(self):
         with pytest.raises(ConfigurationError):
@@ -44,33 +34,6 @@ class TestMajorityVote:
     def test_multiclass(self):
         answers = {0: {0: 2, 1: 2, 2: 0}}
         assert MajorityVote().infer(answers, 3, 3).labels[0] == 2
-
-
-class TestWeightedMajorityVote:
-    def test_weights_override_count(self):
-        answers = {0: {0: 0, 1: 1, 2: 1}}
-        wmv = WeightedMajorityVote([5.0, 1.0, 1.0])
-        assert wmv.infer(answers, 2, 3).labels[0] == 0
-
-    def test_zero_weight_annotators_ignored(self):
-        answers = {0: {0: 0, 1: 1}}
-        wmv = WeightedMajorityVote([0.0, 1.0])
-        assert wmv.infer(answers, 2, 2).labels[0] == 1
-
-    def test_all_zero_weights_uniform_posterior(self):
-        answers = {0: {0: 0}}
-        wmv = WeightedMajorityVote([0.0])
-        np.testing.assert_allclose(
-            wmv.infer(answers, 2, 1).posteriors[0], [0.5, 0.5]
-        )
-
-    def test_weight_count_mismatch_raises(self):
-        with pytest.raises(ConfigurationError):
-            WeightedMajorityVote([1.0]).infer({0: {0: 0}}, 2, 2)
-
-    def test_negative_weights_raise(self):
-        with pytest.raises(ConfigurationError):
-            WeightedMajorityVote([-1.0, 1.0])
 
     def test_confidence_accessor(self):
         answers = {0: {0: 1, 1: 1, 2: 0}}

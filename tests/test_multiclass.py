@@ -56,7 +56,7 @@ class TestMulticlassEndToEnd:
             return np.mean([result.labels[i] == truths[i]
                             for i in range(len(truths))])
 
-        mv = acc(MajorityVote(rng=0).infer(answers, 3, 4))
+        mv = acc(MajorityVote().infer(answers, 3, 4))
         ds = acc(DawidSkene().infer(answers, 3, 4))
         joint = JointInference(
             LogisticRegressionClassifier(dataset3.n_features, 3),

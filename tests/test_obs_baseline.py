@@ -34,7 +34,8 @@ def metrics_path(tmp_path):
         phase_event("featurize", 2e-3),
         phase_event("featurize", 1e-3),
         phase_event("infer.e_step", 5e-3),
-        phase_event("infer.refit", 9e-3),       # not a ratcheted phase
+        phase_event("infer.refit", 9e-3),
+        phase_event("retrain", 4e-3),           # not a ratcheted phase
         {"kind": "counter", "name": "budget.collect", "value": 1},
     ])
     return path
@@ -46,7 +47,8 @@ class TestPhaseMinima:
         assert minima["featurize"] == {"min_s": 1e-3, "calls": 2}
         # infer.e_step in the JSONL surfaces under the ratchet name e_step.
         assert minima["e_step"] == {"min_s": 5e-3, "calls": 1}
-        assert "infer.refit" not in minima and "refit" not in minima
+        assert minima["refit"] == {"min_s": 9e-3, "calls": 1}
+        assert "retrain" not in minima and "infer.refit" not in minima
 
     def test_merge_takes_min_across_runs(self):
         merged = merge_minima([
@@ -117,10 +119,10 @@ class TestComparison:
         with pytest.raises(ReproError):
             compare_to_baseline({}, 1e-4, baseline, tolerance=1.0)
 
-    def test_map_covers_the_eight_hot_phases(self):
+    def test_map_covers_the_ratcheted_phases(self):
         assert sorted(PHASE_BASELINE_MAP) == [
-            "collect", "dqn_train", "e_step", "enrich",
-            "featurize", "m_step", "q_forward", "select",
+            "collect", "dqn_train", "e_step", "enrich", "featurize",
+            "infer", "m_step", "q_forward", "refit", "select",
         ]
 
 

@@ -80,7 +80,7 @@ def test_from_accuracy_rows_stochastic(n_classes, acc):
 @settings(max_examples=30, deadline=None)
 def test_inference_posteriors_are_distributions(params):
     answers, n_classes, n_annotators = params
-    for algo in (MajorityVote(rng=0), DawidSkene(max_iter=20),
+    for algo in (MajorityVote(), DawidSkene(max_iter=20),
                  PMInference(max_iter=20)):
         result = algo.infer(answers, n_classes, n_annotators)
         assert set(result.labels) == set(answers)

@@ -73,3 +73,22 @@ def test_version_string():
     parts = repro.__version__.split(".")
     assert len(parts) == 3
     assert all(p.isdigit() for p in parts)
+
+
+class TestTopLevelSurface:
+    def test_public_api_exports(self):
+        for name in ("CrowdRL", "CrowdRLConfig", "run_experiment",
+                     "ExperimentSpec", "ExperimentSetting", "TruthInference"):
+            assert name in repro.__all__
+            assert getattr(repro, name) is not None
+
+    def test_lazy_harness_exports_resolve(self):
+        from repro.harness.experiment import ExperimentSpec, run_experiment
+
+        assert repro.run_experiment is run_experiment
+        assert repro.ExperimentSpec is ExperimentSpec
+        assert "run_experiment" in dir(repro)
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError):
+            repro.no_such_name

@@ -1,51 +1,10 @@
-"""Tests for repro.rl.selection (greedy / epsilon-greedy / Eq. 6 UCB)."""
+"""Tests for repro.rl.selection (the selection counts behind Eq. 6's UCB)."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.rl.schedule import ConstantSchedule, LinearSchedule
-from repro.rl.selection import (
-    ActionStatistics,
-    epsilon_greedy_action,
-    greedy_action,
-    ucb_action,
-)
-
-
-class TestGreedy:
-    def test_argmax(self):
-        assert greedy_action(np.array([1.0, 3.0, 2.0])) == 1
-
-    def test_all_masked_raises(self):
-        with pytest.raises(ConfigurationError):
-            greedy_action(np.array([-np.inf, -np.inf]))
-
-    def test_masked_entries_skipped(self):
-        assert greedy_action(np.array([-np.inf, 0.5])) == 1
-
-
-class TestEpsilonGreedy:
-    def test_epsilon_zero_is_greedy(self):
-        q = np.array([0.1, 0.9])
-        assert epsilon_greedy_action(q, 0.0, rng=0) == 1
-
-    def test_epsilon_one_explores_uniformly(self):
-        q = np.array([0.1, 0.9, 0.5])
-        rng = np.random.default_rng(0)
-        picks = {epsilon_greedy_action(q, 1.0, rng=rng) for _ in range(100)}
-        assert picks == {0, 1, 2}
-
-    def test_never_picks_masked(self):
-        q = np.array([-np.inf, 0.5, -np.inf])
-        rng = np.random.default_rng(0)
-        assert all(
-            epsilon_greedy_action(q, 1.0, rng=rng) == 1 for _ in range(50)
-        )
-
-    def test_invalid_epsilon_raises(self):
-        with pytest.raises(ConfigurationError):
-            epsilon_greedy_action(np.array([1.0]), 1.5)
+from repro.rl.selection import ActionStatistics
 
 
 class TestActionStatistics:
@@ -75,58 +34,3 @@ class TestActionStatistics:
     def test_invalid_size_raises(self):
         with pytest.raises(ConfigurationError):
             ActionStatistics(0)
-
-
-class TestUCB:
-    def test_untried_action_preferred(self):
-        stats = ActionStatistics(2)
-        stats.record(0)
-        q = np.array([10.0, 0.0])
-        assert ucb_action(q, stats) == 1  # infinite bonus wins
-
-    def test_overplayed_action_decays(self):
-        """Eq. 6's property: repeatedly selecting an action shrinks its
-        bonus until another action overtakes it."""
-        stats = ActionStatistics(2)
-        q = np.array([1.0, 0.9])
-        picks = []
-        for _ in range(20):
-            a = ucb_action(q, stats)
-            stats.record(a)
-            picks.append(a)
-        assert set(picks) == {0, 1}
-
-    def test_masked_never_selected_even_untried(self):
-        stats = ActionStatistics(2)
-        stats.record(1)
-        q = np.array([-np.inf, 1.0])
-        assert ucb_action(q, stats) == 1
-
-    def test_all_masked_raises(self):
-        stats = ActionStatistics(2)
-        with pytest.raises(ConfigurationError):
-            ucb_action(np.array([-np.inf, -np.inf]), stats)
-
-    def test_size_mismatch_raises(self):
-        with pytest.raises(ConfigurationError):
-            ucb_action(np.array([1.0]), ActionStatistics(2))
-
-
-class TestSchedules:
-    def test_constant(self):
-        sched = ConstantSchedule(0.3)
-        assert sched(0) == sched(100) == 0.3
-
-    def test_linear_endpoints(self):
-        sched = LinearSchedule(1.0, 0.1, 10)
-        assert sched(0) == 1.0
-        assert sched(10) == pytest.approx(0.1)
-        assert sched(100) == pytest.approx(0.1)
-
-    def test_linear_midpoint(self):
-        sched = LinearSchedule(1.0, 0.0, 10)
-        assert sched(5) == pytest.approx(0.5)
-
-    def test_invalid_duration_raises(self):
-        with pytest.raises(ConfigurationError):
-            LinearSchedule(1.0, 0.0, 0)

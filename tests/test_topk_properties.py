@@ -30,18 +30,6 @@ def test_top_k_matches_heap_oracle(values, k):
     assert top_k_indices(values, k) == top_k_indices_reference(values, k)
 
 
-@given(values=tie_rich_values, k=st.integers(0, 45))
-@settings(max_examples=200, deadline=None)
-def test_top_k_no_tiebreak_is_a_valid_topk_set(values, k):
-    """``tie_break='none'`` may reorder, but the multiset of values must
-    equal the deterministic selection's."""
-    chosen = top_k_indices(values, k, tie_break="none")
-    oracle = top_k_indices_reference(values, k)
-    arr = np.asarray(values, dtype=float)
-    assert len(chosen) == len(oracle)
-    assert sorted(arr[chosen].tolist()) == sorted(arr[oracle].tolist())
-
-
 @st.composite
 def q_matrices(draw, max_rows=12, max_cols=6):
     n_rows = draw(st.integers(1, max_rows))
