@@ -7,7 +7,10 @@ from typing import Optional
 import numpy as np
 
 from repro.classifiers.base import Classifier
-from repro.core.config import ClassifierFactory, default_classifier_factory
+from repro.core.config import (
+    MIN_LABELS_FOR_CLASSIFIER,
+    default_classifier_factory,
+)
 from repro.crowd.platform import CrowdPlatform
 from repro.utils.rng import SeedLike, as_rng
 
@@ -30,8 +33,6 @@ def train_final_classifier(
     labels: dict[int, int],
     n_classes: int,
     *,
-    factory: ClassifierFactory = default_classifier_factory,
-    min_labels: int = 8,
     rng: SeedLike = None,
 ) -> Optional[Classifier]:
     """Fit the end-of-run classifier used to label leftover objects.
@@ -39,13 +40,15 @@ def train_final_classifier(
     Returns ``None`` when the labelled set is too small or single-class —
     callers then fall back to the majority label.
     """
-    if len(labels) < min_labels:
+    if len(labels) < MIN_LABELS_FOR_CLASSIFIER:
         return None
     ids = np.fromiter(labels.keys(), dtype=int)
     y = np.fromiter(labels.values(), dtype=int)
     if np.unique(y).size < 2:
         return None
-    classifier = factory(features.shape[1], n_classes, as_rng(rng))
+    classifier = default_classifier_factory(
+        features.shape[1], n_classes, as_rng(rng)
+    )
     classifier.fit(features[ids], y)
     return classifier
 

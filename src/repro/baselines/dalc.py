@@ -26,7 +26,7 @@ from repro.baselines.common import (
     rank_annotators_by_quality,
     train_final_classifier,
 )
-from repro.core.config import ClassifierFactory, default_classifier_factory
+from repro.core.config import BATCH_SIZE, MAX_ITERATIONS
 from repro.core.framework import LabellingFramework
 from repro.core.result import LabellingOutcome
 from repro.crowd.platform import CrowdPlatform
@@ -42,19 +42,13 @@ class DALC(LabellingFramework):
     name = "DALC"
 
     def __init__(self, *, alpha: float = 0.05, k_per_object: int = 3,
-                 batch_size: int = 4, min_labels_for_classifier: int = 8,
-                 classifier_factory: ClassifierFactory = default_classifier_factory,
-                 max_iterations: int = 10_000, rng: SeedLike = None) -> None:
+                 rng: SeedLike = None) -> None:
         if not 0 < alpha < 1:
             raise ConfigurationError(f"alpha must be in (0, 1), got {alpha}")
-        if k_per_object <= 0 or batch_size <= 0:
-            raise ConfigurationError("k_per_object and batch_size must be > 0")
+        if k_per_object <= 0:
+            raise ConfigurationError("k_per_object must be > 0")
         self.alpha = alpha
         self.k_per_object = k_per_object
-        self.batch_size = batch_size
-        self.min_labels_for_classifier = min_labels_for_classifier
-        self.classifier_factory = classifier_factory
-        self.max_iterations = max_iterations
         self._rng = as_rng(rng)
 
     def run(self, dataset: LabelledDataset,
@@ -85,18 +79,14 @@ class DALC(LabellingFramework):
             truths.update(result.labels)
             for j, confusion in result.confusions.items():
                 platform.pool.set_estimate(j, confusion)
-            if len(truths) >= self.min_labels_for_classifier:
-                fitted = train_final_classifier(
-                    dataset.features, truths, platform.n_classes,
-                    factory=self.classifier_factory,
-                    min_labels=self.min_labels_for_classifier,
-                    rng=self._rng,
-                )
-                if fitted is not None:
-                    classifier = fitted
+            fitted = train_final_classifier(
+                dataset.features, truths, platform.n_classes, rng=self._rng
+            )
+            if fitted is not None:
+                classifier = fitted
 
         infer()
-        while iterations < self.max_iterations:
+        while iterations < MAX_ITERATIONS:
             iterations += 1
             if not platform.budget.can_afford(platform.cheapest_cost()):
                 break
@@ -110,9 +100,9 @@ class DALC(LabellingFramework):
                 proba = classifier.predict_proba(dataset.features[remaining])
                 scores = -(proba * np.log(proba + 1e-12)).sum(axis=1)
                 order = np.argsort(-scores, kind="stable")
-                batch = [remaining[i] for i in order[: self.batch_size]]
+                batch = [remaining[i] for i in order[:BATCH_SIZE]]
             else:
-                k = min(self.batch_size, len(remaining))
+                k = min(BATCH_SIZE, len(remaining))
                 batch = [int(i) for i in
                          self._rng.choice(remaining, size=k, replace=False)]
 

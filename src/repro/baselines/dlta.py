@@ -26,6 +26,7 @@ from repro.baselines.common import (
     rank_annotators_by_value,
     train_final_classifier,
 )
+from repro.core.config import BATCH_SIZE, MAX_ITERATIONS
 from repro.core.framework import LabellingFramework
 from repro.core.result import LabellingOutcome
 from repro.crowd.platform import CrowdPlatform
@@ -41,16 +42,13 @@ class DLTA(LabellingFramework):
     name = "DLTA"
 
     def __init__(self, *, alpha: float = 0.05, k_per_object: int = 3,
-                 batch_size: int = 4, max_iterations: int = 10_000,
                  rng: SeedLike = None) -> None:
         if not 0 < alpha < 1:
             raise ConfigurationError(f"alpha must be in (0, 1), got {alpha}")
-        if k_per_object <= 0 or batch_size <= 0:
-            raise ConfigurationError("k_per_object and batch_size must be > 0")
+        if k_per_object <= 0:
+            raise ConfigurationError("k_per_object must be > 0")
         self.alpha = alpha
         self.k_per_object = k_per_object
-        self.batch_size = batch_size
-        self.max_iterations = max_iterations
         self._rng = as_rng(rng)
 
     def run(self, dataset: LabelledDataset,
@@ -63,7 +61,7 @@ class DLTA(LabellingFramework):
         truths: dict[int, int] = {}
         posteriors: dict[int, np.ndarray] = {}
         iterations = 0
-        while iterations < self.max_iterations:
+        while iterations < MAX_ITERATIONS:
             iterations += 1
             # ---- label inference ----
             answered = platform.history.answered_objects()
@@ -98,7 +96,7 @@ class DLTA(LabellingFramework):
             if not candidates:
                 break
             candidates.sort(key=uncertainty, reverse=True)
-            batch = candidates[: self.batch_size]
+            batch = candidates[:BATCH_SIZE]
 
             order = rank_annotators_by_value(platform)
             assignments = []

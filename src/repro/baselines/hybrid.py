@@ -24,7 +24,12 @@ import numpy as np
 
 from repro.active.bootstrap import min_exp_error_scores
 from repro.baselines.common import initial_random_sample, train_final_classifier
-from repro.core.config import ClassifierFactory, default_classifier_factory
+from repro.core.config import (
+    BATCH_SIZE,
+    MAX_ITERATIONS,
+    MIN_LABELS_FOR_CLASSIFIER,
+    default_classifier_factory,
+)
 from repro.core.framework import LabellingFramework
 from repro.core.result import LabellingOutcome
 from repro.crowd.platform import CrowdPlatform
@@ -37,6 +42,8 @@ from repro.utils.rng import SeedLike, as_rng
 #: Featurization width of the assignment DQN: annotator cost, estimated
 #: quality, expert flag, load + object answer count and disagreement.
 _TA_FEATURES = 6
+#: Weight of the normalised answer cost in the assignment DQN's reward.
+COST_PENALTY = 0.3
 
 
 class Hybrid(LabellingFramework):
@@ -45,28 +52,20 @@ class Hybrid(LabellingFramework):
     name = "Hybrid"
 
     def __init__(self, *, alpha: float = 0.05, k_per_object: int = 3,
-                 batch_size: int = 4, n_bootstrap: int = 4,
-                 epsilon: float = 0.15, cost_penalty: float = 0.3,
-                 classifier_factory: ClassifierFactory = default_classifier_factory,
-                 min_labels_for_classifier: int = 8,
-                 max_iterations: int = 10_000, rng: SeedLike = None) -> None:
+                 n_bootstrap: int = 4, epsilon: float = 0.15,
+                 rng: SeedLike = None) -> None:
         if not 0 < alpha < 1:
             raise ConfigurationError(f"alpha must be in (0, 1), got {alpha}")
-        if k_per_object <= 0 or batch_size <= 0 or n_bootstrap <= 0:
+        if k_per_object <= 0 or n_bootstrap <= 0:
             raise ConfigurationError(
-                "k_per_object, batch_size and n_bootstrap must be > 0"
+                "k_per_object and n_bootstrap must be > 0"
             )
         if not 0 <= epsilon <= 1:
             raise ConfigurationError(f"epsilon must be in [0, 1], got {epsilon}")
         self.alpha = alpha
         self.k_per_object = k_per_object
-        self.batch_size = batch_size
         self.n_bootstrap = n_bootstrap
         self.epsilon = epsilon
-        self.cost_penalty = cost_penalty
-        self.classifier_factory = classifier_factory
-        self.min_labels_for_classifier = min_labels_for_classifier
-        self.max_iterations = max_iterations
         self._rng = as_rng(rng)
 
     # ------------------------------------------------------------------
@@ -117,7 +116,7 @@ class Hybrid(LabellingFramework):
             truths.update(result.labels)
 
         infer()
-        while iterations < self.max_iterations:
+        while iterations < MAX_ITERATIONS:
             iterations += 1
             if not platform.budget.can_afford(platform.cheapest_cost()):
                 break
@@ -128,12 +127,12 @@ class Hybrid(LabellingFramework):
 
             # ---- TS: bootstrap MinExpError ----
             labelled_ids = np.fromiter(truths.keys(), dtype=int)
-            if (labelled_ids.size >= self.min_labels_for_classifier
+            if (labelled_ids.size >= MIN_LABELS_FOR_CLASSIFIER
                     and np.unique(
                         np.fromiter(truths.values(), dtype=int)).size >= 2):
                 y = np.array([truths[i] for i in labelled_ids])
                 scores = min_exp_error_scores(
-                    lambda: self.classifier_factory(
+                    lambda: default_classifier_factory(
                         dataset.n_features, platform.n_classes, self._rng
                     ),
                     dataset.features[labelled_ids], y,
@@ -141,9 +140,9 @@ class Hybrid(LabellingFramework):
                     n_bootstrap=self.n_bootstrap, rng=self._rng,
                 )
                 order = np.argsort(-scores, kind="stable")
-                batch = [remaining[i] for i in order[: self.batch_size]]
+                batch = [remaining[i] for i in order[:BATCH_SIZE]]
             else:
-                k = min(self.batch_size, len(remaining))
+                k = min(BATCH_SIZE, len(remaining))
                 batch = [int(i) for i in
                          self._rng.choice(remaining, size=k, replace=False)]
 
@@ -184,13 +183,12 @@ class Hybrid(LabellingFramework):
                     continue  # budget ran out mid-batch
                 truth = truths.get(object_id)
                 agree = 1.0 if truth is not None and record.answer == truth else 0.0
-                reward = agree - self.cost_penalty * record.cost / max_cost
+                reward = agree - COST_PENALTY * record.cost / max_cost
                 ta_agent.remember(feats, reward, None, True)
             ta_agent.train(2)
 
         classifier = train_final_classifier(
-            dataset.features, truths, platform.n_classes,
-            factory=self.classifier_factory, rng=self._rng,
+            dataset.features, truths, platform.n_classes, rng=self._rng
         )
         proba = (
             classifier.predict_proba(dataset.features)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.common import train_final_classifier
+from repro.core.config import BATCH_SIZE, MAX_ITERATIONS
 from repro.core.framework import LabellingFramework
 from repro.core.result import LabellingOutcome
 from repro.crowd.platform import CrowdPlatform
@@ -25,31 +26,27 @@ from repro.exceptions import ConfigurationError
 from repro.inference.dawid_skene import DawidSkene
 from repro.utils.rng import SeedLike, as_rng
 
+#: Experts asked per escalated object (level two).
+K_EXPERTS = 1
+
 
 class IDLE(LabellingFramework):
     """Random selection; worker level, expert escalation, EM inference."""
 
     name = "IDLE"
 
-    def __init__(self, *, k_workers: int = 3, k_experts: int = 1,
-                 escalation_confidence: float = 0.8, batch_size: int = 4,
-                 max_iterations: int = 10_000, rng: SeedLike = None) -> None:
-        if k_workers <= 0 or k_experts < 0:
-            raise ConfigurationError(
-                "k_workers must be > 0 and k_experts >= 0"
-            )
+    def __init__(self, *, k_workers: int = 3,
+                 escalation_confidence: float = 0.8,
+                 rng: SeedLike = None) -> None:
+        if k_workers <= 0:
+            raise ConfigurationError(f"k_workers must be > 0, got {k_workers}")
         if not 0.5 < escalation_confidence < 1.0:
             raise ConfigurationError(
                 f"escalation_confidence must be in (0.5, 1), got "
                 f"{escalation_confidence}"
             )
-        if batch_size <= 0:
-            raise ConfigurationError(f"batch_size must be > 0, got {batch_size}")
         self.k_workers = k_workers
-        self.k_experts = k_experts
         self.escalation_confidence = escalation_confidence
-        self.batch_size = batch_size
-        self.max_iterations = max_iterations
         self._rng = as_rng(rng)
 
     def run(self, dataset: LabelledDataset,
@@ -85,7 +82,7 @@ class IDLE(LabellingFramework):
             for j, confusion in result.confusions.items():
                 platform.pool.set_estimate(j, confusion)
 
-        while iterations < self.max_iterations:
+        while iterations < MAX_ITERATIONS:
             iterations += 1
             if not platform.budget.can_afford(platform.cheapest_cost()):
                 break
@@ -96,7 +93,7 @@ class IDLE(LabellingFramework):
                 object_id = escalation_queue[0]
                 free = [j for j in expert_ids
                         if not platform.history.has_answered(object_id, j)]
-                chosen = free[: self.k_experts]
+                chosen = free[:K_EXPERTS]
                 if not chosen:
                     unsolvable.add(escalation_queue.pop(0))
                     continue
@@ -110,7 +107,7 @@ class IDLE(LabellingFramework):
 
             # ---- level 1: random batch to workers ----
             batch = []
-            while never_asked and len(batch) < self.batch_size:
+            while never_asked and len(batch) < BATCH_SIZE:
                 batch.append(never_asked.pop())
             assignments = []
             for object_id in batch:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.classifiers.knn import KNNClassifier
+from repro.core.config import MAX_ITERATIONS
 from repro.core.framework import LabellingFramework
 from repro.core.result import LabellingOutcome
 from repro.crowd.platform import CrowdPlatform
@@ -26,15 +27,20 @@ from repro.datasets.base import LabelledDataset
 from repro.exceptions import ConfigurationError
 from repro.utils.rng import SeedLike, as_rng
 
+#: Objects sent to humans per iteration, one trusted answer each.
+BATCH_SIZE = 12
+#: Neighbours of the KNN "AI worker".
+KNN_K = 5
+
 
 class OBA(LabellingFramework):
     """Human+AI crowd with trusted single human answers and a KNN AI worker."""
 
     name = "OBA"
 
-    def __init__(self, *, alpha: float = 0.05, batch_size: int = 12,
-                 confidence_threshold: float = 0.75, knn_k: int = 5,
-                 max_iterations: int = 10_000, rng: SeedLike = None) -> None:
+    def __init__(self, *, alpha: float = 0.05,
+                 confidence_threshold: float = 0.75,
+                 rng: SeedLike = None) -> None:
         if not 0 < alpha < 1:
             raise ConfigurationError(f"alpha must be in (0, 1), got {alpha}")
         if not 0.5 <= confidence_threshold < 1.0:
@@ -42,13 +48,8 @@ class OBA(LabellingFramework):
                 f"confidence_threshold must be in [0.5, 1), got "
                 f"{confidence_threshold}"
             )
-        if batch_size <= 0:
-            raise ConfigurationError(f"batch_size must be > 0, got {batch_size}")
         self.alpha = alpha
-        self.batch_size = batch_size
         self.confidence_threshold = confidence_threshold
-        self.knn_k = knn_k
-        self.max_iterations = max_iterations
         self._rng = as_rng(rng)
 
     def run(self, dataset: LabelledDataset,
@@ -65,11 +66,11 @@ class OBA(LabellingFramework):
         pending = list(self._rng.permutation(n))
         iterations = 0
 
-        while iterations < self.max_iterations:
+        while iterations < MAX_ITERATIONS:
             iterations += 1
             # ---- humans label a batch (one trusted answer per object) ----
             batch = [i for i in pending if i not in human_labels
-                     and i not in ai_labels][: self.batch_size]
+                     and i not in ai_labels][:BATCH_SIZE]
             if not batch:
                 break
             progressed = False
@@ -95,8 +96,8 @@ class OBA(LabellingFramework):
             labelled = {**ai_labels, **human_labels}
             ids = np.fromiter(labelled.keys(), dtype=int)
             y = np.fromiter(labelled.values(), dtype=int)
-            if ids.size >= self.knn_k and np.unique(y).size >= 2:
-                ai = KNNClassifier(platform.n_classes, k=self.knn_k)
+            if ids.size >= KNN_K and np.unique(y).size >= 2:
+                ai = KNNClassifier(platform.n_classes, k=KNN_K)
                 ai.fit(dataset.features[ids], y)
                 unlabelled = [i for i in range(n) if i not in labelled]
                 if unlabelled:
@@ -114,10 +115,10 @@ class OBA(LabellingFramework):
         labelled = {**ai_labels, **human_labels}
         proba = None
         ids = np.fromiter(labelled.keys(), dtype=int) if labelled else np.array([], int)
-        if ids.size >= self.knn_k:
+        if ids.size >= KNN_K:
             y = np.fromiter(labelled.values(), dtype=int)
             if np.unique(y).size >= 2:
-                ai = KNNClassifier(platform.n_classes, k=self.knn_k)
+                ai = KNNClassifier(platform.n_classes, k=KNN_K)
                 ai.fit(dataset.features[ids], y)
                 proba = ai.predict_proba(dataset.features)
         labels, sources = self._finalize_labels(

@@ -24,6 +24,17 @@ from repro.rl.selection import ActionStatistics
 from repro.utils.rng import SeedLike, as_rng, spawn_rngs
 from repro.utils.topk import select_objects_by_topk_q, top_k_indices
 
+#: Replay memory size of the agent's DQN (not :class:`DQNConfig`'s 10 000).
+REPLAY_CAPACITY = 5000
+#: Ceiling on the Eq. 6 UCB1 bonus.  Never-tried pairs carry an infinite
+#: bonus; capping keeps ``-inf`` action masks decisive and the bonus
+#: comparable with the ~1-scale rewards.
+UCB_BONUS_CAP = 2.0
+#: Standard deviation of the Gaussian jitter that breaks score ties.
+TIE_JITTER_SCALE = 1e-3
+#: Successor candidates kept per transition for the bootstrap max.
+NEXT_STATE_SAMPLE = 64
+
 
 class Agent:
     """CrowdRL's decision maker: featurize → Q → UCB → top-k heap select."""
@@ -42,14 +53,9 @@ class Agent:
         self.dqn = DQNAgent(
             DQNConfig(
                 n_features=N_PAIR_FEATURES,
-                hidden=config.dqn_hidden,
-                learning_rate=config.dqn_learning_rate,
                 gamma=config.reward.gamma,
-                buffer_capacity=config.replay_capacity,
-                batch_size=config.dqn_batch_size,
-                target_sync_every=config.target_sync_every,
+                buffer_capacity=REPLAY_CAPACITY,
                 double_dqn=config.double_dqn,
-                prioritized=config.prioritized_replay,
             ),
             rng=rng,
         )
@@ -96,18 +102,14 @@ class Agent:
         score = q
         if self.config.ucb_exploration:
             bonus = self.stats.bonus().reshape(self.n_objects, self.n_annotators)
-            # Cap the infinite never-tried bonus so -inf masks always win and
-            # scores stay comparable with Q-values (reward scale is ~1).
-            bonus = np.minimum(bonus, self.config.ucb_bonus_cap)
+            bonus = np.minimum(bonus, UCB_BONUS_CAP)
             score = np.where(valid, score + bonus, -np.inf)
         # Tiny random jitter breaks score ties (ubiquitous early on, when
         # every untried pair carries the same capped bonus); without it the
         # argmax systematically favours low annotator ids and the agent
         # never explores the expert columns.
-        if self.config.tie_jitter_scale > 0:
-            jitter = self._rng.normal(scale=self.config.tie_jitter_scale,
-                                      size=score.shape)
-            score = np.where(valid, score + jitter, score)
+        jitter = self._rng.normal(scale=TIE_JITTER_SCALE, size=score.shape)
+        score = np.where(valid, score + jitter, score)
 
         if (self.config.demo_probability > 0
                 and self._rng.random() < self.config.demo_probability):
@@ -152,10 +154,9 @@ class Agent:
         obj_entropy = state.object_features()[:, 5]
         quality = state.annotator_features()[:, 1]
         score = obj_entropy[:, None] + 0.4 * quality[None, :]
-        if self.config.tie_jitter_scale > 0:
-            score = score + self._rng.normal(
-                scale=self.config.tie_jitter_scale, size=score.shape
-            )
+        score = score + self._rng.normal(
+            scale=TIE_JITTER_SCALE, size=score.shape
+        )
         return np.where(state.action_mask(), score, -np.inf)
 
     def _random_ts(self, state: LabellingState,
@@ -216,7 +217,7 @@ class Agent:
         ``taken_features`` has one row per (object, annotator) pair acted
         on; ``rewards`` gives each pair's (possibly shaped) reward.  The
         successor's candidate features are subsampled to
-        ``config.next_state_sample`` rows for tractable bootstrap maxima.
+        :data:`NEXT_STATE_SAMPLE` rows for tractable bootstrap maxima.
         """
         taken = np.atleast_2d(np.asarray(taken_features, dtype=float))
         if taken.ndim != 2 or taken.shape[1] != N_PAIR_FEATURES:
@@ -235,10 +236,9 @@ class Agent:
             if valid.shape[0] == 0:
                 terminal = True
             else:
-                if valid.shape[0] > self.config.next_state_sample:
+                if valid.shape[0] > NEXT_STATE_SAMPLE:
                     idx = self._rng.choice(
-                        valid.shape[0], self.config.next_state_sample,
-                        replace=False,
+                        valid.shape[0], NEXT_STATE_SAMPLE, replace=False,
                     )
                     valid = valid[idx]
                 next_candidates = valid

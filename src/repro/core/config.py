@@ -9,7 +9,7 @@ running example's k), worker/expert costs 1/10, enrichment margin 0.2
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional  # noqa: F401 (Optional used in fields)
+from typing import Optional
 
 from repro.classifiers.base import Classifier
 from repro.classifiers.logistic import LogisticRegressionClassifier
@@ -17,16 +17,23 @@ from repro.core.reward import RewardWeights
 from repro.exceptions import ConfigurationError
 from repro.utils.rng import SeedLike
 
-ClassifierFactory = Callable[[int, int, SeedLike], Classifier]
+#: Objects selected per labelling iteration, by CrowdRL and the baselines.
+BATCH_SIZE = 4
+#: Safety cap on labelling iterations, by CrowdRL and the baselines.
+MAX_ITERATIONS = 10_000
+#: Labelled-set size below which ``phi`` is not trained: CrowdRL skips
+#: enrichment and the classifier E-step term, DALC and Hybrid fall back to
+#: random task selection, and the end-of-run classifier is not fitted.
+MIN_LABELS_FOR_CLASSIFIER = 8
 
 
 def default_classifier_factory(n_features: int, n_classes: int,
                                rng: SeedLike = None) -> Classifier:
-    """Default ``phi``: logistic regression (fast, convex, soft-label aware).
+    """``phi``: logistic regression (fast, convex, soft-label aware).
 
-    The paper uses a small fully-connected network; swap in
-    :class:`repro.classifiers.mlp.MLPClassifier` via
-    :attr:`CrowdRLConfig.classifier_factory` to match it exactly (slower).
+    The paper uses a small fully-connected network
+    (:class:`repro.classifiers.mlp.MLPClassifier`); the logistic model is
+    far cheaper per joint-EM refit.
     """
     del rng  # logistic regression is deterministic
     # Moderate L2 keeps small-sample confidence honest, which matters for
@@ -36,7 +43,12 @@ def default_classifier_factory(n_features: int, n_classes: int,
 
 @dataclass
 class CrowdRLConfig:
-    """All CrowdRL knobs.
+    """The CrowdRL settings the experiments vary.
+
+    Settings no experiment varies are module constants next to the code
+    that uses them: :data:`MIN_LABELS_FOR_CLASSIFIER` here, the DQN and
+    exploration constants in :mod:`repro.core.agent` and joint EM's sweep
+    cap in :mod:`repro.core.environment`.
 
     Attributes
     ----------
@@ -55,32 +67,15 @@ class CrowdRLConfig:
     expert_floor:
         Lower bound on experts' diagonal confusion entries in joint
         inference (Section V-A2).
-    classifier_weight:
-        Weight of the classifier term in joint inference; 0 disables it
-        (the M3 ablation replaces joint inference entirely).
-    dqn_hidden / dqn_learning_rate / replay_capacity / dqn_batch_size /
-    target_sync_every / train_steps_per_iteration:
-        DQN hyper-parameters (Section IV-A).
-    double_dqn / prioritized_replay:
-        The DQN variants Section IV-B says "can also be integrated into
-        our framework" (refs [38] and [30]); both off by default to match
-        the paper's "classical design of DQN".
+    train_steps_per_iteration:
+        Replayed DQN updates after each labelling iteration (Section IV-A).
+    double_dqn:
+        The Double-DQN target (ref [38]), one of the variants Section IV-B
+        says "can also be integrated into our framework"; off by default to
+        match the paper's "classical design of DQN".
     ucb_exploration:
         Use the Eq. 6 UCB1 bonus for action selection; plain greedy when
         False.
-    ucb_bonus_cap:
-        Ceiling on the UCB1 bonus.  Never-tried pairs carry an infinite
-        bonus; capping keeps ``-inf`` action masks decisive and the bonus
-        comparable with the ~1-scale rewards.  Raise it to explore harder,
-        lower it toward 0 to trust the Q-values sooner.
-    tie_jitter_scale:
-        Standard deviation of the Gaussian jitter that breaks score ties
-        (ubiquitous early on, when every untried pair carries the same
-        capped bonus).  ``0`` disables the jitter — and its RNG draw —
-        entirely, making the argmax deterministic given equal scores.
-    min_labels_for_classifier:
-        Labelled-set size below which ``phi`` is not trained (enrichment
-        and the classifier E-step term are skipped).
     min_truths_for_enrichment:
         Human-inferred truths required before the classifier may enrich —
         guards against an overconfident classifier trained on a handful of
@@ -92,8 +87,6 @@ class CrowdRLConfig:
         enrichment mistakes are corrected as ``phi`` improves.
     max_iterations:
         Safety cap on labelling iterations.
-    classifier_factory:
-        Builds a fresh ``phi`` given (n_features, n_classes, rng).
     info_gain_weight / agreement_weight / pair_cost_weight:
         Dense per-action reward shaping added to the paper's iteration-level
         reward so the DQN gets a learnable signal within one episode (the
@@ -125,29 +118,16 @@ class CrowdRLConfig:
 
     alpha: float = 0.05
     k_per_object: int = 3
-    batch_size: int = 4
+    batch_size: int = BATCH_SIZE
     reward: RewardWeights = field(default_factory=RewardWeights)
     enrichment_margin: float = 0.2
     expert_floor: float = 0.9
-    classifier_weight: float = 1.0
-    inference_max_iter: int = 25
-    dqn_hidden: tuple[int, ...] = (64, 32)
-    dqn_learning_rate: float = 1e-3
-    replay_capacity: int = 5000
-    dqn_batch_size: int = 32
-    target_sync_every: int = 20
     train_steps_per_iteration: int = 8
     double_dqn: bool = False
-    prioritized_replay: bool = False
     ucb_exploration: bool = True
-    ucb_bonus_cap: float = 2.0
-    tie_jitter_scale: float = 1e-3
-    next_state_sample: int = 64
-    min_labels_for_classifier: int = 8
     min_truths_for_enrichment: int = 20
     sticky_enrichment: bool = False
-    max_iterations: int = 10_000
-    classifier_factory: ClassifierFactory = default_classifier_factory
+    max_iterations: int = MAX_ITERATIONS
     info_gain_weight: float = 0.5
     agreement_weight: float = 0.5
     pair_cost_weight: float = 0.08
@@ -202,10 +182,6 @@ class CrowdRLConfig:
             raise ConfigurationError(
                 f"expert_floor must be in (0, 1), got {self.expert_floor}"
             )
-        if self.classifier_weight < 0:
-            raise ConfigurationError(
-                f"classifier_weight must be >= 0, got {self.classifier_weight}"
-            )
         if self.max_iterations <= 0:
             raise ConfigurationError(
                 f"max_iterations must be > 0, got {self.max_iterations}"
@@ -214,16 +190,4 @@ class CrowdRLConfig:
             raise ConfigurationError(
                 f"train_steps_per_iteration must be >= 0, got "
                 f"{self.train_steps_per_iteration}"
-            )
-        if self.next_state_sample <= 0:
-            raise ConfigurationError(
-                f"next_state_sample must be > 0, got {self.next_state_sample}"
-            )
-        if self.ucb_bonus_cap <= 0:
-            raise ConfigurationError(
-                f"ucb_bonus_cap must be > 0, got {self.ucb_bonus_cap}"
-            )
-        if self.tie_jitter_scale < 0:
-            raise ConfigurationError(
-                f"tie_jitter_scale must be >= 0, got {self.tie_jitter_scale}"
             )

@@ -16,7 +16,11 @@ from typing import Optional
 import numpy as np
 
 from repro.classifiers.base import Classifier
-from repro.core.config import CrowdRLConfig
+from repro.core.config import (
+    MIN_LABELS_FOR_CLASSIFIER,
+    CrowdRLConfig,
+    default_classifier_factory,
+)
 from repro.crowd.platform import CrowdPlatform
 from repro.exceptions import ConfigurationError
 from repro.inference.base import InferenceResult
@@ -25,6 +29,9 @@ from repro.inference.majority import MajorityVote
 from repro.inference.pm import PMInference
 from repro.obs import phase_timer
 from repro.utils.rng import SeedLike, as_rng
+
+#: Sweep cap of CrowdRL's joint EM (not :class:`JointInference`'s 30).
+JOINT_MAX_ITER = 25
 
 
 @dataclass
@@ -87,11 +94,8 @@ class Environment:
             result = PMInference().infer(
                 answers, self.platform.n_classes, len(self.platform.pool)
             )
-        elif (
-            self.config.classifier_weight > 0
-            and len(answers) >= self.config.min_labels_for_classifier
-        ):
-            classifier = self.config.classifier_factory(
+        elif len(answers) >= MIN_LABELS_FOR_CLASSIFIER:
+            classifier = default_classifier_factory(
                 self.features.shape[1], self.platform.n_classes, self._rng
             )
             joint = JointInference(
@@ -99,8 +103,7 @@ class Environment:
                 self.features,
                 expert_mask=self.platform.pool.expert_mask,
                 expert_floor=self.config.expert_floor,
-                classifier_weight=self.config.classifier_weight,
-                max_iter=self.config.inference_max_iter,
+                max_iter=JOINT_MAX_ITER,
             )
             result = joint.infer(
                 answers, self.platform.n_classes, len(self.platform.pool)
@@ -146,20 +149,16 @@ class Environment:
         if len(self.truths) < self.config.min_truths_for_enrichment:
             return []
         labelled = {**self.enriched, **self.truths}  # truths win on overlap
-        if len(labelled) < self.config.min_labels_for_classifier:
+        if len(labelled) < MIN_LABELS_FOR_CLASSIFIER:
             return []
         ids = np.fromiter(labelled.keys(), dtype=int)
         y = np.fromiter(labelled.values(), dtype=int)
         if np.unique(y).size < 2:
             return []  # classifier needs at least two observed classes
 
-        if (
-            self.classifier is None
-            or self.config.classifier_weight == 0
-            or self.config.inference_method != "joint"
-        ):
+        if self.classifier is None or self.config.inference_method != "joint":
             # No jointly fitted classifier available — fit a fresh one.
-            self.classifier = self.config.classifier_factory(
+            self.classifier = default_classifier_factory(
                 self.features.shape[1], self.platform.n_classes, self._rng
             )
             with phase_timer("retrain"):

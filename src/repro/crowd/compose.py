@@ -1,10 +1,8 @@
 """Wrapper-chain composition: one blessed way to assemble a platform stack.
 
-Before this module, three call sites (the harness runner, the fault
-benchmark, and the CLI) each hand-assembled
-``ResilientCollector(UnreliablePlatform(platform, model), ...)`` with
-their own seed conventions.  :func:`wrap` is now the single composition
-point: it validates every layer against the
+:func:`wrap` is the single composition point for
+``ResilientCollector(UnreliablePlatform(platform, model), ...)`` chains:
+it validates every layer against the
 :class:`~repro.crowd.protocol.Platform` protocol, applies the canonical
 ordering (faults innermost, resilience outermost), and owns the seed
 defaults.
@@ -31,7 +29,6 @@ def wrap(
     resilient: ResilientLike = None,
     fault_seed: SeedLike = 0,
     resilience_seed: SeedLike = 0,
-    policy: Optional[ResiliencePolicy] = None,
 ) -> Platform:
     """Compose the canonical platform wrapper chain.
 
@@ -52,35 +49,21 @@ def wrap(
     fault_seed / resilience_seed:
         Seeds for the fault model built from a float rate and for the
         collector's backoff-jitter stream.
-    policy:
-        Collector policy when ``resilient`` is not itself a policy.
 
     Returns the outermost layer.  Callers that need a specific layer
     (the harness extracts the collector for checkpointing) walk the
     chain with ``isinstance`` / ``getattr`` rather than re-assembling it.
     """
     check_platform(platform, context="wrap() platform")
-    if isinstance(resilient, ResiliencePolicy):
-        if policy is not None:
-            raise ConfigurationError(
-                "pass the collector policy either as resilient=... or as "
-                "policy=..., not both"
-            )
-        policy = resilient
-        resilient = True
     fault_model = _resolve_faults(platform, faults, fault_seed)
     if fault_model is not None:
         platform = UnreliablePlatform(platform, fault_model)
     if resilient is None:
         resilient = fault_model is not None
     if resilient:
+        policy = resilient if isinstance(resilient, ResiliencePolicy) else None
         platform = ResilientCollector(
             platform, policy=policy, rng=resilience_seed
-        )
-    elif policy is not None:
-        raise ConfigurationError(
-            "policy=... was given but resilient=False disables the "
-            "collector that would use it"
         )
     check_platform(platform, context="wrap() result")
     return platform

@@ -13,8 +13,9 @@ says work was started).
 Fault taxonomy (see DESIGN §7 for the handling policy of each):
 
 ``TIMEOUT``
-    The annotator accepted the task but never delivered.  A fraction of the
-    answer cost is charged as waste; :class:`AnswerTimeoutError` is raised.
+    The annotator accepted the task but never delivered.
+    :data:`TIMEOUT_COST_FRACTION` of the answer cost is charged as waste;
+    :class:`AnswerTimeoutError` is raised.
 ``ABANDON``
     The annotator declined/abandoned immediately.  Nothing is charged;
     :class:`AnnotatorUnavailableError` is raised.
@@ -59,6 +60,8 @@ class FaultKind(enum.Enum):
 #: Column order of the per-annotator rate matrix.
 FAULT_KINDS = (FaultKind.TIMEOUT, FaultKind.ABANDON, FaultKind.OFFLINE,
                FaultKind.CORRUPT)
+#: Share of a timed-out answer's cost charged as wasted work.
+TIMEOUT_COST_FRACTION = 0.5
 
 
 class FaultModel:
@@ -80,7 +83,6 @@ class FaultModel:
         offline: RateLike = 0.0,
         corrupt: RateLike = 0.0,
         outage_length: int = 5,
-        timeout_cost_fraction: float = 0.5,
         rng: SeedLike = 0,
     ) -> None:
         if n_annotators <= 0:
@@ -91,14 +93,8 @@ class FaultModel:
             raise ConfigurationError(
                 f"outage_length must be > 0, got {outage_length}"
             )
-        if not 0.0 <= timeout_cost_fraction <= 1.0:
-            raise ConfigurationError(
-                f"timeout_cost_fraction must be in [0, 1], got "
-                f"{timeout_cost_fraction}"
-            )
         self.n_annotators = n_annotators
         self.outage_length = outage_length
-        self.timeout_cost_fraction = timeout_cost_fraction
         rates = np.stack([
             self._broadcast(rate, n_annotators, kind.value)
             for kind, rate in zip(
@@ -317,8 +313,7 @@ class UnreliablePlatform(PlatformWrapper):
     # ------------------------------------------------------------------
     def _charge_waste(self, object_id: int, annotator_id: int) -> None:
         """Charge the wasted fraction of a timed-out answer's cost."""
-        waste = (self.fault_model.timeout_cost_fraction
-                 * self.inner.pool[annotator_id].cost)
+        waste = TIMEOUT_COST_FRACTION * self.inner.pool[annotator_id].cost
         waste = min(waste, max(self.inner.budget.remaining, 0.0))
         if waste > 0.0:
             self.inner.budget.charge(waste, object_id=object_id,

@@ -3,13 +3,12 @@
 Every layer of a platform stack — the base :class:`CrowdPlatform`, the
 fault-injecting :class:`UnreliablePlatform`, the retrying
 :class:`ResilientCollector`, the journalling ``CheckpointRecorder`` and the
-serving-layer ``AsyncPlatform`` — exposes the same interface, historically
-by convention (``PlatformWrapper.__getattr__`` delegation).  This module
-makes the convention explicit: :class:`Platform` is a
-:func:`typing.runtime_checkable` :class:`typing.Protocol` naming exactly
-the surface a :class:`~repro.core.framework.LabellingFramework` may touch —
-answer collection (``ask``/``ask_batch``), the affordability surface
-(``at_capacity``/``cheapest_cost``), the shared books (``pool``,
+serving-layer ``AsyncPlatform`` — exposes the same interface, much of it
+through ``PlatformWrapper.__getattr__`` delegation.  :class:`Platform` is
+the :func:`typing.runtime_checkable` :class:`typing.Protocol` naming
+exactly the surface a :class:`~repro.core.framework.LabellingFramework`
+may touch — answer collection (``ask``/``ask_batch``), the affordability
+surface (``at_capacity``/``cheapest_cost``), the shared books (``pool``,
 ``budget``, ``history``) and evaluation-only ground truth.
 
 Wrapper chains are type-checked against it at composition time:

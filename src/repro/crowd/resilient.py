@@ -53,6 +53,12 @@ from repro.utils.rng import SeedLike, as_rng
 
 logger = logging.getLogger("repro.crowd.resilient")
 
+#: First backoff wait (simulated seconds) and its growth per retry.
+BACKOFF_BASE = 0.5
+BACKOFF_FACTOR = 2.0
+#: Uniform jitter fraction applied to each backoff wait.
+BACKOFF_JITTER = 0.1
+
 
 @dataclass(frozen=True)
 class ResiliencePolicy:
@@ -60,11 +66,6 @@ class ResiliencePolicy:
 
     #: Extra attempts on the *same* annotator after a timeout.
     max_retries: int = 2
-    #: First backoff wait (simulated seconds) and its growth per retry.
-    backoff_base: float = 0.5
-    backoff_factor: float = 2.0
-    #: Uniform jitter fraction applied to each backoff wait.
-    backoff_jitter: float = 0.1
     #: Quarantine once failures/attempts reaches this rate ...
     failure_threshold: float = 0.5
     #: ... and the annotator has been tried at least this many times.
@@ -76,15 +77,6 @@ class ResiliencePolicy:
         if self.max_retries < 0:
             raise ConfigurationError(
                 f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.backoff_base < 0 or self.backoff_factor < 1.0:
-            raise ConfigurationError(
-                "need backoff_base >= 0 and backoff_factor >= 1, got "
-                f"({self.backoff_base}, {self.backoff_factor})"
-            )
-        if not 0.0 <= self.backoff_jitter <= 1.0:
-            raise ConfigurationError(
-                f"backoff_jitter must be in [0, 1], got {self.backoff_jitter}"
             )
         if not 0.0 < self.failure_threshold <= 1.0:
             raise ConfigurationError(
@@ -295,11 +287,8 @@ class ResilientCollector(PlatformWrapper):
 
     def _backoff(self, attempt: int) -> None:
         """Accumulate the deterministic (seeded) exponential backoff wait."""
-        wait = self.policy.backoff_base * self.policy.backoff_factor ** attempt
-        if self.policy.backoff_jitter > 0.0:
-            wait *= 1.0 + self.policy.backoff_jitter * (
-                2.0 * self._rng.random() - 1.0
-            )
+        wait = BACKOFF_BASE * BACKOFF_FACTOR ** attempt
+        wait *= 1.0 + BACKOFF_JITTER * (2.0 * self._rng.random() - 1.0)
         self.stats.simulated_wait += wait
         get_registry().inc("collect.backoff_wait_s", wait)
 

@@ -2,7 +2,7 @@
 
 All library errors derive from :class:`ReproError` so callers can catch a
 single base class.  Sub-classes separate configuration mistakes (caller
-error) from runtime conditions (budget exhaustion, failed convergence).
+error) from runtime conditions (budget exhaustion, injected faults).
 """
 
 from __future__ import annotations
@@ -18,10 +18,6 @@ class ConfigurationError(ReproError, ValueError):
 
 class BudgetExhaustedError(ReproError, RuntimeError):
     """An operation required budget that the budget manager no longer has."""
-
-
-class ConvergenceError(ReproError, RuntimeError):
-    """An iterative algorithm failed to converge within its iteration cap."""
 
 
 class DatasetError(ReproError, ValueError):

@@ -315,8 +315,7 @@ def run_experiment(
     Execution options — fault injection, resilient collection,
     checkpoint/resume, platform hooks and metrics — are carried by
     ``spec`` (see :class:`ExperimentSpec`), the single entry point for
-    run options (the deprecated per-option kwargs were removed after one
-    release of ``DeprecationWarning``).
+    run options.
 
     When the spec enables metrics, the run's registry snapshot lands on
     :attr:`RunResult.metrics` and — with ``metrics_out`` — a JSONL event

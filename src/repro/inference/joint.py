@@ -107,7 +107,6 @@ class JointInference(TruthInference):
         max_iter: int = 30,
         tol: float = 1e-4,
         smoothing: float = 1.0,
-        refit_every: int = 1,
         learn_prior: bool = False,
     ) -> None:
         features = np.asarray(features, dtype=float)
@@ -123,8 +122,8 @@ class JointInference(TruthInference):
             raise ConfigurationError(
                 f"classifier_weight must be >= 0, got {classifier_weight}"
             )
-        if max_iter <= 0 or refit_every <= 0:
-            raise ConfigurationError("max_iter and refit_every must be > 0")
+        if max_iter <= 0:
+            raise ConfigurationError(f"max_iter must be > 0, got {max_iter}")
         if not 0.5 < classifier_clip < 1.0:
             raise ConfigurationError(
                 f"classifier_clip must be in (0.5, 1), got {classifier_clip}"
@@ -140,7 +139,6 @@ class JointInference(TruthInference):
         self.max_iter = max_iter
         self.tol = tol
         self.smoothing = smoothing
-        self.refit_every = refit_every
         self.learn_prior = learn_prior
         self.fitted_classifier: Optional[Classifier] = None
 
@@ -194,7 +192,7 @@ class JointInference(TruthInference):
                     )
 
             # (c) Retrain the classifier on the soft posteriors.
-            if self.classifier_weight > 0 and iteration % self.refit_every == 0:
+            if self.classifier_weight > 0:
                 with phase_timer("infer.refit"):
                     self.classifier.fit_soft(x, post.copy())
                     self.fitted_classifier = self.classifier

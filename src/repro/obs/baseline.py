@@ -14,8 +14,11 @@ comparison that CI can ratchet — the performance analogue of
   same machine at comparison time, so a committed baseline from the
   reference VM transfers to a faster/slower CI box — only the *ratio*
   of phase time to calibration time is ratcheted;
-* durations under :data:`FLOOR_S` are clamped before comparison: below
-  that, timer noise dominates and a "regression" is meaningless;
+* normalised durations are floored at :data:`FLOOR_S` over the
+  baseline's calibration time: below that, timer noise dominates and a
+  "regression" is meaningless.  Flooring after normalising keeps a
+  sub-floor phase at the same floor on both sides, whatever the current
+  machine's calibration;
 * a phase regresses when its normalised duration exceeds
   ``tolerance`` × the baseline's (default :data:`DEFAULT_TOLERANCE`,
   the ISSUE's >25% bar).
@@ -59,7 +62,7 @@ PHASE_BASELINE_MAP: Dict[str, str] = {
 #: Fail on a > 25% normalised regression of any ratcheted phase.
 DEFAULT_TOLERANCE = 1.25
 
-#: Durations below this are timer noise; clamped before comparison.
+#: Durations below this (on the baseline's machine) are timer noise.
 FLOOR_S = 50e-6
 
 _CAL_SIZE = 160
@@ -186,19 +189,20 @@ def compare_to_baseline(
 ) -> List[PhaseComparison]:
     """Ratchet ``minima`` against a committed baseline.
 
-    Both sides are floored at the baseline's ``floor_s`` and normalised
-    by their own machine's calibration time; a phase regresses when its
-    normalised minimum exceeds ``tolerance`` times the baseline's.  A
+    Each side's minimum is normalised by its own machine's calibration
+    time, then both are floored at the baseline's ``floor_s /
+    calibration_s``; a phase regresses when its normalised minimum
+    exceeds ``tolerance`` times the baseline's.  A
     baseline phase absent from the current log counts as regressed (the
     deterministic ratchet workload must exercise every ratcheted phase).
     """
     if tolerance <= 1.0:
         raise ReproError(f"tolerance must be > 1.0, got {tolerance}")
     base_cal = float(baseline["calibration_s"])
-    floor = float(baseline.get("floor_s", FLOOR_S))
+    floor_norm = float(baseline.get("floor_s", FLOOR_S)) / base_cal
     results: List[PhaseComparison] = []
     for phase, base_stat in sorted(baseline["phases"].items()):
-        base_norm = max(float(base_stat["min_s"]), floor) / base_cal
+        base_norm = max(float(base_stat["min_s"]) / base_cal, floor_norm)
         current = minima.get(phase)
         if current is None or current["calls"] == 0:
             results.append(PhaseComparison(
@@ -206,7 +210,7 @@ def compare_to_baseline(
                 ratio=float("inf"), regressed=True, missing=True,
             ))
             continue
-        cur_norm = max(float(current["min_s"]), floor) / calibration_s
+        cur_norm = max(float(current["min_s"]) / calibration_s, floor_norm)
         ratio = cur_norm / base_norm
         results.append(PhaseComparison(
             phase=phase, baseline_norm=base_norm, current_norm=cur_norm,

@@ -268,10 +268,6 @@ class MetricsRegistry:
         counter = self._counters.get(name)
         return counter.value if counter is not None else 0.0
 
-    def phase_stats(self) -> Dict[str, PhaseStat]:
-        """Live view of the per-phase stats (keyed by phase name)."""
-        return self._phases
-
     def snapshot(self) -> dict:
         """JSON-safe, deterministic (sorted-key) snapshot of everything."""
         return {

@@ -8,13 +8,12 @@ UCB1-flavoured action selection of Eq. 6.
 
 from repro.rl.dqn import DQNAgent, DQNConfig
 from repro.rl.qnetwork import QNetwork
-from repro.rl.replay import PrioritizedReplayBuffer, ReplayBuffer, Transition
+from repro.rl.replay import ReplayBuffer, Transition
 from repro.rl.selection import ActionStatistics
 
 __all__ = [
     "Transition",
     "ReplayBuffer",
-    "PrioritizedReplayBuffer",
     "QNetwork",
     "DQNAgent",
     "DQNConfig",

@@ -13,14 +13,14 @@ candidates; the CrowdRL-specific featurization lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from repro.analysis.contracts import shaped
 from repro.exceptions import ConfigurationError
 from repro.rl.qnetwork import QNetwork
-from repro.rl.replay import PrioritizedReplayBuffer, ReplayBuffer, Transition
+from repro.rl.replay import ReplayBuffer, Transition
 from repro.utils.rng import SeedLike, spawn_rngs
 
 
@@ -32,8 +32,7 @@ class DQNConfig:
     paper's ref [38], which Section IV-B notes "can also be integrated into
     our framework"): the *online* network selects the best successor action
     and the *target* network evaluates it, decoupling selection from
-    evaluation to curb overestimation.  ``prioritized`` swaps the uniform
-    replay buffer for proportional prioritized replay (ref [30]).
+    evaluation to curb overestimation.
     """
 
     n_features: int
@@ -44,7 +43,6 @@ class DQNConfig:
     batch_size: int = 32
     target_sync_every: int = 20
     min_buffer_for_training: int = 32
-    prioritized: bool = False
     double_dqn: bool = False
 
     def __post_init__(self) -> None:
@@ -74,8 +72,7 @@ class DQNAgent:
             learning_rate=config.learning_rate,
             rng=qnet_rng,
         )
-        buffer_cls = PrioritizedReplayBuffer if config.prioritized else ReplayBuffer
-        self.buffer = buffer_cls(config.buffer_capacity, rng=buffer_rng)
+        self.buffer = ReplayBuffer(config.buffer_capacity, rng=buffer_rng)
         self._train_steps = 0
 
     # ------------------------------------------------------------------
@@ -137,10 +134,6 @@ class DQNAgent:
                         bootstrap = float(target_q.max())
                     target += self.config.gamma * bootstrap
             targets[i] = target
-
-        if isinstance(self.buffer, PrioritizedReplayBuffer):
-            current = self.qnet.predict(features)
-            self.buffer.update_priorities(targets - current)
 
         loss = self.qnet.train_on_targets(features, targets)
         self._train_steps += 1

@@ -1,10 +1,9 @@
-"""Experience replay buffers (Fig. 2's "Experience Pool").
+"""Experience replay buffer (Fig. 2's "Experience Pool").
 
 The classic DQN trick (paper refs [24], [25]): store ``(S, A, r, S')``
-transitions and sample minibatches uniformly (or by TD-error priority,
-ref [30]) to decorrelate updates.  States here are already-featurized
-vectors — the CrowdRL agent stores per-(object, annotator) feature vectors,
-see :mod:`repro.core.state`.
+transitions and sample minibatches uniformly to decorrelate updates.
+States here are already-featurized vectors — the CrowdRL agent stores
+per-(object, annotator) feature vectors, see :mod:`repro.core.state`.
 """
 
 from __future__ import annotations
@@ -68,51 +67,3 @@ class ReplayBuffer:
         """Drop every stored transition and reset the write cursor."""
         self._storage.clear()
         self._next_slot = 0
-
-
-class PrioritizedReplayBuffer(ReplayBuffer):
-    """Proportional prioritized replay (Schaul et al., paper ref [30]).
-
-    New transitions enter with maximal priority; :meth:`update_priorities`
-    should be called with fresh absolute TD errors after each training step.
-    Sampling probabilities are ``p_i^alpha / sum p^alpha``.
-    """
-
-    def __init__(self, capacity: int, *, alpha: float = 0.6,
-                 rng: SeedLike = None) -> None:
-        super().__init__(capacity, rng)
-        if not 0.0 <= alpha <= 1.0:
-            raise ConfigurationError(f"alpha must be in [0, 1], got {alpha}")
-        self.alpha = alpha
-        self._priorities = np.zeros(capacity)
-        self._max_priority = 1.0
-        self._last_sampled: np.ndarray = np.empty(0, dtype=int)
-
-    def push(self, transition: Transition) -> None:
-        """Append with maximal priority so new transitions replay soon."""
-        slot = self._next_slot if len(self._storage) == self.capacity else len(self._storage)
-        super().push(transition)
-        self._priorities[slot] = self._max_priority
-
-    def sample(self, batch_size: int) -> list[Transition]:
-        """Draw ``batch_size`` transitions proportional to priority^alpha."""
-        if batch_size <= 0:
-            raise ConfigurationError(f"batch_size must be > 0, got {batch_size}")
-        if not self._storage:
-            raise ConfigurationError("cannot sample from an empty buffer")
-        raw = self._priorities[: len(self._storage)] ** self.alpha
-        probs = raw / raw.sum()
-        idx = self._rng.choice(len(self._storage), size=batch_size, p=probs)
-        self._last_sampled = idx
-        return [self._storage[i] for i in idx]
-
-    def update_priorities(self, td_errors: np.ndarray, eps: float = 1e-3) -> None:
-        """Set priorities of the most recently sampled batch to ``|td| + eps``."""
-        td = np.abs(np.asarray(td_errors, dtype=float)) + eps
-        if td.shape[0] != self._last_sampled.shape[0]:
-            raise ConfigurationError(
-                f"expected {self._last_sampled.shape[0]} td errors, got {td.shape[0]}"
-            )
-        self._priorities[self._last_sampled] = td
-        if td.size:
-            self._max_priority = max(self._max_priority, float(td.max()))

@@ -9,8 +9,7 @@ shared annotator pool.
 
 Layering (each piece usable alone):
 
-* :class:`VirtualClock` / :class:`WallClock` — deterministic
-  discrete-event time (or real time for demos).
+* :class:`VirtualClock` — deterministic discrete-event time.
 * :class:`LatencyModel` — seeded per-annotator service times, on a
   stream of their own (answers' *content* is never touched).
 * :class:`AnnotatorLeases` — FIFO virtual-time occupancy of the shared
@@ -25,7 +24,7 @@ Layering (each piece usable alone):
   JSONL streams, one deterministic event loop.
 """
 
-from repro.serve.clock import VirtualClock, WallClock
+from repro.serve.clock import VirtualClock
 from repro.serve.collector import EventLoopCollector, run_episode_async
 from repro.serve.engine import EngineReport, ServeEngine
 from repro.serve.latency import LatencyModel
@@ -44,6 +43,5 @@ __all__ = [
     "ServeEngine",
     "SessionResult",
     "VirtualClock",
-    "WallClock",
     "run_episode_async",
 ]

@@ -1,4 +1,4 @@
-"""Event clocks for the online labelling service.
+"""The event clock of the online labelling service.
 
 :class:`VirtualClock` is a deterministic discrete-event clock: events are
 pushed with a due time, popped in ``(due, submission order)`` order, and
@@ -6,20 +6,11 @@ popping advances *now* to the event's due time.  Because ties break on a
 monotonically increasing submission sequence, a run over the virtual
 clock is a pure function of its seeds — the property the async==sync
 bit-identity tests pin.
-
-:class:`WallClock` is the same interface against real time, for driving
-the service against actual wall-clock latency (demos, soak runs).  It is
-the process's only sanctioned wall-clock read outside :mod:`repro.obs`,
-carrying the flow analyzer's keyed exemption annotations
-(``# repro: wall-clock[time.monotonic] — ...``); see REPRO012 in
-:mod:`repro.analysis.flow.determinism`.
 """
 
 from __future__ import annotations
 
 import heapq
-import time
-from typing import Optional
 
 from repro.exceptions import ConfigurationError
 
@@ -63,12 +54,6 @@ class VirtualClock:
         heapq.heappush(self._events, (float(due), seq, event))
         return seq
 
-    def peek_due(self) -> Optional[float]:
-        """Due time of the next event, or ``None`` when idle."""
-        if not self._events:
-            return None
-        return self._events[0][0]
-
     def pop(self) -> tuple:
         """Deliver the next event: advances ``now`` to its due time.
 
@@ -78,56 +63,4 @@ class VirtualClock:
             raise ConfigurationError("cannot pop from an idle event clock")
         due, seq, event = heapq.heappop(self._events)
         self._now = due
-        return due, seq, event
-
-
-class WallClock:
-    """The :class:`VirtualClock` interface against real elapsed time.
-
-    ``now`` reads the monotonic clock, and :meth:`pop` *sleeps* until the
-    next event is actually due — useful for demoing the service at human
-    timescales.  Never used on the reproduction's deterministic paths;
-    results driven by this clock are timing-dependent by construction.
-    """
-
-    def __init__(self) -> None:
-        # repro: wall-clock[time.monotonic] — real-time serving mode is
-        # explicitly timing-dependent; the deterministic paths use
-        # VirtualClock and never construct this class.
-        self._origin = time.monotonic()
-        self._seq = 0
-        self._events: list = []
-
-    @property
-    def now(self) -> float:
-        """Seconds of real time elapsed since construction."""
-        # repro: wall-clock[time.monotonic] — see __init__.
-        return time.monotonic() - self._origin
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def push(self, due: float, event) -> int:
-        """Schedule ``event`` at ``due`` seconds after the clock's origin."""
-        seq = self._seq
-        self._seq += 1
-        heapq.heappush(self._events, (float(due), seq, event))
-        return seq
-
-    def peek_due(self) -> Optional[float]:
-        """Due time of the next event, or ``None`` when idle."""
-        if not self._events:
-            return None
-        return self._events[0][0]
-
-    def pop(self) -> tuple:
-        """Sleep until the next event is due, then deliver it."""
-        if not self._events:
-            raise ConfigurationError("cannot pop from an idle event clock")
-        due, seq, event = heapq.heappop(self._events)
-        remaining = due - self.now
-        if remaining > 0.0:
-            # repro: blocking[time.sleep] — WallClock is the real-time
-            # demo scheduler; the sleep IS its event pacing, not a stall.
-            time.sleep(remaining)
         return due, seq, event

@@ -86,7 +86,6 @@ class ServeEngine:
         self,
         pool,
         *,
-        clock: Optional[VirtualClock] = None,
         latency: Optional[LatencyModel] = None,
         max_active: Optional[int] = None,
         metrics_dir=None,
@@ -96,7 +95,7 @@ class ServeEngine:
                 f"max_active must be > 0, got {max_active}"
             )
         self.pool = pool
-        self.clock = clock if clock is not None else VirtualClock()
+        self.clock = VirtualClock()
         self.latency = latency if latency is not None else (
             LatencyModel.for_pool(pool)
         )

@@ -27,8 +27,8 @@ class AnnotatorLeases:
             )
         self.n_annotators = n_annotators
         self._free_at = np.zeros(n_annotators)
-        #: session name -> per-annotator grant counts.
-        self._grants: dict[str, np.ndarray] = {}
+        #: session name -> grants made to it.
+        self._grants: dict[str, int] = {}
         #: Total virtual seconds requests spent queued behind busy
         #: annotators, and how many grants had to queue at all.
         self.total_wait = 0.0
@@ -65,40 +65,9 @@ class AnnotatorLeases:
             self.total_wait += wait
             self.waited += 1
         self.granted += 1
-        counts = self._grants.get(session)
-        if counts is None:
-            counts = np.zeros(self.n_annotators, dtype=int)
-            self._grants[session] = counts
-        counts[annotator_id] += 1
+        self._grants[session] = self._grants.get(session, 0) + 1
         return start, due
-
-    def free_at(self, annotator_id: int) -> float:
-        """Virtual time at which ``annotator_id``'s last lease ends."""
-        if not 0 <= annotator_id < self.n_annotators:
-            raise ConfigurationError(
-                f"annotator_id must be in [0, {self.n_annotators}), got "
-                f"{annotator_id}"
-            )
-        return float(self._free_at[annotator_id])
-
-    def busy_count(self, now: float) -> int:
-        """How many annotators are mid-lease at virtual time ``now``."""
-        return int((self._free_at > float(now)).sum())
-
-    def makespan(self) -> float:
-        """Virtual time at which the whole pool goes idle."""
-        return float(self._free_at.max())
 
     def grant_counts(self) -> dict:
         """Total grants per session, in session-name order (audit surface)."""
-        return {
-            session: int(counts.sum())
-            for session, counts in sorted(self._grants.items())
-        }
-
-    def grant_matrix(self) -> dict:
-        """Per-session, per-annotator grant counts (lists, JSON-safe)."""
-        return {
-            session: [int(c) for c in counts]
-            for session, counts in sorted(self._grants.items())
-        }
+        return dict(sorted(self._grants.items()))

@@ -19,10 +19,8 @@ class TestCrowdRLConfig:
         ("batch_size", 0),
         ("enrichment_margin", 0.0), ("enrichment_margin", 1.0),
         ("expert_floor", 1.0),
-        ("classifier_weight", -0.1),
         ("max_iterations", 0),
         ("train_steps_per_iteration", -1),
-        ("next_state_sample", 0),
         ("ts_mode", "greedy"),
         ("ta_mode", "best"),
         ("inference_method", "mv"),

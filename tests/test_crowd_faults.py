@@ -9,6 +9,7 @@ from repro.crowd.compose import wrap
 from repro.crowd.cost import BudgetManager
 from repro.crowd.faults import (
     FAULT_KINDS,
+    TIMEOUT_COST_FRACTION,
     FaultKind,
     FaultModel,
     UnreliablePlatform,
@@ -120,12 +121,11 @@ class TestUnreliablePlatform:
             UnreliablePlatform(platform, FaultModel(len(platform.pool)))
 
     def test_timeout_raises_and_charges_partial_cost(self):
-        unreliable, platform = make_unreliable(
-            timeout=1.0, timeout_cost_fraction=0.5)
+        unreliable, platform = make_unreliable(timeout=1.0)
         with pytest.raises(AnswerTimeoutError):
             unreliable.ask(0, 0)
         assert platform.budget.spent == pytest.approx(
-            0.5 * platform.pool[0].cost)
+            TIMEOUT_COST_FRACTION * platform.pool[0].cost)
         assert not platform.history.has_answered(0, 0)
         assert platform.answer_log == []
 
@@ -188,9 +188,9 @@ class TestUnreliablePlatform:
         assert wrapped == direct
 
     def test_waste_capped_at_remaining_budget(self):
-        unreliable, platform = make_unreliable(
-            timeout=1.0, budget=4.0, timeout_cost_fraction=1.0)
-        # Expert costs 10 but only 4 remains: waste the remainder, no more.
+        unreliable, platform = make_unreliable(timeout=1.0, budget=4.0)
+        # The expert's waste is half of 10, but only 4 remains: waste the
+        # remainder, no more.
         with pytest.raises(AnswerTimeoutError):
             unreliable.ask(0, 3)
         assert platform.budget.spent == pytest.approx(4.0)

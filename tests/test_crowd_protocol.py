@@ -96,16 +96,6 @@ class TestWrapComposition:
         chain = wrap(make_platform(), faults=0.1, resilient=policy)
         assert chain.policy is policy
 
-    def test_policy_both_ways_rejected(self):
-        with pytest.raises(ConfigurationError):
-            wrap(make_platform(), resilient=ResiliencePolicy(),
-                 policy=ResiliencePolicy())
-
-    def test_policy_with_resilience_disabled_rejected(self):
-        with pytest.raises(ConfigurationError):
-            wrap(make_platform(), resilient=False,
-                 policy=ResiliencePolicy())
-
     def test_bool_faults_rejected(self):
         with pytest.raises(ConfigurationError):
             wrap(make_platform(), faults=True)

@@ -37,14 +37,13 @@ def make_stack(budget=500.0, seed=7, policy=None, collector_rng=0,
     collector = wrap(
         platform,
         faults=FaultModel(len(pool), **fault_kwargs),
-        resilient=True,
-        policy=policy,
+        resilient=policy or True,
         resilience_seed=collector_rng,
     )
     return collector, platform
 
 
-class TestDeprecatedConstruction:
+class TestConstruction:
     def test_direct_construction_is_silent(self):
         dataset = make_blobs(20, 6, separation=3.0, name="t", rng=0)
         pool = build_pool(seed=0)
@@ -64,8 +63,8 @@ class TestDeprecatedConstruction:
 class TestPolicyValidation:
     @pytest.mark.parametrize("kwargs", [
         {"max_retries": -1},
-        {"backoff_factor": 0.5},
-        {"backoff_jitter": 2.0},
+        {"failure_threshold": 1.5},
+        {"min_attempts": -1},
         {"failure_threshold": 0.0},
         {"min_attempts": 0},
     ])

@@ -109,6 +109,24 @@ class TestComparison:
         )
         assert res.ratio == pytest.approx(1.0) and not res.regressed
 
+    def test_floor_is_applied_after_normalising(self, tmp_path):
+        # A sub-floor phase whose min_s did not move, measured on a host
+        # that calibrates 30% faster: the floor is the baseline's
+        # floor_s / calibration_s on both sides, so this stays ok.
+        sub_floor = FLOOR_S / 8
+        baseline = make_baseline(tmp_path, min_s=sub_floor)
+        faster = 0.7 * baseline["calibration_s"]
+        (res,) = compare_to_baseline(
+            {"featurize": {"min_s": sub_floor, "calls": 2}}, faster, baseline
+        )
+        assert res.ratio == pytest.approx(1.0) and not res.regressed
+        # Normalised, this minimum is twice the floor: a real regression.
+        slow = 2 * FLOOR_S / baseline["calibration_s"] * faster
+        (res,) = compare_to_baseline(
+            {"featurize": {"min_s": slow, "calls": 2}}, faster, baseline
+        )
+        assert res.ratio == pytest.approx(2.0) and res.regressed
+
     def test_missing_phase_is_a_failure(self, tmp_path):
         baseline = make_baseline(tmp_path)
         (res,) = compare_to_baseline({}, 1e-4, baseline)

@@ -133,13 +133,3 @@ class TestDQNAgent:
         x = np.random.default_rng(1).normal(size=(4, 3))
         b.set_weights(a.get_weights())
         np.testing.assert_allclose(a.q_values(x), b.q_values(x))
-
-    def test_prioritized_variant_trains(self):
-        agent = DQNAgent(
-            DQNConfig(n_features=3, hidden=(8,), batch_size=8,
-                      min_buffer_for_training=8, prioritized=True),
-            rng=0,
-        )
-        for i in range(20):
-            agent.remember(np.full(3, i / 20), float(i % 2), None, True)
-        assert agent.train_step() is not None

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.rl.replay import PrioritizedReplayBuffer, ReplayBuffer, Transition
+from repro.rl.replay import ReplayBuffer, Transition
 
 
 def make_transition(value=0.0, reward=1.0, terminal=False):
@@ -60,42 +60,3 @@ class TestReplayBuffer:
             return [t.features[0] for t in buf.sample(5)]
 
         assert collect(7) == collect(7)
-
-
-class TestPrioritizedReplayBuffer:
-    def test_new_transitions_sampleable(self):
-        buf = PrioritizedReplayBuffer(10, rng=0)
-        buf.push(make_transition(1.0))
-        assert buf.sample(3)[0].features[0] == 1.0
-
-    def test_high_priority_sampled_more(self):
-        buf = PrioritizedReplayBuffer(10, alpha=1.0, rng=0)
-        for i in range(2):
-            buf.push(make_transition(float(i)))
-        buf.sample(2)
-        # Give transition 0 overwhelming priority.
-        buf._last_sampled = np.array([0, 1])
-        buf.update_priorities(np.array([100.0, 0.0]))
-        counts = {0.0: 0, 1.0: 0}
-        for t in buf.sample(200):
-            counts[float(t.features[0])] += 1
-        assert counts[0.0] > counts[1.0] * 3
-
-    def test_update_priorities_shape_checked(self):
-        buf = PrioritizedReplayBuffer(10, rng=0)
-        buf.push(make_transition())
-        buf.sample(2)
-        with pytest.raises(ConfigurationError):
-            buf.update_priorities(np.array([1.0, 2.0, 3.0]))
-
-    def test_alpha_validated(self):
-        with pytest.raises(ConfigurationError):
-            PrioritizedReplayBuffer(10, alpha=1.5)
-
-    def test_ring_overwrite_updates_priority_slot(self):
-        buf = PrioritizedReplayBuffer(2, rng=0)
-        for i in range(3):
-            buf.push(make_transition(float(i)))
-        assert len(buf) == 2
-        # All priorities remain positive/valid for sampling.
-        assert (buf._priorities[:2] > 0).all()

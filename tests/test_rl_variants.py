@@ -1,4 +1,4 @@
-"""Tests for the DQN variants (Double DQN, prioritized) and demo pretraining."""
+"""Tests for the Double-DQN variant and demonstration pretraining."""
 
 import dataclasses
 
@@ -64,12 +64,9 @@ class TestDoubleDQN:
 
 class TestCrowdRLVariantPlumbing:
     def test_config_flags_reach_dqn(self):
-        config = CrowdRLConfig(double_dqn=True, prioritized_replay=True)
+        config = CrowdRLConfig(double_dqn=True)
         agent = Agent(5, 3, config, rng=0)
         assert agent.dqn.config.double_dqn
-        from repro.rl.replay import PrioritizedReplayBuffer
-
-        assert isinstance(agent.dqn.buffer, PrioritizedReplayBuffer)
 
     def test_variant_run_end_to_end(self):
         dataset = make_blobs(40, 6, separation=3.0, rng=0)
@@ -80,7 +77,6 @@ class TestCrowdRLVariantPlumbing:
         config = CrowdRLConfig(
             alpha=0.1, batch_size=4, min_truths_for_enrichment=10,
             train_steps_per_iteration=2, double_dqn=True,
-            prioritized_replay=True,
         )
         outcome = CrowdRL(config, rng=2).run(dataset, platform)
         assert outcome.final_labels.shape == (40,)
