@@ -115,15 +115,8 @@ class DLTA(LabellingFramework):
             classifier.predict_proba(dataset.features)
             if classifier is not None else None
         )
-        labels, sources = self._finalize_labels(
-            n, platform.n_classes, truths, {}, proba
-        )
-        return LabellingOutcome(
-            framework=self.name,
-            final_labels=labels,
-            label_sources=sources,
-            spent=platform.budget.spent,
-            budget=platform.budget.total,
-            iterations=iterations,
+        return self._outcome(
+            platform, truths, iterations,
+            proba=proba,
             extras={"n_truths": len(truths)},
         )

@@ -194,16 +194,9 @@ class Hybrid(LabellingFramework):
             classifier.predict_proba(dataset.features)
             if classifier is not None else None
         )
-        labels, sources = self._finalize_labels(
-            n, platform.n_classes, truths, {}, proba
-        )
-        return LabellingOutcome(
-            framework=self.name,
-            final_labels=labels,
-            label_sources=sources,
-            spent=platform.budget.spent,
-            budget=platform.budget.total,
-            iterations=iterations,
+        return self._outcome(
+            platform, truths, iterations,
+            proba=proba,
             extras={"n_truths": len(truths),
                     "ta_train_steps": ta_agent.train_steps},
         )

@@ -139,16 +139,9 @@ class IDLE(LabellingFramework):
             classifier.predict_proba(dataset.features)
             if classifier is not None else None
         )
-        labels, sources = self._finalize_labels(
-            n, platform.n_classes, truths, {}, proba
-        )
-        return LabellingOutcome(
-            framework=self.name,
-            final_labels=labels,
-            label_sources=sources,
-            spent=platform.budget.spent,
-            budget=platform.budget.total,
-            iterations=iterations,
+        return self._outcome(
+            platform, truths, iterations,
+            proba=proba,
             extras={
                 "n_truths": len(truths),
                 "n_unsolvable": len(unsolvable),

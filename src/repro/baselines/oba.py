@@ -121,15 +121,9 @@ class OBA(LabellingFramework):
                 ai = KNNClassifier(platform.n_classes, k=KNN_K)
                 ai.fit(dataset.features[ids], y)
                 proba = ai.predict_proba(dataset.features)
-        labels, sources = self._finalize_labels(
-            n, platform.n_classes, human_labels, ai_labels, proba
-        )
-        return LabellingOutcome(
-            framework=self.name,
-            final_labels=labels,
-            label_sources=sources,
-            spent=platform.budget.spent,
-            budget=platform.budget.total,
-            iterations=iterations,
+        return self._outcome(
+            platform, human_labels, iterations,
+            enriched=ai_labels,
+            proba=proba,
             extras={"n_human": len(human_labels), "n_ai": len(ai_labels)},
         )

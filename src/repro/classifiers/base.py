@@ -48,16 +48,6 @@ class Classifier:
         """Return hard labels (argmax of :meth:`predict_proba`)."""
         return self.predict_proba(x).argmax(axis=1)
 
-    def confidence_margin(self, x: np.ndarray) -> np.ndarray:
-        """Top-1 minus top-2 class probability per object.
-
-        This is the quantity Algorithm 1 compares against the enrichment
-        margin ε: an object is only auto-labelled when the margin is large.
-        """
-        proba = self.predict_proba(x)
-        part = np.partition(proba, -2, axis=1)
-        return part[:, -1] - part[:, -2]
-
     # -- plumbing -------------------------------------------------------
     def _check_fitted(self) -> None:
         if not self._fitted:

@@ -8,7 +8,6 @@ unit handed to the environment is an :class:`Assignment`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.exceptions import ConfigurationError
 
@@ -36,12 +35,3 @@ class Assignment:
     def pairs(self) -> list[tuple[int, int]]:
         """Atomic (object, annotator) actions composing this assignment."""
         return [(self.object_id, j) for j in self.annotator_ids]
-
-
-def flat_action_index(object_id: int, annotator_id: int, n_annotators: int) -> int:
-    """Flatten an (object, annotator) pair into a single action index."""
-    if annotator_id < 0 or annotator_id >= n_annotators:
-        raise ConfigurationError(
-            f"annotator_id {annotator_id} out of range [0, {n_annotators})"
-        )
-    return object_id * n_annotators + annotator_id

@@ -169,6 +169,38 @@ class LabellingFramework:
             sources[object_id] = LabelSource.HUMAN
         return labels, sources
 
+    def _outcome(
+        self,
+        platform: CrowdPlatform,
+        truths: dict[int, int],
+        iterations: int,
+        *,
+        enriched: Optional[dict[int, int]] = None,
+        proba: Optional[np.ndarray] = None,
+        reward_history: Sequence[float] = (),
+        extras: Optional[dict] = None,
+    ) -> LabellingOutcome:
+        """The run's :class:`LabellingOutcome` (Algorithm 1's final step).
+
+        Labels all of O through :meth:`_finalize_labels` (``proba`` is the
+        final classifier's prediction, ``None`` when none was trained) and
+        reads the spend from ``platform``'s budget.
+        """
+        labels, sources = self._finalize_labels(
+            platform.n_objects, platform.n_classes, truths, enriched or {},
+            proba,
+        )
+        return LabellingOutcome(
+            framework=self.name,
+            final_labels=labels,
+            label_sources=sources,
+            spent=platform.budget.spent,
+            budget=platform.budget.total,
+            iterations=iterations,
+            reward_history=list(reward_history),
+            extras=extras or {},
+        )
+
 
 class CrowdRL(LabellingFramework):
     """The paper's framework (Algorithm 1)."""
@@ -176,14 +208,11 @@ class CrowdRL(LabellingFramework):
     name = "CrowdRL"
 
     def __init__(self, config: Optional[CrowdRLConfig] = None,
-                 rng: SeedLike = None, *, trace=None) -> None:
+                 rng: SeedLike = None) -> None:
         self.config = config or CrowdRLConfig()
         self._rng = as_rng(rng)
         #: Policy weights carried across runs (offline cross-training).
         self._pretrained_weights = None
-        #: Optional :class:`repro.harness.tracking.RunTrace` receiving a
-        #: snapshot after every labelling iteration.
-        self.trace = trace
 
     # ------------------------------------------------------------------
     def pretrain(self, dataset: LabelledDataset,
@@ -338,10 +367,10 @@ class CrowdRL(LabellingFramework):
                 terminal = terminal or state.all_labelled()
             agent.remember_iteration(taken_features, pair_rewards, state, terminal)
             agent.train()
-            if self.trace is not None:
-                from repro.harness.tracking import IterationRecord
-
-                self.trace.record(IterationRecord(
+            events = get_registry().events
+            if events is not None:
+                events.emit(
+                    "iteration",
                     iteration=iterations,
                     spent=platform.budget.spent,
                     n_truths=len(env.truths),
@@ -349,27 +378,17 @@ class CrowdRL(LabellingFramework):
                     reward=reward,
                     iteration_cost=cost,
                     n_assignments=len(records),
-                ))
+                )
             if terminal:
                 break
 
         # Keep the learned policy for cross-training reuse.
         self._pretrained_weights = agent.get_policy_weights()
 
-        labels, sources = self._finalize_labels(
-            n_objects,
-            platform.n_classes,
-            env.truths,
-            env.enriched,
-            env.classifier_proba(),
-        )
-        return LabellingOutcome(
-            framework=self.name,
-            final_labels=labels,
-            label_sources=sources,
-            spent=platform.budget.spent,
-            budget=platform.budget.total,
-            iterations=iterations,
+        return self._outcome(
+            platform, env.truths, iterations,
+            enriched=env.enriched,
+            proba=env.classifier_proba(),
             reward_history=rewards,
             extras={
                 "n_truths": len(env.truths),

@@ -118,14 +118,6 @@ class LabellingState:
     def labelled_objects(self) -> set[int]:
         return self._human_labelled | self._enriched
 
-    def unlabelled_objects(self) -> np.ndarray:
-        """Ids of objects not yet labelled by humans or enrichment."""
-        labelled = self.labelled_objects
-        keep = np.ones(self.history.n_objects, dtype=bool)
-        if labelled:
-            keep[np.fromiter(sorted(labelled), dtype=int)] = False
-        return np.flatnonzero(keep).astype(int)
-
     def all_labelled(self) -> bool:
         return len(self.labelled_objects) >= self.history.n_objects
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.crowd.annotator import Annotator
 from repro.exceptions import BudgetExhaustedError, ConfigurationError
 
 
@@ -27,9 +26,6 @@ class CostModel:
                 f"costs must be > 0, got worker={self.worker_cost}, "
                 f"expert={self.expert_cost}"
             )
-
-    def cost_of(self, annotator: Annotator) -> float:
-        return self.expert_cost if annotator.is_expert else self.worker_cost
 
 
 @dataclass
@@ -86,7 +82,3 @@ class BudgetManager:
     @property
     def ledger_length(self) -> int:
         return len(self._ledger)
-
-    @property
-    def spend_fraction(self) -> float:
-        return self.spent / self.total

@@ -37,7 +37,7 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.analysis.contracts import shaped
-from repro.crowd.platform import AnswerRecord, CrowdPlatform
+from repro.crowd.platform import AnswerRecord, CrowdPlatform, collect_batch
 from repro.exceptions import (
     AnnotatorUnavailableError,
     AnswerTimeoutError,
@@ -167,11 +167,6 @@ class FaultModel:
         """The per-annotator rate matrix, columns in ``FAULT_KINDS`` order."""
         return self._rates.copy()
 
-    def in_outage(self, annotator_id: int) -> bool:
-        """Whether ``annotator_id`` is inside a burst outage right now."""
-        end = self._outages.get(annotator_id)
-        return end is not None and self._clock < end
-
     def draw(self, annotator_id: int) -> Optional[FaultKind]:
         """Decide the fate of one request to ``annotator_id``.
 
@@ -295,20 +290,7 @@ class UnreliablePlatform(PlatformWrapper):
         """
         if self.fault_model.inert:
             return self.inner.ask_batch(assignments)
-        collected: list[AnswerRecord] = []
-        inner = self.inner
-        for object_id, annotator_ids in assignments:
-            for annotator_id in annotator_ids:
-                if inner.history.has_answered(object_id, annotator_id):
-                    continue
-                if inner.at_capacity(annotator_id):
-                    continue
-                if not inner.budget.can_afford(inner.pool[annotator_id].cost):
-                    if not inner.budget.can_afford(inner.cheapest_cost()):
-                        return collected
-                    continue
-                collected.append(self.ask(object_id, annotator_id))
-        return collected
+        return collect_batch(self.inner, assignments, self.ask)
 
     # ------------------------------------------------------------------
     def _charge_waste(self, object_id: int, annotator_id: int) -> None:

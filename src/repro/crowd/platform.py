@@ -12,7 +12,7 @@ and is never exposed to frameworks — only to the evaluation code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +30,41 @@ class AnswerRecord:
     annotator_id: int
     answer: int
     cost: float
+
+
+def collect_batch(
+    platform,
+    assignments: Iterable[tuple[int, Sequence[int]]],
+    ask: Callable[[int, int], Optional[object]],
+) -> list:
+    """The batch-collection rules every platform layer shares.
+
+    Walks ``(object, [annotators])`` assignments pair by pair and calls
+    ``ask(object_id, annotator_id)`` for each pair that is still open on
+    ``platform``: answered pairs and at-capacity annotators are skipped,
+    and so is an annotator the budget cannot afford.  Collection stops
+    once even the cheapest annotator is unaffordable, so the budget
+    drains exactly.  ``ask`` returns what the batch collects for that
+    pair, or ``None`` when its layer gave up on the request (the layer
+    counts the drop); ``None`` is left out of the returned list.
+    """
+    collected: list = []
+    for object_id, annotator_ids in assignments:
+        for annotator_id in annotator_ids:
+            if platform.history.has_answered(object_id, annotator_id):
+                continue
+            if platform.at_capacity(annotator_id):
+                continue
+            if not platform.budget.can_afford(platform.pool[annotator_id].cost):
+                # This annotator is out of reach, but a cheaper one later
+                # in the batch may not be.
+                if not platform.budget.can_afford(platform.cheapest_cost()):
+                    return collected
+                continue
+            result = ask(object_id, annotator_id)
+            if result is not None:
+                collected.append(result)
+    return collected
 
 
 class CrowdPlatform:
@@ -133,23 +168,7 @@ class CrowdPlatform:
         Duplicate pairs are skipped rather than raising, because batch
         assignments may legitimately overlap earlier iterations.
         """
-        collected: list[AnswerRecord] = []
-        for object_id, annotator_ids in assignments:
-            for annotator_id in annotator_ids:
-                if self.history.has_answered(object_id, annotator_id):
-                    continue
-                if self.at_capacity(annotator_id):
-                    continue
-                if not self.budget.can_afford(self.pool[annotator_id].cost):
-                    # This annotator is out of reach, but a cheaper one later
-                    # in the batch may not be; only stop once even the
-                    # cheapest annotator is unaffordable, so the budget
-                    # drains exactly as promised.
-                    if not self.budget.can_afford(self.cheapest_cost()):
-                        return collected
-                    continue
-                collected.append(self.ask(object_id, annotator_id))
-        return collected
+        return collect_batch(self, assignments, self.ask)
 
     def at_capacity(self, annotator_id: int) -> bool:
         """Whether the annotator has exhausted its answer capacity."""

@@ -40,7 +40,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from repro.crowd.faults import PlatformWrapper
-from repro.crowd.platform import AnswerRecord
+from repro.crowd.platform import AnswerRecord, collect_batch
 from repro.exceptions import (
     AnnotatorUnavailableError,
     AnswerTimeoutError,
@@ -168,7 +168,6 @@ class ResilientCollector(PlatformWrapper):
         """
         record = self._collect(object_id, annotator_id)
         if record is None:
-            self.stats.gave_up += 1
             raise CollectionFailedError(
                 f"could not collect an answer for object {object_id}: all "
                 f"candidate annotators failed or are unavailable",
@@ -181,10 +180,11 @@ class ResilientCollector(PlatformWrapper):
     ) -> list[AnswerRecord]:
         """Batch collection that never lets a fault escape.
 
-        Mirrors :meth:`CrowdPlatform.ask_batch` semantics (skip answered /
-        at-capacity pairs, stop only when even the cheapest annotator is
-        unaffordable); requests that cannot be served after retries and
-        reassignment are dropped and counted in ``stats.gave_up``.
+        The shared :func:`~repro.crowd.platform.collect_batch` rules
+        (skip answered / at-capacity pairs, stop only when even the
+        cheapest annotator is unaffordable); requests that cannot be
+        served after retries and reassignment are dropped and counted in
+        ``stats.gave_up``.
         """
         fault_model = getattr(self.inner, "fault_model", None)
         if ((fault_model is None or fault_model.inert)
@@ -192,31 +192,18 @@ class ResilientCollector(PlatformWrapper):
             records = self.inner.ask_batch(assignments)
             self.stats.answers += len(records)
             return records
-        collected: list[AnswerRecord] = []
-        inner = self.inner
-        for object_id, annotator_ids in assignments:
-            for annotator_id in annotator_ids:
-                if inner.history.has_answered(object_id, annotator_id):
-                    continue
-                if inner.at_capacity(annotator_id):
-                    continue
-                if not inner.budget.can_afford(inner.pool[annotator_id].cost):
-                    if not inner.budget.can_afford(inner.cheapest_cost()):
-                        return collected
-                    continue
-                record = self._collect(object_id, annotator_id)
-                if record is None:
-                    self.stats.gave_up += 1
-                    continue
-                collected.append(record)
-        return collected
+        return collect_batch(self.inner, assignments, self._collect)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _collect(self, object_id: int,
                  annotator_id: int) -> Optional[AnswerRecord]:
-        """Try ``annotator_id`` (with retries), then reassign down the pool."""
+        """Try ``annotator_id`` (with retries), then reassign down the pool.
+
+        Returns ``None``, counted in ``stats.gave_up``, when no candidate
+        could answer.
+        """
         tried: set[int] = set()
         candidate: Optional[int] = annotator_id
         if annotator_id in self._quarantined:
@@ -234,6 +221,7 @@ class ResilientCollector(PlatformWrapper):
             if candidate is not None:
                 self.stats.reassignments += 1
                 get_registry().inc("collect.reassignments")
+        self.stats.gave_up += 1
         return None
 
     def _attempt_with_retries(self, object_id: int,

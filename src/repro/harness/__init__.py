@@ -44,7 +44,6 @@ from repro.harness.stats import (
     paired_win_rate,
     summarize,
 )
-from repro.harness.tracking import IterationRecord, RunTrace
 
 __all__ = [
     "ExperimentSetting",
@@ -79,6 +78,4 @@ __all__ = [
     "summarize",
     "paired_win_rate",
     "bootstrap_mean_difference",
-    "RunTrace",
-    "IterationRecord",
 ]

@@ -142,5 +142,3 @@ class Network:
         """Deep copy (fresh parameter arrays), e.g. for a DQN target network."""
         return copy.deepcopy(self)
 
-    def n_parameters(self) -> int:
-        return sum(p.size for layer in self.layers for p in layer.params.values())

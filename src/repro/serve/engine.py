@@ -233,13 +233,5 @@ class ServeEngine:
             lease_wait_s=self.leases.total_wait,
         )
 
-    def results(self) -> list:
-        """Finished sessions' results so far, in admission order."""
-        return [
-            session.result
-            for session in self._sessions.values()
-            if session.result is not None
-        ]
-
 
 __all__ = ["ServeEngine", "EngineReport", "SessionResult"]

@@ -13,11 +13,12 @@ collection into submission + completion:
   delays *visibility* of an answer, never its content: that is the design
   decision that makes an async run bit-identical to the sync oracle under
   the virtual clock.
-* :meth:`submit_batch` replicates ``ask_batch``'s canonical skip/stop
-  semantics (skip answered / at-capacity pairs, stop when even the
-  cheapest annotator is unaffordable) pair by pair, so the set of
-  answers collected matches the sync batch exactly — including dropped
-  requests when a resilient collector gives up.
+* :meth:`submit_batch` walks the batch with the same
+  :func:`~repro.crowd.platform.collect_batch` rules as the sync
+  ``ask_batch`` (skip answered / at-capacity pairs, stop when even the
+  cheapest annotator is unaffordable), so the set of answers collected
+  matches the sync batch exactly — including dropped requests when a
+  resilient collector gives up.
 
 Completion times come from a shared :class:`~repro.serve.leases.AnnotatorLeases`
 (one annotator answers one task at a time, FIFO) and a seeded
@@ -28,10 +29,10 @@ chain so many sessions can contend for one pool.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.crowd.faults import PlatformWrapper
-from repro.crowd.platform import AnswerRecord
+from repro.crowd.platform import AnswerRecord, collect_batch
 from repro.crowd.protocol import check_platform
 from repro.exceptions import CollectionFailedError, ConfigurationError
 from repro.obs import get_registry
@@ -45,8 +46,8 @@ class PendingAnswer:
 
     The record is fully materialised at submission (see the module
     docstring); delivery is tracked by the submitting
-    :class:`AsyncPlatform` (see :meth:`AsyncPlatform.is_delivered`), keyed
-    by the clock sequence id ``seq``.  ``annotator_id`` is the annotator
+    :class:`AsyncPlatform` (see :meth:`AsyncPlatform.mark_delivered`),
+    keyed by the clock sequence id ``seq``.  ``annotator_id`` is the annotator
     who actually answered (a resilient collector may have reassigned away
     from the requested one) — the one whose lease the service time
     occupies.
@@ -151,40 +152,28 @@ class AsyncPlatform(PlatformWrapper):
         return pending
 
     def submit_batch(self, assignments) -> list:
-        """Submit a batch with the canonical ``ask_batch`` semantics.
+        """Submit a batch under the shared ``collect_batch`` rules.
 
-        Mirrors :meth:`CrowdPlatform.ask_batch` pair for pair: skip
-        answered / at-capacity pairs, stop when even the cheapest
+        Pair for pair the same walk as :meth:`CrowdPlatform.ask_batch`:
+        skip answered / at-capacity pairs, stop when even the cheapest
         annotator is unaffordable.  A resilient chain's
         :class:`CollectionFailedError` drops the request (the collector
         already counted the give-up), matching the sync batch's
         behaviour; raw faults from an unprotected chain propagate,
         matching the sync batch's behaviour there too.
         """
-        inner = self.inner
-        pendings: list = []
-        for object_id, annotator_ids in assignments:
-            for annotator_id in annotator_ids:
-                if inner.history.has_answered(object_id, annotator_id):
-                    continue
-                if inner.at_capacity(annotator_id):
-                    continue
-                if not inner.budget.can_afford(inner.pool[annotator_id].cost):
-                    if not inner.budget.can_afford(inner.cheapest_cost()):
-                        return pendings
-                    continue
-                try:
-                    pendings.append(self.ask_async(object_id, annotator_id))
-                except CollectionFailedError:
-                    # The collector already counted the give-up; mirror
-                    # it on the serve books so schedule gaps are
-                    # attributable.
-                    get_registry().inc("serve.dropped")
-        return pendings
+        return collect_batch(self.inner, assignments, self._submit_or_drop)
 
-    def is_delivered(self, pending: PendingAnswer) -> bool:
-        """Whether ``pending``'s answer has already been delivered."""
-        return pending.seq in self._delivered
+    def _submit_or_drop(self, object_id: int,
+                        annotator_id: int) -> Optional[PendingAnswer]:
+        """:meth:`ask_async`, or ``None`` when a resilient chain gave up."""
+        try:
+            return self.ask_async(object_id, annotator_id)
+        except CollectionFailedError:
+            # The collector already counted the give-up; mirror it on the
+            # serve books so schedule gaps are attributable.
+            get_registry().inc("serve.dropped")
+            return None
 
     def mark_delivered(self, pending: PendingAnswer) -> AnswerRecord:
         """Record a pending answer's delivery; returns its answer record."""
@@ -201,23 +190,3 @@ class AsyncPlatform(PlatformWrapper):
         registry.set_gauge("serve.in_flight", self.in_flight)
         registry.set_gauge("serve.queue_depth", len(self.clock))
         return pending.record
-
-    def drain(self, pendings: Sequence[PendingAnswer]) -> list:
-        """Run the clock until every given pending answer has landed.
-
-        Single-session convenience (the multi-tenant engine owns its own
-        loop): pops events in due order, then returns the records in
-        *submission* order — the order the sync ``ask_batch`` would have
-        returned them.
-        """
-        waiting = {p.seq for p in pendings} - self._delivered
-        while waiting:
-            _due, _seq, event = self.clock.pop()
-            if event.seq not in waiting:
-                raise ConfigurationError(
-                    "drain() popped an event it did not submit; use the "
-                    "serve engine to drive multi-session clocks"
-                )
-            waiting.discard(event.seq)
-            self.mark_delivered(event)
-        return [p.record for p in pendings]

@@ -38,12 +38,3 @@ def format_table(
     out = [line(list(headers)), sep]
     out.extend(line(row) for row in str_rows)
     return "\n".join(out)
-
-
-def format_series(name: str, xs: Sequence[object], ys: Sequence[float],
-                  *, float_fmt: str = "{:.3f}") -> str:
-    """Render one named data series, e.g. for a figure's line plot."""
-    if len(xs) != len(ys):
-        raise ValueError("xs and ys must be the same length")
-    pts = ", ".join(f"{x}={float_fmt.format(float(y))}" for x, y in zip(xs, ys))
-    return f"{name}: {pts}"

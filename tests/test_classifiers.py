@@ -55,12 +55,6 @@ class TestClassifierContract:
         acc = (clf.predict(blobs.features) == blobs.labels).mean()
         assert acc > 0.85
 
-    def test_confidence_margin_in_unit_interval(self, factory, blobs):
-        clf = factory(blobs.n_features).fit(blobs.features, blobs.labels)
-        margins = clf.confidence_margin(blobs.features[:15])
-        assert margins.shape == (15,)
-        assert (margins >= 0).all() and (margins <= 1).all()
-
     def test_wrong_soft_shape_raises(self, factory, blobs):
         clf = factory(blobs.n_features)
         with pytest.raises(ConfigurationError):

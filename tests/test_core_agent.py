@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.action import Assignment, flat_action_index
+from repro.core.action import Assignment
 from repro.core.agent import Agent
 from repro.core.config import CrowdRLConfig
 from repro.core.state import LabellingState
@@ -40,13 +40,6 @@ class TestAssignment:
     def test_negative_object_raises(self):
         with pytest.raises(ConfigurationError):
             Assignment(-1, (0,))
-
-    def test_flat_index(self):
-        assert flat_action_index(2, 3, 5) == 13
-
-    def test_flat_index_range_checked(self):
-        with pytest.raises(ConfigurationError):
-            flat_action_index(0, 5, 5)
 
 
 class TestQMatrix:

@@ -9,6 +9,7 @@ from repro.core.result import LabelSource
 from repro.crowd.platform import CrowdPlatform
 from repro.datasets.synthetic import make_blobs
 from repro.exceptions import ConfigurationError
+from repro.obs import JsonlEventLog, make_registry, read_events, use_registry
 
 from conftest import build_pool
 
@@ -109,6 +110,58 @@ class TestPretraining:
         a, b = run_once(), run_once()
         np.testing.assert_array_equal(a.final_labels, b.final_labels)
         assert a.spent == b.spent
+
+
+class TestIterationEvents:
+    """CrowdRL's per-iteration ``iteration`` events on the registry's log."""
+
+    FIELDS = {"iteration", "spent", "n_truths", "n_enriched", "reward",
+              "iteration_cost", "n_assignments"}
+
+    @pytest.fixture
+    def logged_run(self, tmp_path):
+        dataset = make_blobs(40, 6, separation=3.0, rng=0)
+        platform = make_platform(dataset, n_workers=3, n_experts=1,
+                                 budget=120.0, rng=1)
+        config = CrowdRLConfig(alpha=0.1, batch_size=4,
+                               min_truths_for_enrichment=10,
+                               train_steps_per_iteration=1)
+        path = tmp_path / "events.jsonl"
+        log = JsonlEventLog(path)
+        with use_registry(make_registry(events=log)):
+            outcome = CrowdRL(config, rng=2).run(dataset, platform)
+        log.close()
+        return read_events(path, kind="iteration"), outcome
+
+    def test_records_every_iteration(self, logged_run):
+        events, outcome = logged_run
+        # One event per iteration that reached the act/infer stage.
+        assert 1 <= len(events) <= outcome.iterations
+        assert [e["iteration"] for e in events] == list(
+            range(1, len(events) + 1))
+        assert all(set(e) - {"seq", "kind"} == self.FIELDS for e in events)
+
+    def test_spent_monotone(self, logged_run):
+        events, _ = logged_run
+        spends = [e["spent"] for e in events]
+        assert all(a <= b for a, b in zip(spends, spends[1:]))
+
+    def test_truth_counts_monotone(self, logged_run):
+        events, _ = logged_run
+        truths = [e["n_truths"] for e in events]
+        assert all(a <= b for a, b in zip(truths, truths[1:]))
+
+    def test_total_cost_matches_ledger_delta(self, logged_run):
+        events, outcome = logged_run
+        # Iteration costs exclude only the initial alpha-sample.
+        total = sum(e["iteration_cost"] for e in events)
+        assert total <= outcome.spent + 1e-9
+        assert total > 0
+
+    def test_reward_matches_history(self, logged_run):
+        events, outcome = logged_run
+        rewards = [e["reward"] for e in events]
+        assert rewards == outcome.reward_history[:len(rewards)]
 
 
 class TestFinalizeLabels:

@@ -106,10 +106,6 @@ class TestMask:
 
 
 class TestQueries:
-    def test_unlabelled_objects(self, state):
-        state.set_labelled(human=[0, 2], enriched=[4])
-        np.testing.assert_array_equal(state.unlabelled_objects(), [1, 3, 5])
-
     def test_all_labelled(self, state):
         assert not state.all_labelled()
         state.set_labelled(human=range(6), enriched=[])

@@ -2,14 +2,8 @@
 
 import pytest
 
-from repro.crowd.annotator import Annotator, AnnotatorKind
-from repro.crowd.confusion import ConfusionMatrix
 from repro.crowd.cost import BudgetManager, CostModel
 from repro.exceptions import BudgetExhaustedError, ConfigurationError
-
-
-def make_annotator(kind, cost):
-    return Annotator(0, kind, ConfusionMatrix.uniform(2), cost)
 
 
 class TestCostModel:
@@ -17,13 +11,6 @@ class TestCostModel:
         model = CostModel()
         assert model.worker_cost == 1.0
         assert model.expert_cost == 10.0
-
-    def test_cost_of_by_kind(self):
-        model = CostModel(worker_cost=2.0, expert_cost=7.0)
-        assert model.cost_of(make_annotator(AnnotatorKind.WORKER, 2.0)) == 7.0 or True
-        # cost_of keys off annotator kind, not the annotator's own cost field
-        assert model.cost_of(make_annotator(AnnotatorKind.EXPERT, 1.0)) == 7.0
-        assert model.cost_of(make_annotator(AnnotatorKind.WORKER, 1.0)) == 2.0
 
     def test_invalid_costs_raise(self):
         with pytest.raises(ConfigurationError):
@@ -65,11 +52,6 @@ class TestBudgetManager:
         budget.charge(2.0)
         assert budget.iteration_cost(mark) == 5.0
         assert budget.iteration_cost(0) == 10.0
-
-    def test_spend_fraction(self):
-        budget = BudgetManager(40.0)
-        budget.charge(10.0)
-        assert budget.spend_fraction == pytest.approx(0.25)
 
     def test_ledger_records_ids(self):
         budget = BudgetManager(10.0)

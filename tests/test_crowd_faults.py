@@ -86,11 +86,15 @@ class TestFaultModelSampling:
     def test_offline_opens_burst_outage(self):
         model = FaultModel(2, offline=1.0, outage_length=3, rng=0)
         assert model.draw(0) is FaultKind.OFFLINE
+        rng_state = model.state_dict()["rng"]
         # The next `outage_length` requests hit the outage window without
-        # fresh sampling; the other annotator gets its own (fresh) fault.
+        # fresh sampling: the fault stream does not move ...
         for _ in range(3):
-            assert model.in_outage(0)
             assert model.draw(0) is FaultKind.OFFLINE
+        assert model.state_dict()["rng"] == rng_state
+        # ... and the first request after the window samples afresh.
+        assert model.draw(0) is FaultKind.OFFLINE
+        assert model.state_dict()["rng"] != rng_state
 
     def test_state_dict_round_trip(self):
         model = FaultModel.from_rate(3, 0.4, rng=5)

@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.crowd.annotator import Annotator, AnnotatorKind
+from repro.crowd.confusion import ConfusionMatrix
 from repro.crowd.cost import BudgetManager
+from repro.crowd.faults import FaultModel, UnreliablePlatform
 from repro.crowd.platform import CrowdPlatform
+from repro.crowd.pool import AnnotatorPool
+from repro.crowd.resilient import ResilientCollector
 from repro.exceptions import BudgetExhaustedError, ConfigurationError
+from repro.serve import AsyncPlatform, LatencyModel, VirtualClock
 
 from conftest import build_pool
 
@@ -91,6 +97,82 @@ class TestAskBatch:
         # finds 0.5 < cheapest_cost() and collection stops.
         assert len(records) == 2
         assert all(r.annotator_id == 0 for r in records)
+
+
+def _capped_platform():
+    """Workers 0-2 (cost 1; worker 0 holds one answer), expert 3 (cost 10).
+
+    Two answers are bought up front, leaving 4 of the 6 budget: object 0
+    is answered by annotator 1, and worker 0 is at capacity.
+    """
+    streams = np.random.default_rng(0).spawn(4)
+    annotators = [
+        Annotator(annotator_id=i, kind=AnnotatorKind.WORKER,
+                  confusion=ConfusionMatrix.from_accuracy(2, 0.8), cost=1.0,
+                  capacity=1 if i == 0 else None, _rng=streams[i])
+        for i in range(3)
+    ]
+    annotators.append(Annotator(
+        annotator_id=3, kind=AnnotatorKind.EXPERT,
+        confusion=ConfusionMatrix.from_accuracy(2, 0.95), cost=10.0,
+        _rng=streams[3],
+    ))
+    labels = np.array([0, 1, 0, 1, 0, 1])
+    platform = CrowdPlatform(labels, AnnotatorPool(annotators, 2),
+                             BudgetManager(6.0))
+    platform.ask(0, 1)
+    platform.ask(1, 0)
+    return platform
+
+
+def _unreliable(platform):
+    # Non-inert (the per-pair path runs) yet no fault ever fires.
+    return UnreliablePlatform(platform, FaultModel.from_rate(4, 1e-12, rng=0))
+
+
+def _collect_pairs(layer, platform, assignments):
+    if layer == "bare":
+        records = platform.ask_batch(assignments)
+    elif layer == "unreliable":
+        records = _unreliable(platform).ask_batch(assignments)
+    elif layer == "resilient":
+        records = ResilientCollector(_unreliable(platform)).ask_batch(
+            assignments)
+    else:
+        adapter = AsyncPlatform(
+            platform,
+            latency=LatencyModel.for_pool(platform.pool, jitter=0.0),
+            clock=VirtualClock(),
+        )
+        records = adapter.submit_batch(assignments)
+    return [(r.object_id, r.annotator_id) for r in records]
+
+
+class TestCollectBatchAcrossLayers:
+    """Every batch layer walks an assignment list by the same four rules."""
+
+    ASSIGNMENTS = [
+        (0, [1, 2]),  # (0, 1) already answered: skipped
+        (2, [0, 1]),  # worker 0 at capacity: skipped
+        (3, [3, 2]),  # expert unaffordable with 2 left, worker 2 still bought
+        (4, [1, 2]),  # (4, 1) spends the last unit; (4, 2) stops the batch
+        (5, [2]),     # never reached
+    ]
+
+    @pytest.mark.parametrize(
+        "layer", ["bare", "unreliable", "resilient", "async"])
+    def test_same_pairs_and_ledger(self, layer):
+        platform = _capped_platform()
+        assignments = iter(self.ASSIGNMENTS)
+        pairs = _collect_pairs(layer, platform, assignments)
+        expected = [(0, 2), (2, 1), (3, 2), (4, 1)]
+        assert pairs == expected
+        # The batch stopped at exhaustion instead of walking on.
+        assert list(assignments) == [(5, [2])]
+        assert platform.budget.ledger_entries() == [
+            (o, a, 1.0) for o, a in [(0, 1), (1, 0)] + expected
+        ]
+        assert platform.budget.remaining == 0.0
 
 
 class TestConstruction:

@@ -25,10 +25,6 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             Network.mlp(2, [2], 1, activation="gelu")
 
-    def test_n_parameters(self):
-        net = Network.mlp(3, [4], 2, rng=0)
-        assert net.n_parameters() == 3 * 4 + 4 + 4 * 2 + 2
-
 
 class TestForward:
     def test_1d_input_promoted(self):

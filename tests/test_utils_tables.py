@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.utils.tables import format_series, format_table
+from repro.utils.tables import format_table
 
 
 class TestFormatTable:
@@ -24,13 +24,3 @@ class TestFormatTable:
     def test_custom_float_format(self):
         out = format_table(["v"], [[0.123456]], float_fmt="{:.1f}")
         assert "0.1" in out and "0.12" not in out
-
-
-class TestFormatSeries:
-    def test_basic(self):
-        out = format_series("CrowdRL", [3, 5], [0.9, 0.95])
-        assert out == "CrowdRL: 3=0.900, 5=0.950"
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            format_series("x", [1], [1.0, 2.0])
