@@ -72,9 +72,14 @@ def test_dqn_train_step_throughput(benchmark):
     agent = DQNAgent(DQNConfig(n_features=13, hidden=(64, 32),
                                min_buffer_for_training=32), rng=0)
     rng = np.random.default_rng(0)
-    for _ in range(500):
-        agent.remember(rng.normal(size=13), float(rng.random()),
-                       rng.normal(size=(16, 13)), False)
+    # Replay traffic as Agent.remember_iteration makes it: ~12 transitions
+    # per labelling iteration share one read-only successor array.
+    for _ in range(42):
+        successors = rng.normal(size=(16, 13))
+        successors.setflags(write=False)
+        for _ in range(12):
+            agent.remember(rng.normal(size=13), float(rng.random()),
+                           successors, False)
     loss = benchmark(agent.train_step)
     assert loss is not None
 

@@ -9,7 +9,7 @@ its top-``k`` annotators.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -34,6 +34,17 @@ UCB_BONUS_CAP = 2.0
 TIE_JITTER_SCALE = 1e-3
 #: Successor candidates kept per transition for the bootstrap max.
 NEXT_STATE_SAMPLE = 64
+
+
+class TrainSummary(NamedTuple):
+    """What one :meth:`Agent.train` call did (the ``iteration`` event's DQN fields)."""
+
+    #: Mean TD loss of the steps run, ``None`` when none ran.
+    td_loss: Optional[float]
+    #: Target-network forwards computed (bootstrap memo misses).
+    target_forwards: int
+    #: Bootstrap values looked up (memo hits plus misses).
+    bootstrap_lookups: int
 
 
 class Agent:
@@ -217,7 +228,9 @@ class Agent:
         ``taken_features`` has one row per (object, annotator) pair acted
         on; ``rewards`` gives each pair's (possibly shaped) reward.  The
         successor's candidate features are subsampled to
-        :data:`NEXT_STATE_SAMPLE` rows for tractable bootstrap maxima.
+        :data:`NEXT_STATE_SAMPLE` rows for tractable bootstrap maxima, and
+        that one read-only array is shared by every transition stored here,
+        so the DQN computes its bootstrap max once per target version.
         """
         taken = np.atleast_2d(np.asarray(taken_features, dtype=float))
         if taken.ndim != 2 or taken.shape[1] != N_PAIR_FEATURES:
@@ -241,14 +254,29 @@ class Agent:
                         valid.shape[0], NEXT_STATE_SAMPLE, replace=False,
                     )
                     valid = valid[idx]
+                valid.setflags(write=False)
                 next_candidates = valid
         for row, reward in zip(taken, rewards):
             self.dqn.remember(row, float(reward), next_candidates, terminal)
 
-    def train(self) -> list[float]:
-        """Run the configured number of replayed DQN updates."""
+    def train(self) -> TrainSummary:
+        """Run the configured number of replayed DQN updates.
+
+        The ``dqn_train`` phase opens only when a step will run, so its
+        timings never include the no-op calls made while the replay buffer
+        is still filling.
+        """
+        dqn = self.dqn
+        if not dqn.ready:
+            return TrainSummary(None, 0, 0)
+        forwards, lookups = dqn.target_forwards, dqn.bootstrap_lookups
         with phase_timer("dqn_train"):
-            return self.dqn.train(self.config.train_steps_per_iteration)
+            losses = dqn.train(self.config.train_steps_per_iteration)
+        return TrainSummary(
+            sum(losses) / len(losses) if losses else None,
+            dqn.target_forwards - forwards,
+            dqn.bootstrap_lookups - lookups,
+        )
 
     # ------------------------------------------------------------------
     # Cross-training support (Section VI-A4)

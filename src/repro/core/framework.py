@@ -366,7 +366,7 @@ class CrowdRL(LabellingFramework):
             if config.sticky_enrichment:
                 terminal = terminal or state.all_labelled()
             agent.remember_iteration(taken_features, pair_rewards, state, terminal)
-            agent.train()
+            trained = agent.train()
             events = get_registry().events
             if events is not None:
                 events.emit(
@@ -378,6 +378,9 @@ class CrowdRL(LabellingFramework):
                     reward=reward,
                     iteration_cost=cost,
                     n_assignments=len(records),
+                    td_loss=trained.td_loss,
+                    target_forwards=trained.target_forwards,
+                    bootstrap_lookups=trained.bootstrap_lookups,
                 )
             if terminal:
                 break

@@ -5,6 +5,10 @@ Backs ``python -m repro.obs report``: reads an event log written by
 :class:`~repro.obs.events.JsonlEventLog`), and summarises where the
 episode's wall time and labelling budget went.
 
+When the log carries CrowdRL's ``iteration`` events, the report also
+totals the DQN's target-network forwards against its bootstrap lookups,
+i.e. how much work the per-target-version bootstrap memo saved.
+
 The final ``snapshot`` event is the preferred source (it carries the full
 registry state: phase stats, counters, gauges); when a log carries only
 raw ``phase`` events — e.g. a run killed before its final flush — the
@@ -48,13 +52,34 @@ def summarize_snapshot(snapshot: dict) -> dict:
     }
 
 
+def _dqn_totals(events: List[dict]) -> Optional[Dict[str, int]]:
+    """Summed ``target_forwards`` / ``bootstrap_lookups`` of ``iteration`` events."""
+    iterations = [e for e in events
+                  if e.get("kind") == "iteration" and "target_forwards" in e]
+    if not iterations:
+        return None
+    return {
+        "target_forwards": sum(e["target_forwards"] for e in iterations),
+        "bootstrap_lookups": sum(e["bootstrap_lookups"] for e in iterations),
+    }
+
+
 def load_summary(path: PathLike) -> dict:
     """Extract ``{phases, counters, gauges}`` from a metrics JSONL file.
 
     ``phases`` maps phase name to ``{"calls": int, "total_s": float,
-    "self_s": float}``.
+    "self_s": float}``.  Logs with ``iteration`` events also get a
+    ``dqn`` entry: ``{"target_forwards": int, "bootstrap_lookups": int}``.
     """
     events = read_events(path)
+    summary = _summary_from_events(events)
+    dqn = _dqn_totals(events)
+    if dqn is not None:
+        summary["dqn"] = dqn
+    return summary
+
+
+def _summary_from_events(events: List[dict]) -> dict:
     snapshot: Optional[dict] = None
     for event in reversed(events):
         if event.get("kind") == "snapshot":
@@ -139,6 +164,16 @@ def render_report(summary: dict) -> str:
         budget_line += ")"
         lines.append("")
         lines.append(budget_line)
+
+    dqn = summary.get("dqn")
+    if dqn is not None:
+        forwards, lookups = dqn["target_forwards"], dqn["bootstrap_lookups"]
+        dqn_line = (f"dqn: {forwards} target-net forwards for {lookups} "
+                    f"bootstrap lookups")
+        if forwards:
+            dqn_line += f" ({lookups / forwards:.1f} lookups per forward)"
+        lines.append("")
+        lines.append(dqn_line)
 
     interesting: List[Tuple[str, float]] = sorted(
         (name, value) for name, value in summary["counters"].items()

@@ -5,6 +5,11 @@ Implements the loss of Section IV-A:
     L(theta) = E[(r + gamma * max_a' Q_target(S', a') - Q(S, A; theta))^2]
 
 with experience replay and a periodically synchronised target network.
+The target network is frozen between syncs, so ``max_a' Q_target(S', a')``
+for a stored successor array is a constant until the next sync:
+:meth:`DQNAgent.train_step` computes it once per (successor array,
+target version) and looks it up after that.
+
 The agent is action-space-agnostic: callers hand it featurized action
 candidates; the CrowdRL-specific featurization lives in
 :mod:`repro.core.state`.
@@ -74,6 +79,15 @@ class DQNAgent:
         )
         self.buffer = ReplayBuffer(config.buffer_capacity, rng=buffer_rng)
         self._train_steps = 0
+        # Bootstrap memo: id(successor array) -> (array, Q_target, max),
+        # valid for one target version.  Holding the array keeps its id
+        # from being reused; clearing at every sync keeps the memo bounded.
+        self._memo: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
+        self._memo_version = self.qnet.target_version
+        #: Target-network forwards actually computed (memo misses).
+        self.target_forwards = 0
+        #: Bootstrap values looked up (memo hits plus misses).
+        self.bootstrap_lookups = 0
 
     # ------------------------------------------------------------------
     @shaped(action_features="(n_actions, n_features)", result="(n_actions,)")
@@ -92,7 +106,10 @@ class DQNAgent:
 
         ``features`` is the featurization of the action taken; ``next_features``
         holds *all* candidate action featurizations in the successor state
-        (rows), from which the bootstrap max is computed.
+        (rows), from which the bootstrap max is computed.  A read-only
+        float 2-D ``next_features`` is stored as-is, so transitions that
+        share a successor share one array and one memoised bootstrap value;
+        its owner must not write to it through another view.
         """
         # Copy defensively: callers may hand in views of live caches (e.g.
         # the featurizer's in-place tensor), and the buffer outlives them.
@@ -104,7 +121,12 @@ class DQNAgent:
             )
         nxt = None
         if next_features is not None and not terminal:
-            nxt = np.atleast_2d(np.array(next_features, dtype=float))
+            frozen = (isinstance(next_features, np.ndarray)
+                      and next_features.ndim == 2
+                      and next_features.dtype == float
+                      and not next_features.flags.writeable)
+            nxt = (next_features if frozen
+                   else np.atleast_2d(np.array(next_features, dtype=float)))
             if nxt.shape[1] != self.config.n_features:
                 raise ConfigurationError(
                     f"next_features must have {self.config.n_features} columns, "
@@ -115,23 +137,32 @@ class DQNAgent:
     def train_step(self) -> Optional[float]:
         """One replayed minibatch update; returns the loss, or ``None`` if
         the buffer is still below ``min_buffer_for_training``."""
-        if len(self.buffer) < max(self.config.min_buffer_for_training, 1):
+        if not self.ready:
             return None
+        if self._memo_version != self.qnet.target_version:
+            self._memo.clear()
+            self._memo_version = self.qnet.target_version
         batch = self.buffer.sample(self.config.batch_size)
         features = np.vstack([t.features for t in batch])
         targets = np.empty(len(batch))
+        # Double DQN picks with the online net, which every step changes,
+        # so its argmax is shared within this batch only.
+        online_best: dict[int, int] = {}
         for i, transition in enumerate(batch):
             target = transition.reward
-            if not transition.terminal and transition.next_features is not None:
-                target_q = self.qnet.predict_target(transition.next_features)
+            nxt = transition.next_features
+            if not transition.terminal and nxt is not None:
+                target_q, target_max = self._target_values(nxt)
                 if target_q.size:
                     if self.config.double_dqn:
                         # Double DQN: online net picks, target net scores.
-                        online_q = self.qnet.predict(transition.next_features)
-                        best = int(np.argmax(online_q))
+                        best = online_best.get(id(nxt))
+                        if best is None:
+                            best = int(np.argmax(self.qnet.predict(nxt)))
+                            online_best[id(nxt)] = best
                         bootstrap = float(target_q[best])
                     else:
-                        bootstrap = float(target_q.max())
+                        bootstrap = target_max
                     target += self.config.gamma * bootstrap
             targets[i] = target
 
@@ -140,6 +171,23 @@ class DQNAgent:
         if self._train_steps % self.config.target_sync_every == 0:
             self.qnet.sync_target()
         return loss
+
+    def _target_values(self, nxt: np.ndarray) -> tuple[np.ndarray, float]:
+        """``Q_target(nxt)`` and its max, memoised for the current version."""
+        self.bootstrap_lookups += 1
+        entry = self._memo.get(id(nxt))
+        if entry is None:
+            target_q = self.qnet.predict_target(nxt)
+            entry = (nxt, target_q,
+                     float(target_q.max()) if target_q.size else 0.0)
+            self._memo[id(nxt)] = entry
+            self.target_forwards += 1
+        return entry[1], entry[2]
+
+    @property
+    def ready(self) -> bool:
+        """Whether the buffer holds enough transitions for a training step."""
+        return len(self.buffer) >= max(self.config.min_buffer_for_training, 1)
 
     def train(self, n_steps: int) -> list[float]:
         """Run up to ``n_steps`` training steps; returns achieved losses."""

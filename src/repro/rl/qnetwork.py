@@ -3,7 +3,9 @@
 ``Q(S, A; theta)`` is an MLP over a featurized (state, action) vector —
 see DESIGN.md for why the paper's raw ``(|C|+1)^{|O||W|}`` state space is
 featurized this way.  The target network realises the fixed bootstrap
-target of Eq. 4/5 and is refreshed with :meth:`sync_target`.
+target of Eq. 4/5 and is refreshed with :meth:`sync_target`; each refresh
+bumps :attr:`QNetwork.target_version`, so callers may memoise
+target-network outputs per version.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ class QNetwork:
         self.n_features = n_features
         self.online = Network.mlp(n_features, hidden, 1, rng=rng)
         self.target = self.online.clone()
+        #: Bumped by every :meth:`sync_target`: target outputs computed at
+        #: one version stay exact until it changes.
+        self.target_version = 0
         self._loss = HuberLoss()
         self._optimizer = Adam(learning_rate)
 
@@ -74,6 +79,7 @@ class QNetwork:
     def sync_target(self) -> None:
         """Copy online weights into the target network."""
         self.target.set_weights(self.online.get_weights())
+        self.target_version += 1
 
     # ------------------------------------------------------------------
     def get_weights(self):

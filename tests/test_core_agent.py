@@ -10,6 +10,14 @@ from repro.core.state import LabellingState
 from repro.crowd.cost import BudgetManager
 from repro.crowd.history import LabellingHistory
 from repro.exceptions import ConfigurationError
+from repro.harness.experiment import (
+    ExperimentSetting,
+    ExperimentSpec,
+    run_experiment,
+)
+from repro.obs import read_events
+from repro.rl.dqn import DQNAgent
+from repro.rl.qnetwork import QNetwork
 
 from conftest import build_pool
 
@@ -127,6 +135,25 @@ class TestLearning:
         agent.remember_iteration(feats, 1.0, state, False)
         assert agent.dqn.buffer._storage[-1].terminal
 
+    def test_iteration_shares_one_read_only_successor(self):
+        agent, state = make_agent_and_state()
+        feats = state.feature_tensor()[0, :3].reshape(3, -1)
+        agent.remember_iteration(feats, 1.0, state, False)
+        successors = [t.next_features for t in agent.dqn.buffer._storage]
+        assert len(successors) == 3
+        assert all(s is successors[0] for s in successors)
+        assert not successors[0].flags.writeable
+
+    def test_writable_successor_is_copied(self):
+        agent, state = make_agent_and_state()
+        feats = state.feature_tensor()[0, 0]
+        nxt = state.feature_tensor()[1, :2].copy()
+        agent.dqn.remember(feats, 1.0, nxt, False)
+        stored = agent.dqn.buffer._storage[-1].next_features
+        assert stored is not nxt
+        nxt[:] = 0.0
+        assert stored.any()
+
     def test_policy_weight_roundtrip(self):
         agent_a, state = make_agent_and_state()
         agent_b, _ = make_agent_and_state()
@@ -139,3 +166,40 @@ class TestLearning:
     def test_invalid_sizes_raise(self):
         with pytest.raises(ConfigurationError):
             Agent(0, 4, CrowdRLConfig())
+
+
+class TestBootstrapMemoInEpisode:
+    """A seeded episode computes each (version, successor set) target once."""
+
+    def test_target_forwards_match_distinct_pairs(self, monkeypatch, tmp_path):
+        forwards = []
+        lookups = []
+        predict_target = QNetwork.predict_target
+        target_values = DQNAgent._target_values
+
+        def counting_predict_target(qnet, features):
+            forwards.append(features)
+            return predict_target(qnet, features)
+
+        def recording_target_values(dqn, nxt):
+            # Keep each array alive so no id is reused within the run.
+            lookups.append((dqn.qnet.target_version, id(nxt), nxt))
+            return target_values(dqn, nxt)
+
+        monkeypatch.setattr(QNetwork, "predict_target", counting_predict_target)
+        monkeypatch.setattr(DQNAgent, "_target_values", recording_target_values)
+        path = tmp_path / "events.jsonl"
+        run_experiment("CrowdRL", ExperimentSetting("S12CP", scale=0.02, seed=0),
+                       ExperimentSpec(metrics_out=path), pretrain=False)
+
+        distinct = {(version, key) for version, key, _ in lookups}
+        assert len(forwards) == len(distinct)
+        assert 10 * len(forwards) <= len(lookups)
+        events = read_events(path, kind="iteration")
+        # Iterations that train nothing (replay buffer still filling)
+        # report no loss and no lookups.
+        idle = [e for e in events if e["td_loss"] is None]
+        assert idle and len(idle) < len(events)
+        assert all(e["bootstrap_lookups"] == 0 for e in idle)
+        assert sum(e["target_forwards"] for e in events) == len(forwards)
+        assert sum(e["bootstrap_lookups"] for e in events) == len(lookups)

@@ -116,7 +116,8 @@ class TestIterationEvents:
     """CrowdRL's per-iteration ``iteration`` events on the registry's log."""
 
     FIELDS = {"iteration", "spent", "n_truths", "n_enriched", "reward",
-              "iteration_cost", "n_assignments"}
+              "iteration_cost", "n_assignments", "td_loss",
+              "target_forwards", "bootstrap_lookups"}
 
     @pytest.fixture
     def logged_run(self, tmp_path):

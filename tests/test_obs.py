@@ -282,9 +282,12 @@ class TestRunIntegration:
         assert obs_main(["report", str(path)]) == 0
         out = capsys.readouterr().out
         assert "phase" in out and "infer" in out and "budget:" in out
+        assert "target-net forwards for" in out
         assert obs_main(["report", str(path), "--format", "json"]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary == {k: load_summary(path)[k] for k in summary}
+        dqn = summary["dqn"]
+        assert 0 < dqn["target_forwards"] < dqn["bootstrap_lookups"]
 
     def test_report_cli_missing_file(self, tmp_path, capsys):
         assert obs_main(["report", str(tmp_path / "nope.jsonl")]) == 2

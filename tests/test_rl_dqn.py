@@ -1,7 +1,11 @@
 """Tests for repro.rl.qnetwork and repro.rl.dqn."""
 
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
 from repro.rl.dqn import DQNAgent, DQNConfig
@@ -133,3 +137,125 @@ class TestDQNAgent:
         x = np.random.default_rng(1).normal(size=(4, 3))
         b.set_weights(a.get_weights())
         np.testing.assert_allclose(a.q_values(x), b.q_values(x))
+
+
+# One replay-traffic operation: push a transition (successor index into a
+# small pool, -1 for terminal; reward), train one step, sync the target
+# net, or load fresh weights (set_weights also resyncs the target).
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.integers(-1, 5),
+                  st.floats(-1.0, 1.0, allow_nan=False)),
+        st.tuples(st.just("train")),
+        st.tuples(st.just("sync")),
+        st.tuples(st.just("set_weights"), st.integers(0, 3)),
+    ),
+    min_size=1, max_size=60,
+)
+
+
+class TestBootstrapMemo:
+    """The per-target-version bootstrap memo never changes a target."""
+
+    N = 3
+
+    @given(ops=_ops, capacity=st.integers(2, 9), double=st.booleans(),
+           sync_every=st.integers(1, 4), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=60, deadline=None)
+    def test_targets_bit_identical_to_uncached(self, ops, capacity, double,
+                                                sync_every, seed):
+        agent = DQNAgent(DQNConfig(
+            n_features=self.N, hidden=(4,), batch_size=4,
+            buffer_capacity=capacity, min_buffer_for_training=2,
+            target_sync_every=sync_every, double_dqn=double,
+        ), rng=seed)
+        rng = np.random.default_rng(seed)
+        # Even-indexed successors are shared read-only arrays (stored as-is
+        # by every push); odd ones are writable, so each push copies them.
+        pool = [rng.normal(size=(1 + i, self.N)) for i in range(6)]
+        for array in pool[::2]:
+            array.setflags(write=False)
+
+        # Spy on each step's batch and check its targets against fresh,
+        # uncached forwards just before the online net is updated.  The
+        # batch is dropped once checked: holding it would keep evicted
+        # successor copies alive and hide a memo that reuses their ids.
+        sampled = []
+        sample = agent.buffer.sample
+
+        def recording_sample(batch_size):
+            sampled.append(sample(batch_size))
+            return sampled[-1]
+
+        agent.buffer.sample = recording_sample
+        checked = []
+        train_on_targets = agent.qnet.train_on_targets
+
+        def checking_train(features, targets):
+            expected = []
+            for t in sampled.pop():
+                value = t.reward
+                if not t.terminal and t.next_features is not None:
+                    target_q = agent.qnet.predict_target(t.next_features)
+                    if double:
+                        best = int(np.argmax(agent.qnet.predict(t.next_features)))
+                        value += agent.config.gamma * float(target_q[best])
+                    else:
+                        value += agent.config.gamma * float(target_q.max())
+                expected.append(value)
+            np.testing.assert_array_equal(targets, np.array(expected))
+            checked.append(len(expected))
+            return train_on_targets(features, targets)
+
+        agent.qnet.train_on_targets = checking_train
+        for op in ops:
+            if op[0] == "push":
+                _, succ, reward = op
+                terminal = succ < 0
+                agent.remember(rng.normal(size=self.N), reward,
+                               None if terminal else pool[succ], terminal)
+            elif op[0] == "train":
+                agent.train_step()
+            elif op[0] == "sync":
+                agent.qnet.sync_target()
+            else:
+                agent.set_weights(
+                    QNetwork(self.N, hidden=(4,), rng=op[1]).get_weights())
+        assert len(checked) == agent.train_steps
+        assert agent.target_forwards <= agent.bootstrap_lookups
+
+    def test_shared_successor_costs_one_forward_per_version(self):
+        agent = DQNAgent(DQNConfig(n_features=self.N, hidden=(4,),
+                                   batch_size=8, min_buffer_for_training=4,
+                                   target_sync_every=100), rng=0)
+        nxt = np.ones((5, self.N))
+        nxt.setflags(write=False)
+        for i in range(6):
+            agent.remember(np.full(self.N, i / 6), 1.0, nxt, False)
+        agent.train(3)
+        assert agent.bootstrap_lookups == 24
+        assert agent.target_forwards == 1
+        agent.qnet.sync_target()
+        agent.train(1)
+        assert agent.target_forwards == 2
+
+    def test_memo_holds_keyed_arrays_until_sync(self):
+        """A keyed array stays alive while memoised, so its id is never
+        reused for another successor; a sync releases it."""
+        agent = DQNAgent(DQNConfig(n_features=self.N, hidden=(4,),
+                                   batch_size=4, min_buffer_for_training=2,
+                                   target_sync_every=100), rng=0)
+        nxt = np.ones((2, self.N))
+        nxt.setflags(write=False)
+        for _ in range(3):
+            agent.remember(np.ones(self.N), 1.0, nxt, False)
+        agent.train_step()
+        ref = weakref.ref(nxt)
+        agent.buffer.clear()
+        del nxt
+        assert ref() is not None
+        agent.qnet.sync_target()
+        for _ in range(3):
+            agent.remember(np.ones(self.N), 1.0, None, True)
+        agent.train_step()
+        assert ref() is None
