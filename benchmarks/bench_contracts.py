@@ -2,11 +2,17 @@
 
 Not a paper figure — these pin the cost model of
 :mod:`repro.analysis.contracts`: an *enabled* ``@shaped``/``@row_stochastic``
-wrapper pays one signature bind plus the numpy checks, while a *disabled*
-decorator (``REPRO_CONTRACTS=0`` or ``enabled=False``) returns the
-original function object, so the disabled path must benchmark identically
-to the undecorated function (the acceptance bar is a delta under 2%, and
-identity gives exactly 0%).
+wrapper reads each checked argument from a position decided at decoration
+(no per-call signature bind) and pays one numpy reduction per checked
+property — a shape walk, then ``min`` for the sign and one ``max`` over
+``|row sums - 1|`` — while a *disabled* decorator (``REPRO_CONTRACTS=0``
+or ``enabled=False``) returns the original function object, so the
+disabled path must benchmark identically to the undecorated function
+(the acceptance bar is a delta under 2%, and identity gives exactly 0%).
+
+Run as a smoke pass (CI's ``bench-smoke`` job)::
+
+    python -m pytest benchmarks/bench_contracts.py --benchmark-disable -q
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ def test_bench_kernel_contracts_disabled(benchmark, counts):
 
 
 def test_bench_kernel_contracts_enabled(benchmark, counts):
-    """Enabled contracts: bind + shape walk + stochasticity check."""
+    """Enabled contracts: argument lookup + shape walk + stochasticity check."""
     fn = shaped(counts="(n_annotators, n_classes, n_classes)",
                 enabled=True)(
         row_stochastic(result=True, enabled=True)(_em_style_kernel)

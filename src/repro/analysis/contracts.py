@@ -14,7 +14,10 @@ Activation is decided **once, at decoration time**, from the
 ``REPRO_CONTRACTS=0`` before importing ``repro`` to disable).  When
 inactive a decorator returns the function object unchanged, so disabled
 contracts are literal zero-overhead pass-throughs and benchmarks are
-unaffected.  Every application is recorded in a registry either way, which
+unaffected.  An active wrapper finds each checked argument at a position
+fixed at decoration (no per-call signature binding) and checks each
+property with one numpy reduction: a shape walk, ``min`` for the sign,
+one ``max`` of ``|row sums - 1|``.  Every application is recorded in a registry either way, which
 ``python -m repro.analysis contracts-report`` renders.
 
 Violations raise :class:`ContractViolation` (a :class:`repro.exceptions.ReproError`).
@@ -142,6 +145,47 @@ def _first_checkable_param(sig: inspect.Signature) -> str:
     raise ConfigurationError("function has no parameter to apply a contract to")
 
 
+#: Marks a checked parameter the call left to its default.
+_OMITTED = object()
+
+
+def _locate(fn: Callable, sig: inspect.Signature,
+            name: str) -> Tuple[Optional[int], Optional[str]]:
+    """Where a call passes parameter ``name``: ``(position, keyword)``.
+
+    ``position`` indexes ``*args`` (``None`` for keyword-only parameters),
+    ``keyword`` keys ``**kwargs`` (``None`` for positional-only ones).
+    Decided once, at decoration, so a call reads its checked arguments
+    straight from ``args``/``kwargs`` instead of binding the signature.
+    """
+    params = list(sig.parameters.values())
+    for param in params:
+        if param.kind in (param.VAR_POSITIONAL, param.VAR_KEYWORD):
+            stars = "*" if param.kind is param.VAR_POSITIONAL else "**"
+            raise ConfigurationError(
+                f"{_where(fn)} takes {stars}{param.name}; a contract "
+                f"needs a fixed parameter list to find {name!r}"
+            )
+    if name not in sig.parameters:
+        raise ConfigurationError(
+            f"{_where(fn)} has no parameter {name!r} to check"
+        )
+    param = sig.parameters[name]
+    position = None if param.kind is param.KEYWORD_ONLY else params.index(param)
+    keyword = None if param.kind is param.POSITIONAL_ONLY else name
+    return position, keyword
+
+
+def _argument(args: tuple, kwargs: dict, position: Optional[int],
+              keyword: Optional[str]):
+    """The value a call passed for a located parameter, or ``_OMITTED``."""
+    if keyword is not None and keyword in kwargs:
+        return kwargs[keyword]
+    if position is not None and position < len(args):
+        return args[position]
+    return _OMITTED
+
+
 def _where(fn: Callable) -> str:
     return f"{getattr(fn, '__module__', '?')}.{getattr(fn, '__qualname__', fn.__name__)}"
 
@@ -164,11 +208,7 @@ def shaped(spec: Optional[str] = None, *, result: Optional[str] = None,
         specs = dict(param_specs)
         if spec is not None:
             specs.setdefault(_first_checkable_param(sig), spec)
-        for name in specs:
-            if name not in sig.parameters:
-                raise ConfigurationError(
-                    f"{_where(fn)} has no parameter {name!r} to check"
-                )
+        located = {name: _locate(fn, sig, name) for name in specs}
         detail_parts = [f"{name}={shape}" for name, shape in specs.items()]
         if result is not None:
             detail_parts.append(f"result={result}")
@@ -176,18 +216,20 @@ def shaped(spec: Optional[str] = None, *, result: Optional[str] = None,
         if not active:
             return fn
 
-        parsed = {name: parse_shape(shape) for name, shape in specs.items()}
+        checks = [
+            (*located[name], parse_shape(shape), f"argument '{name}'")
+            for name, shape in specs.items()
+        ]
         result_dims = parse_shape(result) if result is not None else None
         where = _where(fn)
 
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            bound = sig.bind_partial(*args, **kwargs)
             bindings: Dict[str, int] = {}
-            for name, dims in parsed.items():
-                if name in bound.arguments and bound.arguments[name] is not None:
-                    _check_shape(bound.arguments[name], dims, bindings,
-                                 where, f"argument '{name}'")
+            for position, keyword, dims, label in checks:
+                value = _argument(args, kwargs, position, keyword)
+                if value is not _OMITTED and value is not None:
+                    _check_shape(value, dims, bindings, where, label)
             out = fn(*args, **kwargs)
             if result_dims is not None and out is not None:
                 _check_shape(out, result_dims, bindings, where, "return value")
@@ -212,10 +254,8 @@ def _stochastic_decorator(kind: str, min_ndim: int) -> Callable:
         def decorate(fn: Callable) -> Callable:
             sig = inspect.signature(fn)
             target = None if result else (param or _first_checkable_param(sig))
-            if target is not None and target not in sig.parameters:
-                raise ConfigurationError(
-                    f"{_where(fn)} has no parameter {target!r} to check"
-                )
+            if target is not None:
+                position, keyword = _locate(fn, sig, target)
             detail = "result" if result else f"argument '{target}'"
             _register(fn, kind, detail, active)
             if not active:
@@ -225,11 +265,10 @@ def _stochastic_decorator(kind: str, min_ndim: int) -> Callable:
             @functools.wraps(fn)
             def wrapper(*args, **kwargs):
                 if target is not None:
-                    bound = sig.bind_partial(*args, **kwargs)
-                    if target in bound.arguments:
-                        _check_stochastic(bound.arguments[target], kind,
-                                          min_ndim, atol, where,
-                                          f"argument '{target}'")
+                    value = _argument(args, kwargs, position, keyword)
+                    if value is not _OMITTED:
+                        _check_stochastic(value, kind, min_ndim, atol,
+                                          where, f"argument '{target}'")
                 out = fn(*args, **kwargs)
                 if result:
                     _check_stochastic(out, kind, min_ndim, atol, where,
@@ -253,13 +292,19 @@ def _check_stochastic(value, kind: str, min_ndim: int, atol: float,
         )
     if arr.size == 0:
         return
-    if np.any(arr < -atol):
+    # One reduction per property.  ``min`` is NaN when any entry is, and
+    # NaN compares false, so only then is the elementwise test needed
+    # (NaN beside a negative entry is still reported as negative).
+    low = arr.min()
+    if low < -atol or (low != low and np.any(arr < -atol)):
         raise ContractViolation(
-            f"{where}: {label} has negative entries (min {arr.min():.6g}); "
+            f"{where}: {label} has negative entries (min {low:.6g}); "
             f"not a probability {kind}"
         )
+    # ``np.allclose(sums, 1, atol=a)``'s test, |sums - 1| <= a + 1e-5 * 1,
+    # as one max; a NaN or infinite sum fails it.
     sums = arr.sum(axis=-1)
-    if not np.allclose(sums, 1.0, atol=max(atol, 1e-8)):
+    if not np.abs(sums - 1.0).max() <= max(atol, 1e-8) + 1e-5:
         bad = np.asarray(sums).ravel()
         raise ContractViolation(
             f"{where}: {label} rows must sum to 1 ({kind}); got sums in "

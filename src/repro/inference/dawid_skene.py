@@ -3,8 +3,10 @@
 The classic confusion-matrix EM [Dawid & Skene 1979; paper ref 48 surveys
 it].  E-step: posterior over each object's true label given current
 confusion matrices and class prior.  M-step: re-estimate confusion matrices
-from soft counts and the prior from posterior mass.  DLTA and IDLE use this
-as their inference component.
+from soft counts and the prior from posterior mass.  DLTA, IDLE and DALC
+use this as their inference component, re-running it over every answered
+object at each labelling iteration; both steps are the bincount kernels
+of :mod:`repro.inference.em`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from repro.inference.em import (
 
 
 class DawidSkene(TruthInference):
-    """Confusion-matrix EM.
+    """Confusion-matrix EM: the inference of the DLTA, IDLE and DALC baselines.
 
     Parameters
     ----------

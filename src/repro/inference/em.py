@@ -6,18 +6,25 @@ steps over an :data:`AnswerMap`: the E-step adds each answering
 annotator's log confusion column to its object's log posterior, and the
 M-step adds each object's posterior to the soft confusion counts of the
 annotators who answered it.  :class:`_AnswerIndex` flattens the answer map
-once per ``infer`` into ``(row, annotator, answer)`` arrays, so both steps
-are one gather plus one ``np.add.at`` instead of a Python loop per answer.
+once per ``infer`` into ``(row, annotator, answer)`` arrays and the bin
+indices the steps scatter into, so each step is one gather plus one
+``np.bincount`` instead of a Python loop per answer.
 
-``np.add.at`` is unbuffered and applies its updates in index order, and
-the flat arrays list answers row by row in each object's dict order, so
-every sum is accumulated in exactly the order the per-answer loops used:
-the kernels are bit-identical to them.
+``np.bincount`` with weights adds ``weights[i]`` into its bin in input
+order, each bin starting from ``0.0``.  Every kernel puts each bin's
+start value (the smoothing constant, or the log prior plus the
+classifier term) first in the weights, ahead of the per-answer terms, so
+every bin is that start value followed by its terms in answer order.
+The flat arrays list answers row by row in each object's dict order,
+which is the order the per-answer loops (and the ``np.add.at`` scatters
+they became) added them in: the sums are bit-identical to both.
+``0.0 + s == s`` for every start value ``s`` short of ``-0.0``, whose
+sign nothing downstream reads.
 
 :class:`~repro.inference.pm.PMInference` runs on the same index: its
-weighted votes are one ``np.add.at`` over ``(row, answer)``, and its
-per-annotator seen and wrong counts are ``np.bincount`` over the flat
-annotator array.
+weighted votes are one ``np.bincount`` over the ``(row, answer)`` cells,
+and its per-annotator seen and wrong counts are ``np.bincount`` over the
+flat annotator array.
 """
 
 from __future__ import annotations
@@ -33,11 +40,15 @@ class _AnswerIndex:
 
     ``object_ids`` are the answered objects in ascending order; ``rows``
     indexes into them.  Answers appear row by row, each object's in the
-    order its answer dict yields them.
+    order its answer dict yields them.  ``votes`` is each answer's flat
+    ``(row, answer)`` cell; ``cells`` is, per answer and class ``c``, the
+    flat index of ``(annotator, c, answer)`` in an ``(n_annotators,
+    n_classes, n_classes)`` array.
     """
 
     __slots__ = ("n_classes", "n_annotators", "object_ids", "rows",
-                 "annotators", "answers")
+                 "annotators", "answers", "votes", "cells", "_count_bins",
+                 "_mass_bins", "_post_bins")
 
     def __init__(self, answers: AnswerMap, n_classes: int,
                  n_annotators: int) -> None:
@@ -53,28 +64,43 @@ class _AnswerIndex:
         self.rows = np.asarray(rows, dtype=np.intp)
         self.annotators = np.asarray(annotators, dtype=np.intp)
         self.answers = np.asarray(labels, dtype=np.intp)
+        self.votes = self.rows * n_classes + self.answers
+        # Bin layouts for the bincount kernels: one start bin per output
+        # entry, in output order, then the per-answer bins.
+        classes = np.arange(n_classes)
+        self.cells = ((self.annotators[:, None] * n_classes + classes)
+                      * n_classes + self.answers[:, None]).ravel()
+        n_cells = n_annotators * n_classes * n_classes
+        n_entries = len(self.object_ids) * n_classes
+        self._count_bins = np.concatenate([np.arange(n_cells), self.cells])
+        self._mass_bins = np.tile(classes, len(self.object_ids) + 1)
+        self._post_bins = np.concatenate([
+            np.arange(n_entries),
+            (self.rows[:, None] * n_classes + classes).ravel(),
+        ])
 
     def vote_shares(self) -> np.ndarray:
         """Majority-vote posteriors: each object's answer counts, normalised."""
-        votes = np.zeros((len(self.object_ids), self.n_classes))
-        np.add.at(votes, (self.rows, self.answers), 1.0)
+        votes = np.bincount(self.votes, minlength=len(self.object_ids)
+                            * self.n_classes).reshape(-1, self.n_classes)
         return votes / votes.sum(axis=1, keepdims=True)
 
     def soft_counts(self, post: np.ndarray, smoothing: float) -> np.ndarray:
         """Smoothed soft counts ``counts[j, c, l]`` of annotator ``j``
         answering ``l`` on objects of posterior class ``c``."""
-        counts = np.full(
-            (self.n_annotators, self.n_classes, self.n_classes), smoothing
-        )
-        np.add.at(counts, (self.annotators, slice(None), self.answers),
-                  post[self.rows])
-        return counts
+        shape = (self.n_annotators, self.n_classes, self.n_classes)
+        n_cells = shape[0] * shape[1] * shape[2]
+        weights = np.concatenate([np.full(n_cells, smoothing),
+                                  post[self.rows].ravel()])
+        return np.bincount(self._count_bins, weights,
+                           minlength=n_cells).reshape(shape)
 
     def class_mass(self, post: np.ndarray, smoothing: float) -> np.ndarray:
         """Smoothed posterior mass per class, summed object by object."""
-        mass = np.full((1, self.n_classes), smoothing)
-        np.add.at(mass, np.zeros(len(self.object_ids), dtype=np.intp), post)
-        return mass[0]
+        weights = np.concatenate([np.full(self.n_classes, smoothing),
+                                  post.ravel()])
+        return np.bincount(self._mass_bins, weights,
+                           minlength=self.n_classes)
 
 
 @shaped(counts="(n_annotators, n_classes, n_classes)")
@@ -107,9 +133,12 @@ def _e_step_posteriors(
     classifier's, or zeros) and each answering annotator's confusion
     column in log space, then normalises per object onto the simplex.
     """
-    log_post = np.log(prior + 1e-12)[None, :] + clf_log
-    columns = np.log(confusions[index.annotators, :, index.answers] + 1e-12)
-    np.add.at(log_post, index.rows, columns)
+    start = np.log(prior + 1e-12)[None, :] + clf_log
+    columns = np.log(np.take(confusions, index.cells) + 1e-12)
+    log_post = np.bincount(
+        index._post_bins, np.concatenate([start.ravel(), columns]),
+        minlength=start.size,
+    ).reshape(start.shape)
     log_post -= log_post.max(axis=1, keepdims=True)
     post = np.exp(log_post)
     return post / post.sum(axis=1, keepdims=True)

@@ -55,9 +55,10 @@ class PMInference(TruthInference):
 
         for iteration in range(1, self.max_iter + 1):
             # Truth update: weighted votes.
-            scores = np.zeros((len(index.object_ids), n_classes))
-            np.add.at(scores, (index.rows, index.answers),
-                      weights[index.annotators])
+            scores = np.bincount(
+                index.votes, weights[index.annotators],
+                minlength=len(index.object_ids) * n_classes,
+            ).reshape(-1, n_classes)
             # Every object has an answer and every weight is positive
             # (err <= 1 - regulariser), so no row total is zero.
             post = scores / scores.sum(axis=1, keepdims=True)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.classifiers import KNNClassifier, LogisticRegressionClassifier, MLPClassifier
 from repro.datasets.synthetic import make_blobs
@@ -113,6 +115,81 @@ class TestLogisticSpecifics:
         ds = make_blobs(200, 5, n_classes=3, separation=5.0, rng=2)
         clf = LogisticRegressionClassifier(5, 3).fit(ds.features, ds.labels)
         assert (clf.predict(ds.features) == ds.labels).mean() > 0.8
+
+
+def row_major_fit(clf, x, soft, sample_weights, epochs, tol):
+    """``fit_soft`` as the row-major ``(n, n_classes)`` loop: the oracle.
+
+    Returns the weight, bias and number of epochs run, starting from the
+    classifier's current weights without touching them.
+    """
+    n = x.shape[0]
+    w = np.full(n, 1.0 / n) if sample_weights is None \
+        else sample_weights / sample_weights.sum()
+    weight, bias = clf.weight.copy(), clf.bias.copy()
+    prev_loss = np.inf
+    epoch = 0
+    for epoch in range(1, epochs + 1):
+        logits = x @ weight + bias
+        ex = np.exp(logits - logits.max(axis=1, keepdims=True))
+        proba = ex / ex.sum(axis=1, keepdims=True)
+        err = (proba - soft) * w[:, None]
+        grad_w = x.T @ err + clf.l2 * weight
+        grad_b = err.sum(axis=0)
+        weight -= clf.learning_rate * grad_w
+        bias -= clf.learning_rate * grad_b
+        loss = -float((w * (soft * np.log(proba + 1e-12)).sum(axis=1)).sum())
+        if abs(prev_loss - loss) < tol:
+            break
+        prev_loss = loss
+    return weight, bias, epoch
+
+
+@st.composite
+def soft_fit_problems(draw):
+    """Features, soft labels and optional weights, 1-300 rows, 2-12 classes."""
+    n = draw(st.integers(1, 300))
+    # Up to the 83 features of the bundled datasets at scale 0.05 and
+    # past them: BLAS changes kernels with the width.
+    n_features = draw(st.integers(1, 96))
+    n_classes = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.normal(size=(n, n_features)) * draw(st.sampled_from([0.1, 1.0, 4.0]))
+    concentration = draw(st.sampled_from([0.1, 1.0, 10.0]))
+    soft = rng.dirichlet(np.full(n_classes, concentration), size=n)
+    weights = rng.random(n) + 0.01 if draw(st.booleans()) else None
+    return x, soft, weights
+
+
+@given(soft_fit_problems(), st.sampled_from([0.0, 1e-3, 0.02]),
+       st.sampled_from([1e-6, 1e-3]))
+@settings(max_examples=120, deadline=None)
+def test_class_major_fit_equals_the_row_major_loop(problem, l2, tol):
+    """Same weight, bias and epoch count as the row-major loop, on a cold
+    fit and on a warm refit to new labels, and the same probabilities."""
+    x, soft, weights = problem
+    clf = LogisticRegressionClassifier(x.shape[1], soft.shape[1], l2=l2,
+                                       epochs=60, tol=tol)
+    for labels in (soft, soft[::-1]):
+        weight, bias, epochs = row_major_fit(clf, x, labels, weights,
+                                             clf.epochs, tol)
+        if 1 < epochs < clf.epochs:
+            # One epoch more or less would leave other weights, so equal
+            # weights below mean equal epoch counts.
+            assert not np.array_equal(
+                row_major_fit(clf, x, labels, weights, epochs - 1, -1)[0],
+                weight)
+            assert not np.array_equal(
+                row_major_fit(clf, x, labels, weights, epochs + 1, -1)[0],
+                weight)
+        clf.fit_soft(x, labels, weights)
+        assert np.array_equal(clf.weight, weight)
+        assert np.array_equal(clf.bias, bias)
+    logits = x @ clf.weight + clf.bias
+    ex = np.exp(logits - logits.max(axis=1, keepdims=True))
+    proba = clf.predict_proba(x)
+    assert proba.flags.c_contiguous
+    assert np.array_equal(proba, ex / ex.sum(axis=1, keepdims=True))
 
 
 class TestKNNSpecifics:

@@ -197,6 +197,74 @@ def test_flat_kernels_equal_the_per_answer_loops(state, smoothing):
     )
 
 
+def add_at_soft_counts(index, post, smoothing):
+    """``soft_counts`` as an ``np.add.at`` scatter: the oracle."""
+    counts = np.full((index.n_annotators, index.n_classes, index.n_classes),
+                     smoothing)
+    np.add.at(counts, (index.annotators, slice(None), index.answers),
+              post[index.rows])
+    return counts
+
+
+def add_at_class_mass(index, post, smoothing):
+    """``class_mass`` as an ``np.add.at`` scatter: the oracle."""
+    mass = np.full((1, index.n_classes), smoothing)
+    np.add.at(mass, np.zeros(len(index.object_ids), dtype=np.intp), post)
+    return mass[0]
+
+
+def add_at_e_step(index, prior, clf_log, confusions):
+    """``_e_step_posteriors`` as an ``np.add.at`` scatter: the oracle."""
+    log_post = np.log(prior + 1e-12)[None, :] + clf_log
+    columns = np.log(confusions[index.annotators, :, index.answers] + 1e-12)
+    np.add.at(log_post, index.rows, columns)
+    log_post -= log_post.max(axis=1, keepdims=True)
+    post = np.exp(log_post)
+    return post / post.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def wide_em_states(draw):
+    """Like :func:`em_states`, up to 12 classes, with idle annotators."""
+    n_classes = draw(st.integers(2, 12))
+    n_annotators = draw(st.integers(1, 8))
+    # Only some annotators answer anything; the rest keep smoothing only.
+    active = draw(st.permutations(range(n_annotators)))[
+        :draw(st.integers(1, n_annotators))]
+    n_objects = draw(st.integers(1, 12))
+    answers = {}
+    for oid in draw(st.permutations(range(3 * n_objects)))[:n_objects]:
+        voters = draw(st.permutations(active))
+        n_votes = draw(st.integers(1, len(active)))  # 1: single answer
+        answers[oid] = {
+            voters[i]: draw(st.integers(0, n_classes - 1))
+            for i in range(n_votes)
+        }
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    post = rng.dirichlet(np.ones(n_classes), size=n_objects)
+    prior = rng.dirichlet(np.ones(n_classes))
+    clf_log = np.log(rng.dirichlet(np.ones(n_classes), size=n_objects))
+    confusions = rng.dirichlet(np.ones(n_classes),
+                               size=(n_annotators, n_classes))
+    return answers, n_classes, n_annotators, post, prior, clf_log, confusions
+
+
+@given(wide_em_states(), st.sampled_from([0.0, 0.01, 0.1, 1.0]))
+@settings(max_examples=200, deadline=None)
+def test_bincount_kernels_equal_the_add_at_scatters(state, smoothing):
+    """Start values first, then answers in order: bit-identical sums."""
+    answers, n_classes, n_annotators, post, prior, clf_log, confusions = state
+    index = _AnswerIndex(answers, n_classes, n_annotators)
+    assert np.array_equal(index.soft_counts(post, smoothing),
+                          add_at_soft_counts(index, post, smoothing))
+    assert np.array_equal(index.class_mass(post, smoothing),
+                          add_at_class_mass(index, post, smoothing))
+    assert np.array_equal(
+        _e_step_posteriors(index, prior, clf_log, confusions),
+        add_at_e_step(index, prior, clf_log, confusions),
+    )
+
+
 def pm_reference(answers, n_classes, n_annotators, max_iter, tol,
                  regulariser):
     """PM as per-answer loops: the oracle for the flat-index version."""
