@@ -151,9 +151,7 @@ def build_midepisode_state(scale: float, seed: int = 0) -> LabellingState:
     platform = make_platform(
         dataset, n_workers=3, n_experts=2, budget=1e9, rng=seed + 1
     )
-    state = LabellingState(
-        platform.history, platform.pool, platform.budget, mask_enriched=False
-    )
+    state = LabellingState(platform.history, platform.pool, platform.budget)
     rng = np.random.default_rng(seed + 2)
     n, w = platform.n_objects, len(platform.pool)
     # Answer ~two annotators per object for 80% of objects — the density

@@ -5,8 +5,8 @@ This package wires the substrates into the paper's Algorithm 1:
 * :class:`CrowdRLConfig` — every knob with paper defaults.
 * :class:`LabellingState` — Section III-B's State (history matrix + cost
   and quality columns) and its featurization for the Q-network.
-* :class:`Agent` — Section IV: DQN policy, UCB1 exploration, −∞ masking,
-  top-k min-heap object selection.
+* :class:`Agent` — Section IV: DQN policy, −∞ masking, top-k min-heap
+  object selection.
 * :class:`Environment` — Section V: joint truth inference, labelled-set
   enrichment, annotator-quality updates, reward feedback.
 * :class:`CrowdRL` — the end-to-end workflow loop.

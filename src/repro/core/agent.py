@@ -1,10 +1,14 @@
 """The Agent: DQN policy over unified task selection + assignment.
 
 Section IV: the agent scores every candidate ``(object, annotator)`` pair
-with the Q-network, masks invalid pairs with ``-inf``, adds the UCB1
-exploration bonus of Eq. 6, and selects a batch of objects by largest
-top-``k`` Q-sum via the min-heap procedure, assigning each selected object
-its top-``k`` annotators.
+with the Q-network, masks invalid pairs with ``-inf``, and selects a batch
+of objects by largest top-``k`` Q-sum via the min-heap procedure, assigning
+each selected object its top-``k`` annotators.
+
+Eq. 6's UCB1 bonus is not applied.  The action mask removes every answered
+pair, so a selectable pair has (short of a dropped answer) never been
+chosen, and all such pairs would carry the same capped bonus: a constant
+shift that cannot move the argmax (DESIGN.md section 5).
 """
 
 from __future__ import annotations
@@ -20,16 +24,11 @@ from repro.core.state import N_PAIR_FEATURES, LabellingState
 from repro.exceptions import ConfigurationError
 from repro.obs import phase_timer
 from repro.rl.dqn import DQNAgent, DQNConfig
-from repro.rl.selection import ActionStatistics
 from repro.utils.rng import SeedLike, as_rng, spawn_rngs
 from repro.utils.topk import select_objects_by_topk_q, top_k_indices
 
 #: Replay memory size of the agent's DQN (not :class:`DQNConfig`'s 10 000).
 REPLAY_CAPACITY = 5000
-#: Ceiling on the Eq. 6 UCB1 bonus.  Never-tried pairs carry an infinite
-#: bonus; capping keeps ``-inf`` action masks decisive and the bonus
-#: comparable with the ~1-scale rewards.
-UCB_BONUS_CAP = 2.0
 #: Standard deviation of the Gaussian jitter that breaks score ties.
 TIE_JITTER_SCALE = 1e-3
 #: Successor candidates kept per transition for the bootstrap max.
@@ -48,7 +47,7 @@ class TrainSummary(NamedTuple):
 
 
 class Agent:
-    """CrowdRL's decision maker: featurize → Q → UCB → top-k heap select."""
+    """CrowdRL's decision maker: featurize → Q → top-k heap select."""
 
     def __init__(self, n_objects: int, n_annotators: int,
                  config: CrowdRLConfig, rng: SeedLike = None) -> None:
@@ -66,11 +65,9 @@ class Agent:
                 n_features=N_PAIR_FEATURES,
                 gamma=config.reward.gamma,
                 buffer_capacity=REPLAY_CAPACITY,
-                double_dqn=config.double_dqn,
             ),
             rng=rng,
         )
-        self.stats = ActionStatistics(n_objects * n_annotators)
         # The agent's own draws (tie-break jitter, demonstration noise,
         # random-ablation choices, next-state subsampling) come from a
         # child stream, so they never interleave with the DQN's replay
@@ -106,21 +103,12 @@ class Agent:
         corresponding half to uniform choice (ablations M1 / M2).
         """
         q = self.q_matrix(state)
-        # Fused score pass: one validity mask drives both the UCB bonus and
-        # the tie jitter (the bonus is capped, so finiteness never changes
-        # between the two additions).
-        valid = np.isfinite(q)
-        score = q
-        if self.config.ucb_exploration:
-            bonus = self.stats.bonus().reshape(self.n_objects, self.n_annotators)
-            bonus = np.minimum(bonus, UCB_BONUS_CAP)
-            score = np.where(valid, score + bonus, -np.inf)
-        # Tiny random jitter breaks score ties (ubiquitous early on, when
-        # every untried pair carries the same capped bonus); without it the
-        # argmax systematically favours low annotator ids and the agent
-        # never explores the expert columns.
-        jitter = self._rng.normal(scale=TIE_JITTER_SCALE, size=score.shape)
-        score = np.where(valid, score + jitter, score)
+        # Tiny random jitter breaks score ties (ubiquitous early on, before
+        # the Q-network separates pairs); without it the argmax
+        # systematically favours low annotator ids and the agent never
+        # explores the expert columns.
+        jitter = self._rng.normal(scale=TIE_JITTER_SCALE, size=q.shape)
+        score = np.where(np.isfinite(q), q + jitter, q)
 
         if (self.config.demo_probability > 0
                 and self._rng.random() < self.config.demo_probability):
@@ -143,8 +131,6 @@ class Agent:
                 if not annotator_ids:
                     continue
             assignments.append(Assignment(object_id, tuple(annotator_ids)))
-            for j in annotator_ids:
-                self.stats.record(object_id * self.n_annotators + j)
         return assignments
 
     def _expert_cap(self, state: LabellingState):
@@ -175,7 +161,7 @@ class Agent:
         """Ablation M1: pick objects uniformly; annotators still by Q."""
         # Candidates are objects with at least one valid action, mirroring
         # the mask used by the joint top-k selection (enriched objects stay
-        # selectable in non-sticky mode).
+        # selectable).
         candidates = np.flatnonzero(np.isfinite(score).any(axis=1))
         if candidates.size == 0:
             return []

@@ -47,7 +47,7 @@ class CrowdRLConfig:
 
     Settings no experiment varies are module constants next to the code
     that uses them: :data:`MIN_LABELS_FOR_CLASSIFIER` here, the DQN and
-    exploration constants in :mod:`repro.core.agent` and joint EM's sweep
+    tie-break constants in :mod:`repro.core.agent` and joint EM's sweep
     cap in :mod:`repro.core.environment`.
 
     Attributes
@@ -63,28 +63,18 @@ class CrowdRLConfig:
         Weights (lambda, eta) and discounting for the reward signal.
     enrichment_margin:
         Top-2 class-probability gap epsilon above which the classifier may
-        label an object (Algorithm 1 lines 9-13).
+        label an object (Algorithm 1 lines 9-13).  Enrichment labels are
+        recomputed from the freshly retrained classifier every iteration,
+        so early enrichment mistakes heal as ``phi`` improves.
     expert_floor:
         Lower bound on experts' diagonal confusion entries in joint
         inference (Section V-A2).
     train_steps_per_iteration:
         Replayed DQN updates after each labelling iteration (Section IV-A).
-    double_dqn:
-        The Double-DQN target (ref [38]), one of the variants Section IV-B
-        says "can also be integrated into our framework"; off by default to
-        match the paper's "classical design of DQN".
-    ucb_exploration:
-        Use the Eq. 6 UCB1 bonus for action selection; plain greedy when
-        False.
     min_truths_for_enrichment:
         Human-inferred truths required before the classifier may enrich —
         guards against an overconfident classifier trained on a handful of
         cold-start labels auto-labelling the whole dataset.
-    sticky_enrichment:
-        When True, enrichment labels are permanent once assigned (the
-        strictest reading of Algorithm 1); the default recomputes them from
-        the freshly retrained classifier every iteration, so early
-        enrichment mistakes are corrected as ``phi`` improves.
     max_iterations:
         Safety cap on labelling iterations.
     info_gain_weight / agreement_weight / pair_cost_weight:
@@ -123,10 +113,7 @@ class CrowdRLConfig:
     enrichment_margin: float = 0.2
     expert_floor: float = 0.9
     train_steps_per_iteration: int = 8
-    double_dqn: bool = False
-    ucb_exploration: bool = True
     min_truths_for_enrichment: int = 20
-    sticky_enrichment: bool = False
     max_iterations: int = MAX_ITERATIONS
     info_gain_weight: float = 0.5
     agreement_weight: float = 0.5

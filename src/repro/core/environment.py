@@ -134,25 +134,21 @@ class Environment:
 
         Returns the ids labelled by the classifier this iteration.  Objects
         whose top-2 probability gap is at most the enrichment margin epsilon
-        stay unlabelled (Algorithm 1 lines 10-11).  Unless
-        ``sticky_enrichment`` is set, previous enrichment labels are
-        recomputed from the freshly trained classifier, so early mistakes
-        heal as ``phi`` improves.
+        stay unlabelled (Algorithm 1 lines 10-11).  Previous enrichment
+        labels are dropped and recomputed from the freshly trained
+        classifier, so early mistakes heal as ``phi`` improves.
         """
         with phase_timer("enrich"):
             return self._train_and_enrich()
 
     def _train_and_enrich(self) -> list[int]:
         """Untimed body of :meth:`train_and_enrich`."""
-        if not self.config.sticky_enrichment:
-            self.enriched.clear()
-        if len(self.truths) < self.config.min_truths_for_enrichment:
+        self.enriched.clear()
+        if len(self.truths) < max(self.config.min_truths_for_enrichment,
+                                  MIN_LABELS_FOR_CLASSIFIER):
             return []
-        labelled = {**self.enriched, **self.truths}  # truths win on overlap
-        if len(labelled) < MIN_LABELS_FOR_CLASSIFIER:
-            return []
-        ids = np.fromiter(labelled.keys(), dtype=int)
-        y = np.fromiter(labelled.values(), dtype=int)
+        ids = np.fromiter(self.truths.keys(), dtype=int)
+        y = np.fromiter(self.truths.values(), dtype=int)
         if np.unique(y).size < 2:
             return []  # classifier needs at least two observed classes
 

@@ -274,7 +274,6 @@ class CrowdRL(LabellingFramework):
             agent.set_policy_weights(self._pretrained_weights)
         state = LabellingState(platform.history, platform.pool, platform.budget,
                                answer_norm=config.k_per_object,
-                               mask_enriched=config.sticky_enrichment,
                                unavailable=getattr(
                                    platform, "quarantined_annotators", None))
 
@@ -292,27 +291,21 @@ class CrowdRL(LabellingFramework):
         while iterations < config.max_iterations:
             iterations += 1
             # The r_phi denominator: objects not yet labelled by humans
-            # (non-sticky enrichment recomputes classifier labels each
-            # iteration, so counting them as "labelled" here would let the
-            # denominator collapse and blow up the reward scale).
-            if config.sticky_enrichment:
-                n_unlabelled_before = n_objects - len(env.current_labels())
-            else:
-                n_unlabelled_before = n_objects - len(env.truths)
+            # (enrichment recomputes classifier labels each iteration, so
+            # counting them as "labelled" here would let the denominator
+            # collapse and blow up the reward scale).
+            n_unlabelled_before = n_objects - len(env.truths)
 
             # ---- Labelled-set enrichment (lines 4-14) ----
             newly_enriched = env.train_and_enrich()
             state.set_classifier_proba(env.classifier_proba())
             state.set_labelled(env.truths.keys(), env.enriched.keys())
 
-            # Stop once the budget cannot buy a single further answer, or —
-            # in sticky mode — once every object carries a label.  With
-            # non-sticky enrichment the agent keeps spending budget on human
-            # answers for the objects it judges most valuable.
-            done = not platform.budget.can_afford(platform.cheapest_cost())
-            if config.sticky_enrichment:
-                done = done or state.all_labelled()
-            if done:
+            # Stop once the budget cannot buy a single further answer.
+            # Enriched objects stay selectable, so the agent keeps spending
+            # budget on human answers for the objects it judges most
+            # valuable.
+            if not platform.budget.can_afford(platform.cheapest_cost()):
                 break
 
             # ---- Joint TS + TA action (line 16) ----
@@ -363,8 +356,6 @@ class CrowdRL(LabellingFramework):
                 float(platform.pool.costs.max()),
             )
             terminal = not platform.budget.can_afford(platform.cheapest_cost())
-            if config.sticky_enrichment:
-                terminal = terminal or state.all_labelled()
             agent.remember_iteration(taken_features, pair_rewards, state, terminal)
             trained = agent.train()
             events = get_registry().events

@@ -64,17 +64,9 @@ class LabellingState:
         budget: BudgetManager,
         *,
         answer_norm: int = 5,
-        mask_enriched: bool = True,
         unavailable: Optional[Callable[[], AbstractSet[int]]] = None,
     ) -> None:
-        """``mask_enriched`` controls whether classifier-enriched objects are
-        excluded from the action space.  The paper's worked example (Table
-        III) leaves the classifier-labelled object selectable, and with
-        non-sticky enrichment its provisional labels can still be improved
-        by human answers, so CrowdRL runs with ``mask_enriched=False``
-        unless enrichment is sticky.
-
-        ``unavailable`` is an optional zero-argument callable returning the
+        """``unavailable`` is an optional zero-argument callable returning the
         ids of annotators currently out of rotation (e.g. quarantined by a
         :class:`~repro.crowd.resilient.ResilientCollector`); their columns
         are masked out of the action space exactly like answered pairs."""
@@ -84,7 +76,6 @@ class LabellingState:
         self.pool = pool
         self.budget = budget
         self.answer_norm = answer_norm
-        self.mask_enriched = mask_enriched
         self.unavailable = unavailable
         self._classifier_proba: Optional[np.ndarray] = None
         self._human_labelled: set[int] = set()
@@ -110,16 +101,6 @@ class LabellingState:
         """Record which objects now carry labels (human-inferred / enriched)."""
         self._human_labelled = set(int(i) for i in human)
         self._enriched = set(int(i) for i in enriched)
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    @property
-    def labelled_objects(self) -> set[int]:
-        return self._human_labelled | self._enriched
-
-    def all_labelled(self) -> bool:
-        return len(self.labelled_objects) >= self.history.n_objects
 
     # ------------------------------------------------------------------
     # Featurization (delegates to the StateFeaturizer)
@@ -148,17 +129,18 @@ class LabellingState:
     def action_mask(self) -> np.ndarray:
         """Valid-action mask, shape ``(|O|, |W|)``.
 
-        Invalid (to be scored ``-inf``, Section IV-B): pairs whose object is
-        already labelled (by humans or enrichment), pairs already answered,
+        Invalid (to be scored ``-inf``, Section IV-B): pairs whose object
+        already carries a human-inferred truth, pairs already answered,
         annotators the remaining budget cannot afford, annotators that
         have exhausted their answer capacity, and annotators reported
         unavailable (quarantined) by the collection layer.
+
+        Classifier-enriched objects stay selectable, as in the paper's
+        worked example (Table III): their provisional labels are recomputed
+        every iteration and can still be improved by human answers.
         """
         mask = np.ones((self.history.n_objects, len(self.pool)), dtype=bool)
-        if self.mask_enriched:
-            labelled = sorted(self.labelled_objects)
-        else:
-            labelled = sorted(self._human_labelled)
+        labelled = sorted(self._human_labelled)
         if labelled:
             mask[labelled, :] = False
         mask &= self.history.matrix == UNANSWERED

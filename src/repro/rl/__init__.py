@@ -1,15 +1,14 @@
-"""Reinforcement-learning substrate: replay memory, Q-networks, selection.
+"""Reinforcement-learning substrate: replay memory and Q-networks.
 
 Implements the DQN machinery of Section IV: experience replay over
-``(S, A, r, S')`` transitions (Fig. 2's "Experience Pool"), a Q-network with
-a periodically synchronised target network (Eq. 4/5's max target), and the
-UCB1-flavoured action selection of Eq. 6.
+``(S, A, r, S')`` transitions (Fig. 2's "Experience Pool") and a Q-network
+with a periodically synchronised target network (Eq. 4/5's max target).
+Action selection over the Q-values lives in :mod:`repro.core.agent`.
 """
 
 from repro.rl.dqn import DQNAgent, DQNConfig
 from repro.rl.qnetwork import QNetwork
 from repro.rl.replay import ReplayBuffer, Transition
-from repro.rl.selection import ActionStatistics
 
 __all__ = [
     "Transition",
@@ -17,5 +16,4 @@ __all__ = [
     "QNetwork",
     "DQNAgent",
     "DQNConfig",
-    "ActionStatistics",
 ]

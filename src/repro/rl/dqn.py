@@ -31,14 +31,7 @@ from repro.utils.rng import SeedLike, spawn_rngs
 
 @dataclass(frozen=True)
 class DQNConfig:
-    """Hyper-parameters for :class:`DQNAgent`.
-
-    ``double_dqn`` enables the Double-DQN target (van Hasselt et al., the
-    paper's ref [38], which Section IV-B notes "can also be integrated into
-    our framework"): the *online* network selects the best successor action
-    and the *target* network evaluates it, decoupling selection from
-    evaluation to curb overestimation.
-    """
+    """Hyper-parameters for :class:`DQNAgent`."""
 
     n_features: int
     hidden: tuple[int, ...] = (64, 32)
@@ -48,7 +41,6 @@ class DQNConfig:
     batch_size: int = 32
     target_sync_every: int = 20
     min_buffer_for_training: int = 32
-    double_dqn: bool = False
 
     def __post_init__(self) -> None:
         if self.n_features <= 0:
@@ -79,10 +71,10 @@ class DQNAgent:
         )
         self.buffer = ReplayBuffer(config.buffer_capacity, rng=buffer_rng)
         self._train_steps = 0
-        # Bootstrap memo: id(successor array) -> (array, Q_target, max),
+        # Bootstrap memo: id(successor array) -> (array, max Q_target),
         # valid for one target version.  Holding the array keeps its id
         # from being reused; clearing at every sync keeps the memo bounded.
-        self._memo: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
+        self._memo: dict[int, tuple[np.ndarray, Optional[float]]] = {}
         self._memo_version = self.qnet.target_version
         #: Target-network forwards actually computed (memo misses).
         self.target_forwards = 0
@@ -145,25 +137,13 @@ class DQNAgent:
         batch = self.buffer.sample(self.config.batch_size)
         features = np.vstack([t.features for t in batch])
         targets = np.empty(len(batch))
-        # Double DQN picks with the online net, which every step changes,
-        # so its argmax is shared within this batch only.
-        online_best: dict[int, int] = {}
         for i, transition in enumerate(batch):
             target = transition.reward
             nxt = transition.next_features
             if not transition.terminal and nxt is not None:
-                target_q, target_max = self._target_values(nxt)
-                if target_q.size:
-                    if self.config.double_dqn:
-                        # Double DQN: online net picks, target net scores.
-                        best = online_best.get(id(nxt))
-                        if best is None:
-                            best = int(np.argmax(self.qnet.predict(nxt)))
-                            online_best[id(nxt)] = best
-                        bootstrap = float(target_q[best])
-                    else:
-                        bootstrap = target_max
-                    target += self.config.gamma * bootstrap
+                target_max = self._bootstrap_max(nxt)
+                if target_max is not None:
+                    target += self.config.gamma * target_max
             targets[i] = target
 
         loss = self.qnet.train_on_targets(features, targets)
@@ -172,17 +152,17 @@ class DQNAgent:
             self.qnet.sync_target()
         return loss
 
-    def _target_values(self, nxt: np.ndarray) -> tuple[np.ndarray, float]:
-        """``Q_target(nxt)`` and its max, memoised for the current version."""
+    def _bootstrap_max(self, nxt: np.ndarray) -> Optional[float]:
+        """``max_a' Q_target(nxt)`` memoised for the current version;
+        ``None`` when ``nxt`` has no rows."""
         self.bootstrap_lookups += 1
         entry = self._memo.get(id(nxt))
         if entry is None:
             target_q = self.qnet.predict_target(nxt)
-            entry = (nxt, target_q,
-                     float(target_q.max()) if target_q.size else 0.0)
+            entry = (nxt, float(target_q.max()) if target_q.size else None)
             self._memo[id(nxt)] = entry
             self.target_forwards += 1
-        return entry[1], entry[2]
+        return entry[1]
 
     @property
     def ready(self) -> bool:

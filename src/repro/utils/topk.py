@@ -68,13 +68,6 @@ def top_k_indices(values: Sequence[float], k: int) -> list[int]:
     return [int(i) for i in order]
 
 
-def top_k_sum(values: Sequence[float], k: int) -> float:
-    """Sum of the ``k`` largest entries of ``values``."""
-    idx = top_k_indices(values, k)
-    arr = np.asarray(values, dtype=float).ravel()
-    return float(arr[idx].sum()) if idx else 0.0
-
-
 def _check_select_args(q: np.ndarray, k_annotators: int,
                        group_mask: Optional[np.ndarray],
                        max_group: Optional[int]) -> Optional[np.ndarray]:

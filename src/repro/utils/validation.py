@@ -14,39 +14,6 @@ from repro.exceptions import ConfigurationError
 _ATOL = 1e-6
 
 
-def check_positive(value: float, name: str, *, strict: bool = True) -> float:
-    """Validate that ``value`` is positive (or non-negative when not strict)."""
-    if strict and not value > 0:
-        raise ConfigurationError(f"{name} must be > 0, got {value!r}")
-    if not strict and value < 0:
-        raise ConfigurationError(f"{name} must be >= 0, got {value!r}")
-    return value
-
-
-def check_fraction(value: float, name: str, *, inclusive_low: bool = False,
-                   inclusive_high: bool = True) -> float:
-    """Validate that ``value`` lies in the (0, 1] interval by default."""
-    low_ok = value >= 0 if inclusive_low else value > 0
-    high_ok = value <= 1 if inclusive_high else value < 1
-    if not (low_ok and high_ok):
-        lo = "[0" if inclusive_low else "(0"
-        hi = "1]" if inclusive_high else "1)"
-        raise ConfigurationError(f"{name} must be in {lo}, {hi}, got {value!r}")
-    return value
-
-
-def check_probability_vector(vec: np.ndarray, name: str) -> np.ndarray:
-    """Validate a 1-D non-negative vector summing to one."""
-    arr = np.asarray(vec, dtype=float)
-    if arr.ndim != 1:
-        raise ConfigurationError(f"{name} must be 1-D, got shape {arr.shape}")
-    if np.any(arr < -_ATOL):
-        raise ConfigurationError(f"{name} has negative entries")
-    if not np.isclose(arr.sum(), 1.0, atol=1e-4):
-        raise ConfigurationError(f"{name} must sum to 1, sums to {arr.sum():.6f}")
-    return arr
-
-
 def check_probability_matrix(mat: np.ndarray, name: str) -> np.ndarray:
     """Validate a square row-stochastic matrix (each row sums to one)."""
     arr = np.asarray(mat, dtype=float)

@@ -16,7 +16,6 @@ from repro.analysis.cli import main as analysis_main
 from repro.analysis.flow import FLOW_RULES, analyze_paths
 
 FIXTURES = Path(__file__).parent / "analysis_fixtures" / "flow"
-SRC = Path(__file__).parents[1] / "src"
 
 
 def rule_ids(findings):
@@ -145,9 +144,11 @@ def test_noqa_suppresses_flow_findings(tmp_path):
     assert analyze_paths([str(module)]) == []
 
 
-def test_shipped_tree_is_flow_clean():
+def test_shipped_tree_is_flow_clean(shipped_tree_flow):
     """``src/repro`` must carry zero unbaselined flow findings (exit 0)."""
-    assert analysis_main(["flow", str(SRC / "repro")]) == 0
+    code, payload = shipped_tree_flow
+    assert code == 0
+    assert payload["count"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -15,8 +15,9 @@ import pytest
 from repro.analysis.cli import main as analysis_main
 from repro.analysis.flow import FLOW_RULES, analyze_paths
 
+from conftest import new_findings_in
+
 FIXTURES = Path(__file__).parent / "analysis_fixtures" / "flow"
-SRC = Path(__file__).parents[1] / "src"
 
 
 def rule_ids(findings):
@@ -93,10 +94,10 @@ def test_deep_factory_chain_is_followed_and_cycles_terminate():
 # ----------------------------------------------------------------------
 # The shipped tree and range select
 # ----------------------------------------------------------------------
-def test_shipped_tree_is_parallel_clean():
-    """The ISSUE acceptance command: zero unbaselined REPRO013-018 findings."""
-    assert analysis_main(["flow", str(SRC / "repro"),
-                          "--select", "REPRO013-REPRO018"]) == 0
+def test_shipped_tree_is_parallel_clean(shipped_tree_flow):
+    """Zero unbaselined REPRO013-018 findings in the shipped tree."""
+    _, payload = shipped_tree_flow
+    assert new_findings_in(payload, 13, 18) == []
 
 
 def test_select_range_expands_inclusively():

@@ -78,11 +78,6 @@ class TestAct:
         state.set_labelled(human=range(8), enriched=[])
         assert agent.act(state) == []
 
-    def test_stats_recorded(self):
-        agent, state = make_agent_and_state(batch_size=2, k=2)
-        agent.act(state)
-        assert agent.stats.total == 4
-
     def test_random_ts_mode(self):
         agent, state = make_agent_and_state(batch_size=3, ts_mode="random")
         assignments = agent.act(state)
@@ -99,10 +94,6 @@ class TestAct:
         state.set_labelled(human=[0, 1, 2, 3], enriched=[])
         objects = {a.object_id for a in agent.act(state)}
         assert objects == {4, 5, 6, 7}
-
-    def test_greedy_mode_without_ucb(self):
-        agent, state = make_agent_and_state(ucb_exploration=False)
-        assert agent.act(state)
 
 
 class TestLearning:
@@ -175,19 +166,19 @@ class TestBootstrapMemoInEpisode:
         forwards = []
         lookups = []
         predict_target = QNetwork.predict_target
-        target_values = DQNAgent._target_values
+        bootstrap_max = DQNAgent._bootstrap_max
 
         def counting_predict_target(qnet, features):
             forwards.append(features)
             return predict_target(qnet, features)
 
-        def recording_target_values(dqn, nxt):
+        def recording_bootstrap_max(dqn, nxt):
             # Keep each array alive so no id is reused within the run.
             lookups.append((dqn.qnet.target_version, id(nxt), nxt))
-            return target_values(dqn, nxt)
+            return bootstrap_max(dqn, nxt)
 
         monkeypatch.setattr(QNetwork, "predict_target", counting_predict_target)
-        monkeypatch.setattr(DQNAgent, "_target_values", recording_target_values)
+        monkeypatch.setattr(DQNAgent, "_bootstrap_max", recording_bootstrap_max)
         path = tmp_path / "events.jsonl"
         run_experiment("CrowdRL", ExperimentSetting("S12CP", scale=0.02, seed=0),
                        ExperimentSpec(metrics_out=path), pretrain=False)

@@ -88,24 +88,13 @@ class TestEnrichment:
         assert enriched_acc > 0.8
 
     def test_nonsticky_recomputes(self):
-        env, _, platform = make_env(min_truths_for_enrichment=20,
-                                    sticky_enrichment=False)
+        env, _, platform = make_env(min_truths_for_enrichment=20)
         platform.ask_batch((i, [0, 1, 2, 3]) for i in range(30))
         env.infer_truths()
         env.train_and_enrich()
         env.enriched[999] = 1  # plant a stale entry (fake id is fine)
         env.train_and_enrich()
         assert 999 not in env.enriched
-
-    def test_sticky_keeps_previous(self):
-        env, _, platform = make_env(min_truths_for_enrichment=20,
-                                    sticky_enrichment=True)
-        platform.ask_batch((i, [0, 1, 2, 3]) for i in range(30))
-        env.infer_truths()
-        first = set(env.train_and_enrich())
-        again = set(env.train_and_enrich())
-        assert first.isdisjoint(again)
-        assert first <= set(env.enriched)
 
     def test_single_class_truths_skip_enrichment(self):
         env, _, platform = make_env()

@@ -26,9 +26,7 @@ def build_state(seed: int = 0) -> LabellingState:
     platform = make_platform(
         dataset, n_workers=3, n_experts=2, budget=1e9, rng=seed + 1
     )
-    state = LabellingState(
-        platform.history, platform.pool, platform.budget, mask_enriched=False
-    )
+    state = LabellingState(platform.history, platform.pool, platform.budget)
     state.platform = platform  # for tests that drive mutations
     return state
 

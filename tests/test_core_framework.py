@@ -78,13 +78,6 @@ class TestRun:
         outcome = CrowdRL(config, rng=2).run(dataset, platform)
         assert outcome.iterations <= 3
 
-    def test_sticky_mode_stops_when_all_labelled(self, dataset):
-        platform = fresh_platform(dataset, budget=10_000.0)
-        config = quick_config(sticky_enrichment=True)
-        outcome = CrowdRL(config, rng=2).run(dataset, platform)
-        # In sticky mode the run terminates by coverage, not budget.
-        assert outcome.spent < 10_000.0
-
     def test_tiny_budget_still_returns_labels(self, dataset):
         platform = fresh_platform(dataset, budget=6.0)
         outcome = CrowdRL(quick_config(), rng=2).run(dataset, platform)

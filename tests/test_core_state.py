@@ -85,14 +85,9 @@ class TestMask:
         state.set_labelled(human=[3], enriched=[])
         assert not state.action_mask()[3].any()
 
-    def test_enriched_masked_by_default(self, state):
-        state.set_labelled(human=[], enriched=[2])
-        assert not state.action_mask()[2].any()
-
     def test_enriched_unmasked_in_nonsticky_mode(self):
         history = LabellingHistory(4, 4, 2)
-        st = LabellingState(history, build_pool(), BudgetManager(50.0),
-                            mask_enriched=False)
+        st = LabellingState(history, build_pool(), BudgetManager(50.0))
         st.set_labelled(human=[0], enriched=[2])
         mask = st.action_mask()
         assert not mask[0].any()
@@ -106,11 +101,6 @@ class TestMask:
 
 
 class TestQueries:
-    def test_all_labelled(self, state):
-        assert not state.all_labelled()
-        state.set_labelled(human=range(6), enriched=[])
-        assert state.all_labelled()
-
     def test_invalid_answer_norm_raises(self, state):
         with pytest.raises(ConfigurationError):
             LabellingState(state.history, state.pool, state.budget,

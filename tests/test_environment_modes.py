@@ -1,10 +1,8 @@
-"""Cross-mode environment behaviour: sticky runs, PM runs, edge budgets."""
+"""Cross-mode environment behaviour: PM runs, edge budgets."""
 
-import numpy as np
 import pytest
 
 from repro import CrowdRL, CrowdRLConfig, make_platform
-from repro.core.result import LabelSource
 from repro.datasets.synthetic import make_blobs
 
 
@@ -22,24 +20,6 @@ def run_with(dataset, budget=160.0, **config_kwargs):
                              budget=budget, rng=9)
     outcome = CrowdRL(CrowdRLConfig(**defaults), rng=10).run(dataset, platform)
     return outcome, platform
-
-
-class TestStickyMode:
-    def test_sticky_enriched_objects_never_rehumanised(self, dataset):
-        outcome, platform = run_with(dataset, budget=5_000.0,
-                                     sticky_enrichment=True)
-        # In sticky mode, an ENRICHED-sourced object must have no human
-        # answers *after* it was enriched; since enriched objects are
-        # masked, they can only carry answers from before enrichment.
-        enriched_ids = np.nonzero(
-            outcome.label_sources == LabelSource.ENRICHED
-        )[0]
-        assert enriched_ids.size > 0  # sticky run does enrich
-
-    def test_sticky_underspends_large_budget(self, dataset):
-        outcome, _ = run_with(dataset, budget=50_000.0,
-                              sticky_enrichment=True)
-        assert outcome.spent < 50_000.0
 
 
 class TestPMMode:
@@ -73,7 +53,3 @@ class TestEdgeBudgets:
     def test_budget_exactly_one_answer(self, dataset):
         outcome, _ = run_with(dataset, budget=1.0)
         assert outcome.spent <= 1.0
-
-    def test_greedy_no_ucb_mode(self, dataset):
-        outcome, _ = run_with(dataset, ucb_exploration=False)
-        assert outcome.final_labels.shape == (45,)

@@ -25,7 +25,6 @@ def run_params(draw):
         batch_size=draw(st.integers(1, 5)),
         k_per_object=draw(st.integers(1, 4)),
         budget=draw(st.sampled_from([15.0, 60.0, 150.0, 400.0])),
-        sticky=draw(st.booleans()),
         seed=draw(st.integers(0, 5)),
     )
 
@@ -41,7 +40,6 @@ def test_run_invariants_hold_under_random_configs(params):
         alpha=params["alpha"],
         batch_size=params["batch_size"],
         k_per_object=params["k_per_object"],
-        sticky_enrichment=params["sticky"],
         min_truths_for_enrichment=8,
         train_steps_per_iteration=1,
         max_iterations=60,

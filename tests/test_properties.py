@@ -12,7 +12,7 @@ from repro.inference.pm import PMInference
 from repro.metrics.classification import accuracy, confusion_counts, f1_score
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.rl.replay import ReplayBuffer, Transition
-from repro.utils.topk import select_objects_by_topk_q, top_k_indices, top_k_sum
+from repro.utils.topk import select_objects_by_topk_q, top_k_indices
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -118,8 +118,10 @@ def test_top_k_indices_are_the_k_largest(values, k):
     rest = np.delete(values, idx)
     if rest.size and chosen:
         assert chosen[-1] >= rest.max() - 1e-12
+    # The top-k sum over the chosen indices is the sum of the k largest.
     np.testing.assert_allclose(
-        top_k_sum(values, k), float(np.sum(values[idx])), atol=1e-9
+        float(np.sum(values[idx])), float(np.sort(values)[::-1][:k].sum()),
+        atol=1e-9,
     )
 
 

@@ -159,15 +159,15 @@ class TestBootstrapMemo:
 
     N = 3
 
-    @given(ops=_ops, capacity=st.integers(2, 9), double=st.booleans(),
+    @given(ops=_ops, capacity=st.integers(2, 9),
            sync_every=st.integers(1, 4), seed=st.integers(0, 2 ** 16))
     @settings(max_examples=60, deadline=None)
-    def test_targets_bit_identical_to_uncached(self, ops, capacity, double,
+    def test_targets_bit_identical_to_uncached(self, ops, capacity,
                                                 sync_every, seed):
         agent = DQNAgent(DQNConfig(
             n_features=self.N, hidden=(4,), batch_size=4,
             buffer_capacity=capacity, min_buffer_for_training=2,
-            target_sync_every=sync_every, double_dqn=double,
+            target_sync_every=sync_every,
         ), rng=seed)
         rng = np.random.default_rng(seed)
         # Even-indexed successors are shared read-only arrays (stored as-is
@@ -197,11 +197,7 @@ class TestBootstrapMemo:
                 value = t.reward
                 if not t.terminal and t.next_features is not None:
                     target_q = agent.qnet.predict_target(t.next_features)
-                    if double:
-                        best = int(np.argmax(agent.qnet.predict(t.next_features)))
-                        value += agent.config.gamma * float(target_q[best])
-                    else:
-                        value += agent.config.gamma * float(target_q.max())
+                    value += agent.config.gamma * float(target_q.max())
                 expected.append(value)
             np.testing.assert_array_equal(targets, np.array(expected))
             checked.append(len(expected))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.topk import select_objects_by_topk_q, top_k_indices, top_k_sum
+from repro.utils.topk import select_objects_by_topk_q, top_k_indices
 
 
 class TestTopKIndices:
@@ -25,14 +25,6 @@ class TestTopKIndices:
 
     def test_handles_neg_inf(self):
         assert top_k_indices([-np.inf, 1.0, -np.inf], 2) == [1, 0]
-
-
-class TestTopKSum:
-    def test_sum(self):
-        assert top_k_sum([1.0, 3.0, 2.0], 2) == 5.0
-
-    def test_empty(self):
-        assert top_k_sum([], 3) == 0.0
 
 
 class TestSelectObjectsByTopkQ:

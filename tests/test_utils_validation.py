@@ -4,69 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.utils.validation import (
-    check_fraction,
-    check_positive,
-    check_probability_matrix,
-    check_probability_vector,
-)
-
-
-class TestCheckPositive:
-    def test_positive_ok(self):
-        assert check_positive(1.5, "x") == 1.5
-
-    def test_zero_strict_raises(self):
-        with pytest.raises(ConfigurationError, match="x"):
-            check_positive(0, "x")
-
-    def test_zero_nonstrict_ok(self):
-        assert check_positive(0, "x", strict=False) == 0
-
-    def test_negative_nonstrict_raises(self):
-        with pytest.raises(ConfigurationError):
-            check_positive(-1, "x", strict=False)
-
-
-class TestCheckFraction:
-    def test_half_ok(self):
-        assert check_fraction(0.5, "f") == 0.5
-
-    def test_one_inclusive(self):
-        assert check_fraction(1.0, "f") == 1.0
-
-    def test_zero_exclusive_raises(self):
-        with pytest.raises(ConfigurationError):
-            check_fraction(0.0, "f")
-
-    def test_zero_inclusive_ok(self):
-        assert check_fraction(0.0, "f", inclusive_low=True) == 0.0
-
-    def test_above_one_raises(self):
-        with pytest.raises(ConfigurationError):
-            check_fraction(1.1, "f")
-
-    def test_one_exclusive_raises(self):
-        with pytest.raises(ConfigurationError):
-            check_fraction(1.0, "f", inclusive_high=False)
-
-
-class TestProbabilityVector:
-    def test_valid(self):
-        v = check_probability_vector(np.array([0.2, 0.8]), "p")
-        assert v.sum() == pytest.approx(1.0)
-
-    def test_not_summing_raises(self):
-        with pytest.raises(ConfigurationError):
-            check_probability_vector(np.array([0.5, 0.6]), "p")
-
-    def test_negative_raises(self):
-        with pytest.raises(ConfigurationError):
-            check_probability_vector(np.array([-0.1, 1.1]), "p")
-
-    def test_2d_raises(self):
-        with pytest.raises(ConfigurationError):
-            check_probability_vector(np.eye(2), "p")
+from repro.utils.validation import check_probability_matrix
 
 
 class TestProbabilityMatrix:

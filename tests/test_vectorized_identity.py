@@ -19,6 +19,14 @@ re-captured when ``LogisticRegressionClassifier.fit_soft`` began
 continuing from the model's current weights, so the classifier refits
 inside one joint-EM run warm-start (DESIGN.md section 5).  The DLTA, IDLE
 and M3 entries never run joint EM and are the original captures.
+
+The three ``faults0.2`` entries pin CrowdRL under injected annotator
+faults with resilient collection (S12CP, scale 0.05, no pretraining).
+A dropped answer leaves an already-assigned pair selectable, so this is
+the one path where a per-pair selection count could differ between
+valid actions; seeds 25 and 35 reach such a state, seed 0 does not.  They
+were captured before the Eq. 6 UCB bonus was removed, and pin that the
+removal changed no decision there.
 """
 
 import hashlib
@@ -27,6 +35,7 @@ import pytest
 
 from repro.harness.experiment import (
     ExperimentSetting,
+    ExperimentSpec,
     clear_pretrained_policies,
     run_experiment,
 )
@@ -60,20 +69,32 @@ SEED_REFERENCES = {
     "fig8:M2:seed1": (0.7659574468085106, 0.8196721311475409, 200.0, 5, "1e832c64a5ae32ac"),
     "fig8:M3:seed0": (0.6808510638297872, 0.7540983606557378, 200.0, 5, "bebdd909f51e9f46"),
     "fig8:M3:seed1": (0.5531914893617021, 0.7042253521126761, 200.0, 5, "2226d4da6f5775e7"),
+    "faults0.2:S12CP:CrowdRL:seed0": (0.7606837606837606, 0.7499999999999999, 499.5, 11, "fba0b0a21f034026"),
+    "faults0.2:S12CP:CrowdRL:seed25": (0.8034188034188035, 0.8368794326241136, 500.0, 11, "af5e4a560c39b33c"),
+    "faults0.2:S12CP:CrowdRL:seed35": (0.8632478632478633, 0.888888888888889, 496.0, 11, "b50e06b4c3aa7630"),
 }
 
 
 def _parse(key: str):
-    """``fig4:<dataset>:<framework>:seed<n>`` / ``fig8:<framework>:seed<n>``."""
+    """``fig4:<dataset>:<framework>:seed<n>`` / ``fig8:<framework>:seed<n>``
+    at scale 0.02, or ``faults<rate>:<dataset>:<framework>:seed<n>`` at
+    scale 0.05 under ``ExperimentSpec(faults=<rate>)``.
+
+    Returns ``(dataset, framework, seed, pretrain, scale, spec)``.
+    """
     parts = key.split(":")
-    if parts[0] == "fig4":
-        _, dataset, framework, seed = parts
-    else:
+    scale, spec = 0.02, None
+    if parts[0] == "fig8":
         _, framework, seed = parts
         dataset = "S12CP"
+    else:
+        head, dataset, framework, seed = parts
+        if head.startswith("faults"):
+            scale = 0.05
+            spec = ExperimentSpec(faults=float(head.removeprefix("faults")))
     pretrain = framework.endswith("-pretrained")
     framework = framework.replace("-pretrained", "")
-    return dataset, framework, int(seed.removeprefix("seed")), pretrain
+    return dataset, framework, int(seed.removeprefix("seed")), pretrain, scale, spec
 
 
 def _labels_digest(labels) -> str:
@@ -83,11 +104,12 @@ def _labels_digest(labels) -> str:
 
 @pytest.mark.parametrize("key", sorted(SEED_REFERENCES))
 def test_seed_outputs_are_bit_identical(key):
-    dataset, framework, seed, pretrain = _parse(key)
+    dataset, framework, seed, pretrain, scale, spec = _parse(key)
     clear_pretrained_policies()
     result = run_experiment(
         framework,
-        ExperimentSetting(dataset, scale=0.02, seed=seed),
+        ExperimentSetting(dataset, scale=scale, seed=seed),
+        spec,
         pretrain=pretrain,
     )
     accuracy, f1, spent, iterations, digest = SEED_REFERENCES[key]
