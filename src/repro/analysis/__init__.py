@@ -3,10 +3,11 @@
 Two halves, both reachable through ``python -m repro.analysis``:
 
 * :mod:`repro.analysis.flow` — the static analyzer: one pass of
-  stdlib-``ast`` rules (REPRO001..REPRO024) over a parsed project,
-  guarding the invariants the Python type system cannot see: seeded
-  randomness, validated inputs, no mutation of shared run state,
-  deterministic ordering, and parallel- and serve-safety.
+  stdlib-``ast`` rules over a parsed project, guarding what the tier-1
+  tests cannot see: validated public inputs, swallowed exceptions,
+  public docstrings, unsorted enumeration, wall-clock reads,
+  order-dependent reductions and blocking calls on the serving event
+  loop (REPRO003, 004, 006, 011, 012, 017, 020).
 * :mod:`repro.analysis.contracts` — toggleable runtime decorators
   (``@shaped``, ``@row_stochastic``, ``@prob_simplex``) asserting the
   paper's array invariants (Eqs. 7-8 row-stochasticity, the ``|O| x |W|``

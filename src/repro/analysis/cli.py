@@ -4,18 +4,20 @@ Subcommands::
 
     python -m repro.analysis flow src/repro      # every REPRO rule
     python -m repro.analysis flow src/repro --fail-on-new --stats
-    python -m repro.analysis flow src/repro --select REPRO001-REPRO006
+    python -m repro.analysis flow src/repro --select REPRO011-REPRO017
     python -m repro.analysis flow src/repro --format json
     python -m repro.analysis flow src/repro --write-baseline
     python -m repro.analysis contracts-report --format json
 
-``flow`` runs the one analyzer: REPRO001-024 over one parse of the
-given paths, plus REPRO000 for any file that does not parse.  It prints
+``flow`` runs the one analyzer: the REPRO rules of
+:data:`repro.analysis.flow.FLOW_RULES` over one parse of the given
+paths, plus REPRO000 for any file that does not parse.  It prints
 ``path:line:col: RULE [severity] message`` lines (or a JSON document)
 and exits 1 when new findings survive suppression, so it slots directly
 into CI.  ``--select`` accepts single ids and inclusive ranges like
-``REPRO019-REPRO024``, and ``--stats`` appends a per-rule hit count over
-the selected rules, zeros included, for CI job logs.  Findings recorded
+``REPRO011-REPRO017`` (a range covers the rules within its bounds),
+and ``--stats`` appends a per-rule hit count over the selected rules,
+zeros included, for CI job logs.  Findings recorded
 in a ``.repro-flow-baseline.json`` (auto-discovered by walking up from
 the analyzed path, like ``.gitignore``) are reported but do not fail
 the run; ``--fail-on-new`` additionally *requires* a baseline so CI
@@ -66,12 +68,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    flow = sub.add_parser("flow", help="run the REPRO rules (REPRO001-024)")
+    flow = sub.add_parser("flow", help="run the REPRO rules")
     flow.add_argument("paths", nargs="+", help="files or directories to analyze")
     flow.add_argument("--format", choices=("text", "json"), default="text")
     flow.add_argument("--select", default=None,
                       help="comma-separated rule ids or inclusive ranges "
-                           "like REPRO013-REPRO018 (default: all rules)")
+                           "like REPRO011-REPRO017 (default: all rules)")
     flow.add_argument(
         "--baseline", default=None, metavar="PATH",
         help=f"baseline file (default: the nearest {BASELINE_FILENAME} "

@@ -315,7 +315,26 @@ def _check_stochastic(value, kind: str, min_ndim: int, atol: float,
 #: Eq. 7-8 invariant: every row of a confusion matrix (or a stack of
 #: confusion matrices) is a probability distribution over answers.
 row_stochastic = _stochastic_decorator("row_stochastic", min_ndim=2)
+row_stochastic.__doc__ = """Assert that an argument (or the result) is row-stochastic.
+
+The Eq. 7-8 invariant: every row of a confusion matrix, or of each
+matrix in a stack, is a probability distribution over answers.  Applied
+bare (``@row_stochastic``) it checks the first array-like parameter;
+``@row_stochastic("name")`` names the parameter and
+``@row_stochastic(result=True)`` checks the return value instead.  The
+input must be at least 2-D, non-negative, with rows summing to 1 within
+``atol``; a violation raises :class:`ContractViolation`.  ``enabled``
+overrides ``REPRO_CONTRACTS`` for this one decoration.
+"""
 
 #: A probability vector — or, for >=2-D input, a stack of vectors whose
 #: last axis lies on the simplex (e.g. per-object posteriors).
 prob_simplex = _stochastic_decorator("prob_simplex", min_ndim=1)
+prob_simplex.__doc__ = """Assert that an argument (or the result) lies on the simplex.
+
+A probability vector, or for input of 2 or more dimensions a stack of
+vectors whose last axis is a distribution (per-object posteriors, for
+instance): non-negative entries summing to 1 within ``atol``.  The
+calling forms and ``enabled`` are those of :func:`row_stochastic`; a
+violation raises :class:`ContractViolation`.
+"""

@@ -1,8 +1,8 @@
-"""Determinism hazard rules: REPRO011, REPRO012.
+"""Determinism hazard rules: REPRO011, REPRO012, REPRO017.
 
-Bit-identical checkpoint/resume (PR 2) and metrics-on == metrics-off
-(PR 3) only hold if no data-bearing path depends on filesystem
-enumeration order, set iteration order, or the wall clock:
+Bit-identical checkpoint/resume, metrics-on == metrics-off and sharded
+== serial sweeps only hold if no data-bearing path depends on filesystem
+enumeration order, set iteration or merge order, or the wall clock:
 
 * **REPRO011 — unordered enumeration feeding computation.**
   ``os.listdir`` / ``os.scandir`` / ``glob.glob`` / ``Path.glob`` /
@@ -21,14 +21,21 @@ enumeration order, set iteration order, or the wall clock:
   The key must match the resolved clock name — an annotation for
   ``time.monotonic`` never silences a ``time.time`` read that creeps
   onto the same line — and the annotation holds for the next code line
-  when its comment block sits directly above the read (mirroring the
-  ``# repro: process-local`` convention of REPRO013).
+  when its comment block sits directly above the read (the same keyed
+  convention as REPRO020's ``blocking[...]`` annotations).
+* **REPRO017 — order-dependent reductions over unordered containers.**
+  Float addition is not associative: accumulating over a set (hash
+  order) or over a dict assembled by ``.update`` merges (merge order)
+  yields results that depend on iteration or merge order — the sharded
+  sweep engine's per-shard values are merged exactly this way.
+  ``sorted(...)`` at the use site or ``math.fsum`` (exact,
+  order-independent) are the recognised fixes.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, List, Optional, Set
 
 from repro.analysis.lint.engine import Finding
 from repro.analysis.flow.project import (
@@ -36,6 +43,7 @@ from repro.analysis.flow.project import (
     Project,
     call_keyword,
     exempted_key,
+    iter_scope_nodes,
     keyed_exemptions,
 )
 
@@ -226,9 +234,121 @@ def _check_wall_clock(module: ModuleInfo) -> Iterator[Finding]:
             )
 
 
+def _is_set_expr(module: ModuleInfo, node: ast.expr,
+                 set_locals: Set[str]) -> bool:
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Name):
+        return node.id in set_locals
+    if isinstance(node, ast.Call):
+        if isinstance(node.func, ast.Name) \
+                and node.func.id in ("set", "frozenset"):
+            return True
+        if isinstance(node.func, ast.Attribute) and node.func.attr in (
+            "union", "intersection", "difference", "symmetric_difference",
+        ):
+            return _is_set_expr(module, node.func.value, set_locals)
+    return False
+
+
+def _merged_dict_locals(module: ModuleInfo, scope: ast.AST) -> Set[str]:
+    """Names of dicts assembled by ``.update(...)`` / ``|=`` merges.
+
+    These are the shard-merge accumulators whose insertion order depends
+    on merge order; iterating them into a float reduction is the
+    REPRO017 hazard even though a single-process dict is
+    insertion-ordered.
+    """
+    merged: Set[str] = set()
+    for node in iter_scope_nodes(scope):
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "update"
+                and isinstance(node.func.value, ast.Name)):
+            merged.add(node.func.value.id)
+        elif (isinstance(node, ast.AugAssign)
+                and isinstance(node.op, ast.BitOr)
+                and isinstance(node.target, ast.Name)):
+            merged.add(node.target.id)
+    return merged
+
+
+def _unordered_iter_label(module: ModuleInfo, node: ast.expr,
+                          set_locals: Set[str],
+                          merged: Set[str]) -> Optional[str]:
+    if _is_set_expr(module, node, set_locals):
+        return "a set"
+    if (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("values", "items", "keys")
+            and not node.args
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in merged):
+        return f"merge-built dict '{node.func.value.id}'"
+    return None
+
+
+def _check_reductions(project: Project,
+                      module: ModuleInfo) -> Iterator[Finding]:
+    for record in project.functions_in(module):
+        scope = record.node
+        set_locals = {
+            node.targets[0].id
+            for node in iter_scope_nodes(scope)
+            if isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and _is_set_expr(module, node.value, set())
+        }
+        merged = _merged_dict_locals(module, scope)
+
+        for node in iter_scope_nodes(scope):
+            if isinstance(node, (ast.For, ast.AsyncFor)):
+                label = _unordered_iter_label(
+                    module, node.iter, set_locals, merged)
+                if label is None:
+                    continue
+                for child in node.body:
+                    accumulations = [
+                        inner for inner in ast.walk(child)
+                        if isinstance(inner, ast.AugAssign)
+                        and isinstance(inner.op, (ast.Add, ast.Sub, ast.Mult))
+                    ]
+                    if accumulations:
+                        yield module.finding(
+                            "REPRO017", accumulations[0],
+                            f"accumulating while iterating {label}: float "
+                            f"addition is not associative, so the result "
+                            f"depends on iteration/merge order — iterate "
+                            f"sorted(...) or use math.fsum",
+                        )
+                        break
+            elif isinstance(node, ast.Call) and isinstance(
+                node.func, ast.Name
+            ) and node.func.id == "sum" and node.args:
+                argument = node.args[0]
+                iters: List[ast.expr] = []
+                if isinstance(argument,
+                              (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
+                    iters = [gen.iter for gen in argument.generators]
+                else:
+                    iters = [argument]
+                for it in iters:
+                    label = _unordered_iter_label(
+                        module, it, set_locals, merged)
+                    if label is not None:
+                        yield module.finding(
+                            "REPRO017", node,
+                            f"sum() over {label} depends on iteration/"
+                            f"merge order; use math.fsum (exact and "
+                            f"order-independent) or sum over sorted(...)",
+                        )
+                        break
+
+
 def check_determinism(project: Project) -> Iterator[Finding]:
-    """Run the enumeration-order and wall-clock rules over the project."""
+    """Run the enumeration-order, wall-clock and reduction rules."""
     for module in project.modules:
         yield from _check_fs_order(module)
         yield from _check_set_iteration(module)
         yield from _check_wall_clock(module)
+        yield from _check_reductions(project, module)

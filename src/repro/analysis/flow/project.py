@@ -1,11 +1,10 @@
 """Whole-project model for the REPRO analyzer.
 
-Each file is parsed once.  The per-module rules (REPRO001-006) read one
-:class:`ModuleInfo` at a time; the flow engines follow values *across*
-modules — a ``default_factory`` in ``crowd/`` resolving to a helper in
-``utils/``, a ``@shaped`` declaration in ``rl/`` constraining a call
-site in ``core/``.  This module builds that shared substrate once per
-run:
+Each file is parsed once.  The per-module rules (REPRO004, REPRO006) and
+the determinism rules read one :class:`ModuleInfo` at a time; the
+blocking-call rule (REPRO020) follows calls *across* modules, from the
+serving layer into whatever it reaches.  This module builds that shared
+substrate once per run:
 
 * :class:`ModuleInfo` — one parsed module with its dotted name, import
   alias table, per-line suppression map and the :meth:`ModuleInfo.finding`
@@ -15,22 +14,10 @@ run:
   by qualified and by short name so attribute calls (``agent.q_matrix``)
   resolve to their unique project definition when the short name is
   unambiguous;
-* :class:`Project` — the loaded module set plus name-resolution helpers
-  (:meth:`Project.resolve`, :meth:`Project.lookup_function`) and parent
-  links (:meth:`ModuleInfo.parent`) for context-sensitive checks;
-* :class:`GlobalRecord` and :attr:`Project.module_globals` — every
-  module-scope binding, so the parallel-safety rules can see shared
-  state a worker process would fork-inherit;
-* the scope machinery (:func:`iter_scope_nodes`, :func:`bound_names`,
-  :func:`free_loads`, :func:`enclosing_scopes`) — a closure-capture
-  view of nested lambdas/defs that both the REPRO009 shared-stream rule
-  and the process-boundary rules (REPRO014/015) walk;
-* :class:`ClassRecord` and :attr:`Project.classes_by_short` — class
-  definitions indexed by short name, so the serve-safety rules can
-  recognise project-defined future types (``PendingAnswer``) at their
-  construction sites;
-* generator-frame support (:attr:`FunctionRecord.is_generator`) and the
-  keyed-exemption machinery (:func:`keyed_exemptions`,
+* :class:`Project` — the loaded module set plus call resolution
+  (:meth:`Project.lookup_function`) and the call-graph closure
+  (:meth:`Project.reachable`);
+* the keyed-exemption machinery (:func:`keyed_exemptions`,
   :func:`exempted_key`) shared by the REPRO012 wall-clock and REPRO020
   blocking-call annotations.
 
@@ -48,12 +35,6 @@ from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.lint.engine import Finding, iter_python_files, suppressed_rules
-
-#: Annotation that declares a module-global as deliberate per-process
-#: state (REPRO013); place it on the global's defining line together
-#: with a justification, e.g. ``_CACHE: dict = {}  # repro: process-local
-#: — rebuilt identically by every worker import``.
-_PROCESS_LOCAL_RE = re.compile(r"#\s*repro:\s*process-local", re.IGNORECASE)
 
 #: Scope-introducing AST nodes (comprehensions stay transparent: their
 #: bodies run under the enclosing scope's control flow).
@@ -109,14 +90,6 @@ class FunctionRecord:
     def short_name(self) -> str:
         return self.qualname.rsplit(".", 1)[-1]
 
-    def parameters(self) -> List[str]:
-        """Positional parameter names, ``self``/``cls`` stripped for methods."""
-        args = self.node.args
-        names = [a.arg for a in args.posonlyargs + args.args]
-        if self.is_method and names and names[0] in ("self", "cls"):
-            names = names[1:]
-        return names
-
     def full_name(self) -> str:
         return f"{self.module.name}.{self.qualname}"
 
@@ -133,123 +106,6 @@ class FunctionRecord:
             for node in iter_scope_nodes(self.node)
         )
 
-    def attribute_writes(self) -> List[Tuple[str, str, ast.AST]]:
-        """``(base_name, attribute, node)`` for every ``name.attr = ...``.
-
-        Only writes in this function's own scope (nested defs track their
-        own), with the base resolved through subscripts so
-        ``grid[i].total = v`` reports base ``grid``.
-        """
-        writes: List[Tuple[str, str, ast.AST]] = []
-        for node in iter_scope_nodes(self.node):
-            targets: List[ast.expr] = []
-            if isinstance(node, ast.Assign):
-                targets = list(node.targets)
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                targets = [node.target]
-            for target in targets:
-                if isinstance(target, ast.Attribute):
-                    base = target.value
-                    while isinstance(base, ast.Subscript):
-                        base = base.value
-                    if isinstance(base, ast.Name):
-                        writes.append((base.id, target.attr, node))
-        return writes
-
-
-@dataclass
-class ClassRecord:
-    """One class definition somewhere in the project."""
-
-    module: "ModuleInfo"
-    node: ast.ClassDef
-    qualname: str
-
-    @property
-    def short_name(self) -> str:
-        return self.qualname.rsplit(".", 1)[-1]
-
-    def full_name(self) -> str:
-        return f"{self.module.name}.{self.qualname}"
-
-    def methods(self) -> List["FunctionRecord"]:
-        """The class's method records, in definition order."""
-        return [
-            record
-            for record in _collect_functions(self.module)
-            if record.class_name == self.short_name
-            and record.qualname.startswith(f"{self.qualname}.")
-        ]
-
-
-@dataclass
-class GlobalRecord:
-    """One module-scope binding (the state a forked worker inherits)."""
-
-    module: "ModuleInfo"
-    name: str
-    node: ast.stmt
-    mutable_literal: bool  #: initialiser is a known mutable container
-
-    def key(self) -> str:
-        return f"{self.module.name}.{self.name}"
-
-    @property
-    def process_local(self) -> bool:
-        """Whether the defining line carries ``# repro: process-local``."""
-        return self.node.lineno in self.module.process_local_lines
-
-
-#: Call targets whose result is a mutable container.
-_MUTABLE_CONSTRUCTORS = {
-    "dict", "list", "set", "bytearray", "collections.defaultdict",
-    "collections.OrderedDict", "collections.Counter", "collections.deque",
-    "numpy.zeros", "numpy.ones", "numpy.empty", "numpy.full", "numpy.array",
-}
-
-
-def _is_mutable_literal(module: "ModuleInfo", value: ast.expr) -> bool:
-    if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp,
-                          ast.ListComp, ast.SetComp)):
-        return True
-    if isinstance(value, ast.Call):
-        return module.resolve(value.func) in _MUTABLE_CONSTRUCTORS
-    return False
-
-
-def _collect_globals(module: "ModuleInfo") -> Iterator[GlobalRecord]:
-    """Module-scope name bindings, including ones under top-level if/try."""
-
-    def walk(statements: Iterable[ast.stmt]) -> Iterator[GlobalRecord]:
-        for statement in statements:
-            if isinstance(statement, ast.Assign):
-                for target in statement.targets:
-                    if isinstance(target, ast.Name):
-                        yield GlobalRecord(
-                            module=module, name=target.id, node=statement,
-                            mutable_literal=_is_mutable_literal(
-                                module, statement.value),
-                        )
-            elif (isinstance(statement, ast.AnnAssign)
-                    and isinstance(statement.target, ast.Name)
-                    and statement.value is not None):
-                yield GlobalRecord(
-                    module=module, name=statement.target.id, node=statement,
-                    mutable_literal=_is_mutable_literal(
-                        module, statement.value),
-                )
-            elif isinstance(statement, ast.If):
-                yield from walk(statement.body)
-                yield from walk(statement.orelse)
-            elif isinstance(statement, ast.Try):
-                yield from walk(statement.body)
-                yield from walk(statement.orelse)
-                yield from walk(statement.finalbody)
-                for handler in statement.handlers:
-                    yield from walk(handler.body)
-
-    return walk(module.tree.body)
-
 
 @dataclass
 class ModuleInfo:
@@ -261,7 +117,6 @@ class ModuleInfo:
     source: str
     aliases: Dict[str, str] = field(default_factory=dict)
     suppressions: dict = field(default_factory=dict)
-    process_local_lines: Set[int] = field(default_factory=set)
     _parents: Dict[int, ast.AST] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -269,12 +124,6 @@ class ModuleInfo:
             self.aliases = _import_aliases(self.tree)
         if not self.suppressions:
             self.suppressions = suppressed_rules(self.source.splitlines())
-        if not self.process_local_lines:
-            self.process_local_lines = {
-                lineno
-                for lineno, text in enumerate(self.source.splitlines(), 1)
-                if _PROCESS_LOCAL_RE.search(text)
-            }
         for parent in ast.walk(self.tree):
             for child in ast.iter_child_nodes(parent):
                 self._parents[id(child)] = parent
@@ -289,13 +138,6 @@ class ModuleInfo:
         while current is not None:
             yield current
             current = self.parent(current)
-
-    def enclosing_statement(self, node: ast.AST) -> Optional[ast.stmt]:
-        """The innermost statement containing ``node`` (None at the root)."""
-        for ancestor in self.ancestors(node):
-            if isinstance(ancestor, ast.stmt):
-                return ancestor
-        return None
 
     def finding(self, rule_id: str, node: ast.AST, message: str,
                 severity: str = "error") -> Finding:
@@ -331,9 +173,6 @@ class ModuleInfo:
         return any(name in parts for name in names)
 
 
-# ----------------------------------------------------------------------
-# Scope walking (the closure-capture substrate)
-# ----------------------------------------------------------------------
 def iter_scope_nodes(scope: ast.AST) -> Iterator[ast.AST]:
     """Every node in ``scope``'s own execution scope, nested scopes excluded.
 
@@ -350,90 +189,32 @@ def iter_scope_nodes(scope: ast.AST) -> Iterator[ast.AST]:
             stack.extend(ast.iter_child_nodes(node))
 
 
-def bound_names(scope: ast.AST) -> Set[str]:
-    """Names bound directly in ``scope``: parameters, stores, imports.
-
-    Names declared ``global``/``nonlocal`` are *not* local bindings and
-    are excluded, so an assignment under a ``global`` declaration still
-    reads as a module-global write.
-    """
-    bound: Set[str] = set()
-    escaped: Set[str] = set()
-    args = getattr(scope, "args", None)
-    if args is not None:
-        for arg in args.posonlyargs + args.args + args.kwonlyargs:
-            bound.add(arg.arg)
-        for arg in (args.vararg, args.kwarg):
-            if arg is not None:
-                bound.add(arg.arg)
-    for node in iter_scope_nodes(scope):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-            bound.add(node.id)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                               ast.ClassDef)):
-            bound.add(node.name)
-        elif isinstance(node, (ast.Global, ast.Nonlocal)):
-            escaped.update(node.names)
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                bound.add(alias.asname or alias.name.split(".")[0])
-        elif isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                bound.add(alias.asname or alias.name)
-    return bound - escaped
-
-
-def free_loads(scope: ast.AST) -> Set[str]:
-    """Names ``scope`` reads but does not bind itself — its captures.
-
-    The walk descends into nested scopes (a doubly nested lambda still
-    captures the outermost variable), so this over-approximates: a name
-    a nested scope re-binds locally still counts as free here.  Rules
-    using this stay conservative by only *intersecting* the result with
-    names they already track in the enclosing scope.
-    """
-    loads: Set[str] = set()
-    for node in ast.walk(scope):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            loads.add(node.id)
-    return loads - bound_names(scope)
-
-
-def enclosing_scopes(module: ModuleInfo, node: ast.AST) -> List[ast.AST]:
-    """Function/lambda ancestors of ``node``, innermost first."""
-    return [ancestor for ancestor in module.ancestors(node)
-            if isinstance(ancestor, SCOPE_NODES)]
+#: ``id(record) -> (record, entry qualname)``: a call-graph traversal
+#: remembers which entry point first reached each function.
+Reach = Dict[int, Tuple[FunctionRecord, str]]
 
 
 class Project:
-    """The parsed module set with cross-module name resolution."""
+    """The parsed module set with cross-module call resolution."""
 
     def __init__(self, modules: Sequence[ModuleInfo],
                  syntax_errors: Sequence[Finding] = ()) -> None:
         self.modules = list(modules)
         #: one REPRO000 finding per file that does not parse
         self.syntax_errors = list(syntax_errors)
-        self.by_name: Dict[str, ModuleInfo] = {m.name: m for m in modules}
+        #: every function definition, in module then source order
+        self.functions: List[FunctionRecord] = []
         #: short function name -> every project definition with that name
         self.functions_by_short: Dict[str, List[FunctionRecord]] = {}
         #: fully qualified name -> definition
         self.functions_by_full: Dict[str, FunctionRecord] = {}
-        #: ``module.NAME`` -> module-scope binding record
-        self.module_globals: Dict[str, GlobalRecord] = {}
-        #: short class name -> every project definition with that name
-        self.classes_by_short: Dict[str, List[ClassRecord]] = {}
         for module in self.modules:
             for record in _collect_functions(module):
+                self.functions.append(record)
                 self.functions_by_short.setdefault(
                     record.short_name, []
                 ).append(record)
                 self.functions_by_full[record.full_name()] = record
-            for class_record in _collect_classes(module):
-                self.classes_by_short.setdefault(
-                    class_record.short_name, []
-                ).append(class_record)
-            for global_record in _collect_globals(module):
-                self.module_globals[global_record.key()] = global_record
 
     @classmethod
     def load(cls, paths: Iterable[str]) -> "Project":
@@ -472,9 +253,10 @@ class Project:
             )
         return cls(modules, syntax_errors)
 
-    # ------------------------------------------------------------------
-    # Resolution
-    # ------------------------------------------------------------------
+    def functions_in(self, module: ModuleInfo) -> Iterator[FunctionRecord]:
+        """Every function record defined in ``module``."""
+        return (record for record in self.functions if record.module is module)
+
     def lookup_function(self, module: ModuleInfo,
                         callee: ast.expr) -> Optional[FunctionRecord]:
         """Resolve a call target expression to a project definition.
@@ -508,42 +290,20 @@ class Project:
                 return methods[0]
         return None
 
-    def resolve_global(self, module: ModuleInfo,
-                       name: str) -> Optional[GlobalRecord]:
-        """The module-scope binding a bare name refers to, if any.
-
-        A name imported via ``from m import NAME`` resolves to ``m``'s
-        record; an unimported name resolves within ``module`` itself.
-        """
-        target = module.aliases.get(name)
-        if target is not None:
-            return self.module_globals.get(target)
-        return self.module_globals.get(f"{module.name}.{name}")
-
-    def return_expressions(self, record: FunctionRecord) -> List[ast.expr]:
-        """Every non-``None`` returned expression of a function body."""
-        returns: List[ast.expr] = []
-        for node in ast.walk(record.node):
-            if isinstance(node, ast.Return) and node.value is not None:
-                returns.append(node.value)
-        return returns
-
-
-def _collect_classes(module: ModuleInfo) -> Iterable[ClassRecord]:
-    """Yield every class definition in a module, nested ones qualified."""
-
-    def walk(node: ast.AST, prefix: str) -> Iterable[ClassRecord]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                qualname = f"{prefix}{child.name}"
-                yield ClassRecord(module=module, node=child, qualname=qualname)
-                yield from walk(child, f"{qualname}.")
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from walk(child, f"{prefix}{child.name}.<locals>.")
-            else:
-                yield from walk(child, prefix)
-
-    return walk(module.tree, "")
+    def reachable(self, entries: Reach) -> Reach:
+        """Transitive closure of the call graph from ``entries``."""
+        reached = dict(entries)
+        frontier = list(entries.values())
+        while frontier:
+            record, entry = frontier.pop()
+            for node in ast.walk(record.node):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = self.lookup_function(record.module, node.func)
+                if callee is not None and id(callee) not in reached:
+                    reached[id(callee)] = (callee, entry)
+                    frontier.append((callee, entry))
+        return reached
 
 
 def _collect_functions(module: ModuleInfo) -> Iterable[FunctionRecord]:
@@ -617,26 +377,3 @@ def call_keyword(call: ast.Call, name: str) -> Optional[ast.expr]:
         if keyword.arg == name:
             return keyword.value
     return None
-
-
-def bind_arguments(record: FunctionRecord,
-                   call: ast.Call) -> List[Tuple[str, ast.expr]]:
-    """Pair call arguments with the callee's parameter names.
-
-    Starred arguments stop positional binding (conservative); unknown
-    keywords are dropped.
-    """
-    params = record.parameters()
-    bound: List[Tuple[str, ast.expr]] = []
-    for index, arg in enumerate(call.args):
-        if isinstance(arg, ast.Starred) or index >= len(params):
-            break
-        bound.append((params[index], arg))
-    for keyword in call.keywords:
-        if keyword.arg is not None and keyword.arg in params:
-            bound.append((keyword.arg, keyword.value))
-        elif keyword.arg is not None:
-            # dataclass synthetic __init__: fields are not in the AST of
-            # any def, so keyword binding by name is still meaningful.
-            bound.append((keyword.arg, keyword.value))
-    return bound

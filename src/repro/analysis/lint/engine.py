@@ -4,7 +4,7 @@ The :class:`Finding` record every rule yields, ``*.py`` discovery, the
 ``--select`` id/range parser, and per-line suppression comments of the
 form::
 
-    risky_call()  # repro: noqa REPRO001
+    risky_call()  # repro: noqa REPRO012
     another()     # repro: noqa            (suppresses every rule)
 
 The rules themselves run in one pass over a parsed project, see
@@ -64,7 +64,7 @@ class Finding:
         }
 
 
-#: Inclusive rule-id range, e.g. ``REPRO001-REPRO006`` or ``REPRO001-006``.
+#: Inclusive rule-id range, e.g. ``REPRO011-REPRO017`` or ``REPRO011-017``.
 _SELECT_RANGE_RE = re.compile(r"^(REPRO)(\d+)-(?:REPRO)?(\d+)$", re.IGNORECASE)
 
 
@@ -72,29 +72,31 @@ def expand_rule_ranges(select: Iterable[str],
                        known: Iterable[str]) -> List[str]:
     """Expand ``--select`` tokens (ids and inclusive ranges) against ``known``.
 
-    A token is either a single id (``REPRO005``) or an inclusive range
-    (``REPRO001-REPRO006``, short form ``REPRO001-006``); every expanded
-    id must exist in ``known`` or the whole selection is rejected.
+    A token is either a single id (``REPRO004``), which must exist in
+    ``known``, or an inclusive range (``REPRO001-REPRO006``, short form
+    ``REPRO001-006``), which expands to the known ids within its bounds
+    and must contain at least one.  Ids are not renumbered when a rule
+    retires, so a range may span retired ids; a retired id named on its
+    own is unknown.
     """
-    known = set(known)
+    known = sorted(set(known))
     chosen: List[str] = []
     for token in select:
         token = token.strip().upper()
         match = _SELECT_RANGE_RE.match(token)
-        if match is not None:
+        if match is None:
+            expanded = [token] if token in known else []
+        else:
             lo, hi = int(match.group(2)), int(match.group(3))
             if hi < lo:
                 raise ConfigurationError(f"empty flow rule range {token!r}")
-            expanded = [f"REPRO{i:03d}" for i in range(lo, hi + 1)]
-        else:
-            expanded = [token]
-        for rule_id in expanded:
-            if rule_id not in known:
-                raise ConfigurationError(
-                    f"unknown flow rule {rule_id!r}; known: "
-                    f"{', '.join(sorted(known))}"
-                )
-            chosen.append(rule_id)
+            expanded = [rule_id for rule_id in known
+                        if lo <= int(rule_id[len("REPRO"):]) <= hi]
+        if not expanded:
+            raise ConfigurationError(
+                f"unknown flow rule {token!r}; known: {', '.join(known)}"
+            )
+        chosen.extend(expanded)
     return chosen
 
 

@@ -13,8 +13,8 @@ def iter_functions(tree: ast.Module) -> Iterator[Tuple[FunctionNode, Optional[as
     """Yield every function in a module with its enclosing class (if any).
 
     Nested functions are yielded too (with the class of their outermost
-    enclosing method); rules that only care about top-level definitions can
-    filter on :func:`is_nested`.
+    enclosing method); rules that only care about top-level definitions
+    skip them themselves.
     """
     def walk(node: ast.AST, cls: Optional[ast.ClassDef]) -> Iterator[
             Tuple[FunctionNode, Optional[ast.ClassDef]]]:
@@ -50,18 +50,6 @@ def decorator_name(node: ast.expr) -> str:
     if isinstance(node, ast.Name):
         return node.id
     return ""
-
-
-def root_name(node: ast.expr) -> Optional[str]:
-    """The base ``Name`` of an attribute/subscript chain, or ``None``.
-
-    ``answers[i].x`` and ``state.history`` both root at their left-most name.
-    """
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        node = node.value
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
 
 
 def is_public(name: str) -> bool:

@@ -184,7 +184,3 @@ class Environment:
         if self.classifier is None:
             return None
         return self.classifier.predict_proba(self.features)
-
-    def current_labels(self) -> dict[int, int]:
-        """All labels so far; human-inferred truths override enrichment."""
-        return {**self.enriched, **self.truths}

@@ -486,7 +486,7 @@ def comparison_shard(payload: dict, ctx: "ShardContext") -> dict:
     """One (setting, seed) shard of a framework comparison.
 
     The shard task behind :func:`run_comparison` and the figure sweeps:
-    module-level so spawn workers pickle it by reference (REPRO015), with
+    module-level so spawn workers pickle it by reference, with
     a JSON-safe payload (``{"framework_names": [...], "setting": {...}}``)
     and a JSON-safe return value, so journalled results survive a
     round-trip through ``result.json`` bit-identically (JSON serialises

@@ -3,8 +3,7 @@
 :class:`ShardedRunner` fans a sweep's shards — one JSON-safe payload per
 (seed, setting) point — out over ``multiprocessing`` *spawn* workers and
 merges the per-shard results back **in shard-index order**, so the merged
-output never depends on scheduling.  The engine's contract is the one
-REPRO013-018 was built to guard:
+output never depends on scheduling.  The engine's contract:
 
 * **Per-shard determinism.**  A shard's result is a function of its
   payload and its shard index only.  Each shard's RNG stream is the
@@ -33,7 +32,7 @@ REPRO013-018 was built to guard:
   to the same bytes as a sweep that was never interrupted.
 
 Task functions must be module-level callables (spawn pickles them by
-reference; REPRO015 flags anything else) with the signature
+reference) with the signature
 ``task(payload, ctx) -> value`` where ``payload`` is JSON-safe, ``ctx``
 is a :class:`ShardContext` and ``value`` is JSON-safe when journalling.
 A task exception is *not* retried — identical inputs would fail

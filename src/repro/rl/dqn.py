@@ -60,7 +60,7 @@ class DQNAgent:
 
     def __init__(self, config: DQNConfig, rng: SeedLike = None) -> None:
         # Child streams per component: sharing one generator would couple
-        # weight initialisation to replay sampling (REPRO009).
+        # weight initialisation to replay sampling.
         qnet_rng, buffer_rng = spawn_rngs(rng, 2)
         self.config = config
         self.qnet = QNetwork(

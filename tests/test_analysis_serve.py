@@ -1,9 +1,9 @@
-"""Tests for the serve-safety analyzer (REPRO019-024).
+"""Tests for the serving event-loop rule (REPRO020) and ``--stats``.
 
-Covers the six rules' hit/silent fixture pairs, the clean-tree
-acceptance run over ``src/repro``, baseline round-tripping with line
-shifts, ``noqa`` and keyed ``blocking[...]`` exemption suppression, the
-``--select`` range parser, and the ``--stats`` summary mode.
+Covers the rule's hit/silent fixture pair, the clean-tree acceptance run
+over ``src/repro``, baseline round-tripping with line shifts, ``noqa``
+and keyed ``blocking[...]`` exemption suppression, the ``--select``
+range parser, and the ``--stats`` summary mode.
 """
 
 import json
@@ -33,19 +33,14 @@ def rule_ids(findings):
 @pytest.mark.parametrize(
     "fixture, rule_id, n_hits",
     [
-        ("serve_future_leak.py", "REPRO019", 2),
         ("serve_blocking.py", "REPRO020", 2),
-        ("serve_tenant_state.py", "REPRO021", 1),
-        ("serve_scheduling.py", "REPRO022", 3),
-        ("serve_generator.py", "REPRO023", 3),
-        ("serve_delivery_alias.py", "REPRO024", 2),
     ],
 )
 def test_rule_fires_only_on_hits(fixture, rule_id, n_hits):
-    """Every serve rule reports its hits and nothing from clean code.
+    """The serve rule reports its hits and nothing from clean code.
 
     The analysis runs with *all* flow rules enabled, so this also pins
-    that no serve fixture trips an unrelated rule (and vice versa).
+    that the serve fixture trips no unrelated rule.
     """
     findings = analyze_paths([str(FIXTURES / fixture)])
     assert rule_ids(findings) == [rule_id] * n_hits
@@ -60,7 +55,7 @@ def test_rule_fires_only_on_hits(fixture, rule_id, n_hits):
 # The shipped tree: the ISSUE acceptance command
 # ----------------------------------------------------------------------
 def test_shipped_tree_is_serve_clean(shipped_tree_flow):
-    """Zero unbaselined REPRO019-024 findings against the empty baseline."""
+    """Zero unbaselined REPRO020 findings against the empty baseline."""
     _, payload = shipped_tree_flow
     assert payload["baseline"] is not None
     assert new_findings_in(payload, 19, 24) == []
@@ -75,47 +70,30 @@ def test_shipped_baseline_is_empty():
 # ----------------------------------------------------------------------
 # Suppression: noqa and the keyed blocking exemption
 # ----------------------------------------------------------------------
-_LEAKY_OWNER = (
-    '"""Doc."""\n\n\n'
-    "def episode(dataset):\n"
-    '    """Doc."""\n'
-    "    records = yield dataset\n"
-    "    return records\n\n\n"
-    "class Owner:\n"
-    '    """Doc."""\n\n'
-    "    def start(self, dataset):\n"
-    '        """Doc."""\n'
-    "        self._episode = episode(dataset){annotation}\n"
-)
-
 _SLEEPY_LOOP = (
     '"""Doc."""\n\n'
     "import time\n\n\n"
     "def pause(delay):\n"
     '    """Doc."""\n'
     "{annotation}"
-    "    time.sleep(delay)\n"
+    "    time.sleep(delay){suffix}\n"
 )
 
 
-def test_unclosed_generator_fires(tmp_path):
-    module = tmp_path / "serve_owner.py"
-    module.write_text(_LEAKY_OWNER.format(annotation=""))
-    findings = analyze_paths([str(module)], select=["REPRO023"])
-    assert rule_ids(findings) == ["REPRO023"]
-    assert findings[0].line == 15  # anchored at the parking assignment
+def sleepy_loop(annotation="", suffix=""):
+    """The one-function serve module, optionally annotated."""
+    return _SLEEPY_LOOP.format(annotation=annotation, suffix=suffix)
 
 
-def test_noqa_suppresses_repro023(tmp_path):
-    module = tmp_path / "serve_owner.py"
-    module.write_text(_LEAKY_OWNER.format(
-        annotation="  # repro: noqa REPRO023"))
-    assert analyze_paths([str(module)], select=["REPRO023"]) == []
+def test_noqa_suppresses_repro020(tmp_path):
+    module = tmp_path / "serve_pause.py"
+    module.write_text(sleepy_loop(suffix="  # repro: noqa REPRO020"))
+    assert analyze_paths([str(module)], select=["REPRO020"]) == []
 
 
 def test_unannotated_sleep_fires(tmp_path):
     module = tmp_path / "serve_pause.py"
-    module.write_text(_SLEEPY_LOOP.format(annotation=""))
+    module.write_text(sleepy_loop())
     findings = analyze_paths([str(module)], select=["REPRO020"])
     assert rule_ids(findings) == ["REPRO020"]
     assert "time.sleep" in findings[0].message
@@ -123,7 +101,7 @@ def test_unannotated_sleep_fires(tmp_path):
 
 def test_keyed_blocking_annotation_waives_repro020(tmp_path):
     module = tmp_path / "serve_pause.py"
-    module.write_text(_SLEEPY_LOOP.format(
+    module.write_text(sleepy_loop(
         annotation="    # repro: blocking[time.sleep] — demo pacing\n"))
     assert analyze_paths([str(module)], select=["REPRO020"]) == []
 
@@ -131,7 +109,7 @@ def test_keyed_blocking_annotation_waives_repro020(tmp_path):
 def test_mismatched_blocking_key_does_not_waive(tmp_path):
     """An annotation for a different call never excuses this one."""
     module = tmp_path / "serve_pause.py"
-    module.write_text(_SLEEPY_LOOP.format(
+    module.write_text(sleepy_loop(
         annotation="    # repro: blocking[open] — wrong key\n"))
     findings = analyze_paths([str(module)], select=["REPRO020"])
     assert rule_ids(findings) == ["REPRO020"]
@@ -141,9 +119,9 @@ def test_mismatched_blocking_key_does_not_waive(tmp_path):
 # Baseline ratchet over the new rules
 # ----------------------------------------------------------------------
 def test_serve_baseline_round_trip_survives_line_shifts(tmp_path, capsys):
-    """Accepted REPRO023 findings stay waived as the file moves around."""
-    module = tmp_path / "serve_owner.py"
-    module.write_text(_LEAKY_OWNER.format(annotation=""))
+    """Accepted REPRO020 findings stay waived as the file moves around."""
+    module = tmp_path / "serve_pause.py"
+    module.write_text(sleepy_loop())
     baseline = tmp_path / ".repro-flow-baseline.json"
     assert analysis_main(["flow", str(module), "--write-baseline",
                           str(baseline)]) == 0
@@ -152,13 +130,14 @@ def test_serve_baseline_round_trip_survives_line_shifts(tmp_path, capsys):
     assert analysis_main(["flow", str(module), "--fail-on-new"]) == 0
     assert "1 baselined" in capsys.readouterr().out
 
-    # Shift the class down: the line-free key still matches.
+    # Shift the function down: the line-free key still matches.
     module.write_text(
-        '"""Doc."""\n\n\n'
+        '"""Doc."""\n\n'
+        "import time\n\n\n"
         "def helper():\n"
         '    """Doc."""\n'
         "    return 1\n\n\n"
-        + _LEAKY_OWNER.format(annotation="").split("\n", 3)[3]
+        + sleepy_loop().split("\n", 5)[5]
     )
     assert analysis_main(["flow", str(module), "--fail-on-new"]) == 0
     capsys.readouterr()
@@ -166,17 +145,16 @@ def test_serve_baseline_round_trip_survives_line_shifts(tmp_path, capsys):
     # A genuinely new serve hazard still fails the ratchet.
     module.write_text(
         module.read_text()
-        + "\n\ndef starve(dataset, handle):\n"
+        + "\n\ndef load(path):\n"
         '    """Doc."""\n'
-        "    run = episode(dataset)\n"
-        "    for request in run:\n"
-        "        handle(request)\n"
+        "    with open(path) as handle:\n"
+        "        return handle.read()\n"
     )
     assert analysis_main(["flow", str(module), "--fail-on-new",
                           "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["count"] == 1
-    assert "advanced by iteration" in payload["findings"][0]["message"]
+    assert "blocking call 'open'" in payload["findings"][0]["message"]
     assert payload["baselined_count"] == 1
 
 
@@ -191,8 +169,9 @@ def test_expand_rule_ranges_short_form():
 
 
 def test_lint_select_accepts_ranges(shipped_tree_flow):
-    """The per-module rules REPRO001-006 are clean in the shipped tree
-    (``--select`` range parsing is covered by the fixture-based tests)."""
+    """The per-module rules (REPRO003, 004, 006) are clean in the shipped
+    tree (``--select`` range parsing is covered by the fixture-based
+    tests)."""
     _, payload = shipped_tree_flow
     assert new_findings_in(payload, 1, 6) == []
 
@@ -203,15 +182,14 @@ def test_lint_select_range_usage_errors_exit_2(capsys):
                           "--select", "REPRO006-REPRO001"]) == 2
     assert "empty flow rule range" in capsys.readouterr().err
     assert analysis_main(["flow", target,
-                          "--select", "REPRO001-REPRO099"]) == 2
+                          "--select", "REPRO001-REPRO002"]) == 2
     assert "unknown flow rule" in capsys.readouterr().err
 
 
 def test_flow_serve_range_selects_exactly_the_new_rules():
+    """The serve range now holds one surviving rule, REPRO020."""
     findings = analyze_paths([str(FIXTURES)], select=["REPRO019-REPRO024"])
-    assert set(rule_ids(findings)) == {
-        f"REPRO{i:03d}" for i in range(19, 25)
-    }
+    assert set(rule_ids(findings)) == {"REPRO020"}
 
 
 # ----------------------------------------------------------------------
@@ -220,26 +198,27 @@ def test_flow_serve_range_selects_exactly_the_new_rules():
 def test_stats_text_includes_zero_rows(capsys):
     code = analysis_main(["flow", str(FIXTURES / "serve_blocking.py"),
                           "--no-baseline", "--stats",
-                          "--select", "REPRO019-REPRO024"])
+                          "--select", "REPRO011-REPRO024"])
     assert code == 1
     out = capsys.readouterr().out
     assert "REPRO020: 2" in out
-    assert "REPRO019: 0" in out  # zero rows show which rules ran
+    assert "REPRO017: 0" in out  # zero rows show which rules ran
+    assert "REPRO019" not in out  # retired ids have no row
 
 
 def test_stats_json_payload(capsys):
-    code = analysis_main(["flow", str(FIXTURES / "serve_scheduling.py"),
+    code = analysis_main(["flow", str(FIXTURES / "det_clock.py"),
                           "--no-baseline", "--stats", "--format", "json",
-                          "--select", "REPRO019-REPRO024"])
+                          "--select", "REPRO011-REPRO024"])
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["stats"]["REPRO022"] == 3
-    assert payload["stats"]["REPRO021"] == 0
+    assert payload["stats"]["REPRO012"] == 3
+    assert payload["stats"]["REPRO020"] == 0
     assert sorted(payload["stats"]) == [
-        f"REPRO{i:03d}" for i in range(19, 25)
-    ]
+        "REPRO011", "REPRO012", "REPRO017", "REPRO020"]
 
 
 def test_flow_rules_table_lists_serve_rules():
-    """The registry covers REPRO007 through REPRO024."""
-    assert {f"REPRO{i:03d}" for i in range(19, 25)} <= set(FLOW_RULES)
+    """REPRO020 is the one serve rule left; the retired ids stay unused."""
+    serve_ids = {f"REPRO{i:03d}" for i in range(19, 25)}
+    assert serve_ids & set(FLOW_RULES) == {"REPRO020"}

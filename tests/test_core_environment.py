@@ -117,12 +117,6 @@ class TestViews:
         env, _, _ = make_env()
         assert env.classifier_proba() is None
 
-    def test_current_labels_truths_override_enriched(self):
-        env, _, _ = make_env()
-        env.enriched = {0: 1}
-        env.truths = {0: 0}
-        assert env.current_labels()[0] == 0
-
     def test_feature_count_mismatch_raises(self):
         dataset = make_blobs(10, 4, rng=0)
         pool = build_pool()

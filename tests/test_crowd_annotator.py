@@ -1,7 +1,7 @@
 """Determinism regression tests for :class:`repro.crowd.annotator.Annotator`.
 
 The ``_rng`` field used to default to an *unseeded* ``default_rng()``
-factory (flow rule REPRO007), so two identically-constructed annotators
+factory, so two identically-constructed annotators
 produced different answer streams.  These tests pin the fixed contract:
 the default stream derives from ``annotator_id``, and an explicit stream
 (``seeded`` / ``_rng``) still takes precedence.

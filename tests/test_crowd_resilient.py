@@ -204,6 +204,18 @@ class TestQuarantine:
         assert CollectorStats.from_dict(
             collector.stats.as_dict()) == collector.stats
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda state: state.pop("failures"),
+        lambda state: state.update(attempts=None),
+    ], ids=["missing-key", "wrong-type"])
+    def test_malformed_state_raises(self, corrupt):
+        collector, _ = self.quarantining_collector()
+        state = collector.state_dict()
+        corrupt(state)
+        fresh, _ = self.quarantining_collector()
+        with pytest.raises(ConfigurationError, match="malformed collector state"):
+            fresh.load_state_dict(state)
+
 
 class TestRateZeroEquivalence:
     """Acceptance: rate-0 faults + collector reproduce the seed run exactly."""

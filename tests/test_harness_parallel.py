@@ -10,7 +10,7 @@ outside and resumed from its journal.  In every case the merged output
 must be bit-identical to an undisturbed serial run.
 
 Task functions live at module level because the spawn start method
-pickles them by reference (REPRO015).  Fault tasks must only misbehave
+pickles them by reference.  Fault tasks must only misbehave
 inside *worker* processes — never in the pytest process, and never in
 the engine's in-process degradation rung — so they compare their pid to
 ``REPRO_TEST_SWEEP_MAIN_PID``, which each test sets to its own pid.

@@ -35,7 +35,7 @@ def test_module_importable_and_documented(module_name):
     "repro", "repro.nn", "repro.rl", "repro.core", "repro.crowd",
     "repro.inference", "repro.classifiers", "repro.datasets",
     "repro.metrics", "repro.active", "repro.baselines", "repro.harness",
-    "repro.utils",
+    "repro.utils", "repro.serve", "repro.obs", "repro.analysis",
 ])
 def test_all_exports_resolve_and_are_documented(module_name):
     module = importlib.import_module(module_name)

@@ -39,6 +39,7 @@ from repro.serve import (
     AnnotatorLeases,
     AsyncPlatform,
     EventLoopCollector,
+    LabellingSession,
     LatencyModel,
     ServeEngine,
     VirtualClock,
@@ -393,7 +394,84 @@ def build_engine(n_projects, metrics_dir=None, max_active=None,
     return engine
 
 
+class _RecordingCrowdRL(CrowdRL):
+    """CrowdRL whose episode keeps every answer record its driver sends."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.received = []
+
+    def episode(self, dataset, platform):
+        inner = super().episode(dataset, platform)
+        try:
+            request = next(inner)
+            while True:
+                records = yield request
+                self.received.extend(records)
+                request = inner.send(records)
+        except StopIteration as stop:
+            return stop.value
+        finally:
+            inner.close()
+
+
 class TestServeEngine:
+    def test_sessions_receive_records_as_the_platform_logged_them(self):
+        """Delivery hands each episode its platform's records, untouched.
+
+        The records an episode receives are the objects the platform
+        logged at submission; a delivery path that rewrites, reorders or
+        drops them must show up here even when the episode's outcome
+        happens not to read the changed field.
+        """
+        datasets = [load_dataset("S12CP", scale=0.02, rng=100 + i)
+                    for i in range(3)]
+        pool = AnnotatorPool.build(datasets[0].n_classes, 3, 2, rng=7)
+        engine = ServeEngine(pool, max_active=2)
+        sessions = [
+            engine.add_project(
+                f"proj{i}", dataset,
+                _RecordingCrowdRL(CrowdRLConfig(), rng=200 + i),
+                budget=80.0, seed=i,
+            )
+            for i, dataset in enumerate(datasets)
+        ]
+        engine.run()
+        for session in sessions:
+            received = session.framework.received
+            assert received
+            assert received == session.platform.inner.answer_log
+
+    def test_engine_dispatches_in_due_then_submission_order(
+            self, monkeypatch):
+        """Completions reach their sessions in ``(due, seq)`` order.
+
+        Jitter-free service times make completions tie on ``due``, so
+        the submission-order tie-break is exercised, not just the heap.
+        """
+        datasets = [load_dataset("S12CP", scale=0.02, rng=100 + i)
+                    for i in range(3)]
+        pool = AnnotatorPool.build(datasets[0].n_classes, 3, 2, rng=7)
+        latency = LatencyModel.for_pool(pool, worker_latency=1.0,
+                                        jitter=0.0, rng=0)
+        engine = ServeEngine(pool, latency=latency, max_active=3)
+        for i, dataset in enumerate(datasets):
+            engine.add_project(
+                f"proj{i}", dataset, CrowdRL(CrowdRLConfig(), rng=200 + i),
+                budget=80.0, seed=i,
+            )
+        delivered = []
+        deliver = LabellingSession.deliver
+
+        def recording_deliver(session, pending):
+            delivered.append((pending.due, pending.seq))
+            deliver(session, pending)
+
+        monkeypatch.setattr(LabellingSession, "deliver", recording_deliver)
+        engine.run()
+        assert delivered == sorted(delivered)
+        assert len({due for due, _ in delivered}) < len(delivered)
+
     def test_eight_sessions_share_one_pool(self, tmp_path):
         """The acceptance criterion: 8 concurrent projects, exact books."""
         engine = build_engine(8, metrics_dir=tmp_path, max_active=3)

@@ -27,6 +27,10 @@ the one path where a per-pair selection count could differ between
 valid actions; seeds 25 and 35 reach such a state, seed 0 does not.  They
 were captured before the Eq. 6 UCB bonus was removed, and pin that the
 removal changed no decision there.
+
+The six OBA, DALC and Hybrid entries pin the remaining baselines, so an
+RNG or aliasing defect that only those code paths reach still moves a
+digest.  They were captured from the same code as the entries above.
 """
 
 import hashlib
@@ -51,9 +55,15 @@ SEED_REFERENCES = {
     "fig4:S12CP:DLTA:seed0": (0.8085106382978723, 0.8301886792452831, 191.0, 13, "ccc2f652d3d77291"),
     "fig4:S12CP:DLTA:seed1": (0.723404255319149, 0.7346938775510204, 191.0, 13, "f4cff0fe7a5e9e94"),
     "fig4:S12CP:DLTA:seed2": (0.7659574468085106, 0.7924528301886793, 200.0, 9, "ba6757cadd890e3f"),
+    "fig4:S12CP:DALC:seed0": (0.6808510638297872, 0.6511627906976744, 200.0, 5, "afe7bb7c78db6027"),
+    "fig4:S12CP:DALC:seed1": (0.6382978723404256, 0.679245283018868, 200.0, 5, "06325867780d3d0b"),
+    "fig4:S12CP:Hybrid:seed0": (0.723404255319149, 0.7450980392156864, 200.0, 13, "477534ca4da9d573"),
+    "fig4:S12CP:Hybrid:seed1": (0.8297872340425532, 0.8571428571428572, 200.0, 10, "41d7614d53000f95"),
     "fig4:S12CP:IDLE:seed0": (0.7659574468085106, 0.7555555555555555, 171.0, 13, "a0cfd7abad10aea2"),
     "fig4:S12CP:IDLE:seed1": (0.8723404255319149, 0.896551724137931, 191.0, 13, "72795b6c5678b32c"),
     "fig4:S12CP:IDLE:seed2": (0.8297872340425532, 0.8181818181818182, 191.0, 14, "43a6e864d73351d2"),
+    "fig4:S12CP:OBA:seed0": (0.7021276595744681, 0.75, 32.0, 3, "8f9128e08df9b8e0"),
+    "fig4:S12CP:OBA:seed1": (0.5319148936170213, 0.6666666666666667, 26.0, 3, "2eb0f9c6b5efbdc2"),
     "fig4:S3CP:CrowdRL:seed0": (0.8421052631578947, 0.8421052631578948, 200.0, 9, "8fc1dc6b94d4eb92"),
     "fig4:S3CP:CrowdRL:seed1": (0.8157894736842105, 0.8571428571428572, 200.0, 5, "66b6e89a54880964"),
     "fig4:S3CP:CrowdRL:seed2": (0.7105263157894737, 0.7755102040816326, 200.0, 5, "2d1691e252e9e4f0"),
