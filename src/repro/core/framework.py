@@ -337,7 +337,7 @@ class CrowdRL(LabellingFramework):
             ])
 
             # ---- Truth inference (line 18) ----
-            env.infer_truths()
+            inference = env.infer_truths()
             state.set_classifier_proba(env.classifier_proba())
             state.set_labelled(env.truths.keys(), env.enriched.keys())
 
@@ -360,6 +360,9 @@ class CrowdRL(LabellingFramework):
             trained = agent.train()
             events = get_registry().events
             if events is not None:
+                # Only joint EM records per-sweep deltas; MV and PM leave
+                # the EM fields None.
+                em = bool(inference.max_deltas)
                 events.emit(
                     "iteration",
                     iteration=iterations,
@@ -372,6 +375,8 @@ class CrowdRL(LabellingFramework):
                     td_loss=trained.td_loss,
                     target_forwards=trained.target_forwards,
                     bootstrap_lookups=trained.bootstrap_lookups,
+                    em_sweeps=inference.iterations if em else None,
+                    em_converged=inference.converged if em else None,
                 )
             if terminal:
                 break

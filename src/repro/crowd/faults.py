@@ -218,7 +218,7 @@ class FaultModel:
             self._outages = {int(k): int(v)
                              for k, v in state["outages"].items()}
             self._rng.bit_generator.state = state["rng"]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(
                 f"malformed fault-model state: {exc}"
             ) from exc

@@ -327,7 +327,7 @@ class ResilientCollector(PlatformWrapper):
             self._quarantined = {int(v) for v in state["quarantined"]}
             self._rng.bit_generator.state = state["rng"]
             self.stats = CollectorStats.from_dict(state["stats"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(
                 f"malformed collector state: {exc}"
             ) from exc

@@ -6,7 +6,9 @@ EM over three coupled unknowns:
 
 * the latent true labels ``y_i`` (E-step posterior ``q(y_i)``),
 * each annotator's confusion matrix ``Pi^j`` (M-step soft counts), and
-* the classifier parameters ``Theta`` (M-step: retrain on soft labels).
+* the classifier parameters ``Theta`` (M-step: retrain on soft labels,
+  on the power-of-two sweeps 1, 2, 4, 8, ...; the sweeps between keep the
+  last fit, a partial M-step that generalized EM allows).
 
 E-step (Eq. 8's posterior):  ``q(y_i = c)  propto  p(y_i = c | phi(x_i);
 Theta_last) * prod_j p(yhat_i^j | y_i = c, Pi^j_last)``.
@@ -64,8 +66,9 @@ class JointInference(TruthInference):
     ----------
     classifier:
         Any :class:`~repro.classifiers.base.Classifier`; retrained on soft
-        labels every M-step (its final fit is exposed as
-        :attr:`fitted_classifier` and doubles as the framework's ``phi``).
+        labels in the M-step of sweeps 1, 2, 4, 8, ... (its last fit is
+        exposed as :attr:`fitted_classifier` and doubles as the framework's
+        ``phi``).
     features:
         ``(n_objects, n_features)`` matrix indexed by object id.
     expert_mask:
@@ -173,6 +176,7 @@ class JointInference(TruthInference):
 
         converged = False
         iteration = 0
+        refits = 0
         max_deltas: list[float] = []
         for iteration in range(1, self.max_iter + 1):
             # ---- M-step ----
@@ -191,8 +195,11 @@ class JointInference(TruthInference):
                         confusions, self.expert_mask, self.expert_floor
                     )
 
-            # (c) Retrain the classifier on the soft posteriors.
-            if self.classifier_weight > 0:
+            # (c) Retrain the classifier on the soft posteriors, on sweeps
+            # 1, 2, 4, 8, ... only: between refits clf_log is held fixed,
+            # a partial M-step (generalized EM; DESIGN.md section 5).
+            if self.classifier_weight > 0 and iteration & (iteration - 1) == 0:
+                refits += 1
                 with phase_timer("infer.refit"):
                     self.classifier.fit_soft(x, post.copy())
                     self.fitted_classifier = self.classifier
@@ -216,6 +223,7 @@ class JointInference(TruthInference):
 
         registry = get_registry()
         registry.inc("infer.em_sweeps", iteration)
+        registry.inc("infer.em_refits", refits)
         for max_delta in max_deltas:
             registry.observe("infer.em_max_delta", max_delta, EM_DELTA_EDGES)
         if converged:

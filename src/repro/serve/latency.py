@@ -121,7 +121,7 @@ class LatencyModel:
         """Restore state captured by :meth:`state_dict`."""
         try:
             self._rng.bit_generator.state = state["rng"]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(
                 f"malformed latency-model state: {exc}"
             ) from exc

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro import BudgetManager, CrowdRL, CrowdRLConfig, make_platform
+from repro.core.config import MIN_LABELS_FOR_CLASSIFIER
+from repro.core.environment import JOINT_MAX_ITER
 from repro.core.framework import LabellingFramework
 from repro.core.result import LabelSource
 from repro.crowd.platform import CrowdPlatform
@@ -110,22 +112,27 @@ class TestIterationEvents:
 
     FIELDS = {"iteration", "spent", "n_truths", "n_enriched", "reward",
               "iteration_cost", "n_assignments", "td_loss",
-              "target_forwards", "bootstrap_lookups"}
+              "target_forwards", "bootstrap_lookups", "em_sweeps",
+              "em_converged"}
 
-    @pytest.fixture
-    def logged_run(self, tmp_path):
+    @staticmethod
+    def _logged(tmp_path, **config_kwargs):
         dataset = make_blobs(40, 6, separation=3.0, rng=0)
         platform = make_platform(dataset, n_workers=3, n_experts=1,
                                  budget=120.0, rng=1)
         config = CrowdRLConfig(alpha=0.1, batch_size=4,
                                min_truths_for_enrichment=10,
-                               train_steps_per_iteration=1)
+                               train_steps_per_iteration=1, **config_kwargs)
         path = tmp_path / "events.jsonl"
         log = JsonlEventLog(path)
         with use_registry(make_registry(events=log)):
             outcome = CrowdRL(config, rng=2).run(dataset, platform)
         log.close()
         return read_events(path, kind="iteration"), outcome
+
+    @pytest.fixture
+    def logged_run(self, tmp_path):
+        return self._logged(tmp_path)
 
     def test_records_every_iteration(self, logged_run):
         events, outcome = logged_run
@@ -156,6 +163,24 @@ class TestIterationEvents:
         events, outcome = logged_run
         rewards = [e["reward"] for e in events]
         assert rewards == outcome.reward_history[:len(rewards)]
+
+    def test_em_fields_follow_the_inference_run(self, logged_run):
+        events, _ = logged_run
+        assert any(e["em_sweeps"] is not None for e in events)
+        for e in events:
+            if e["n_truths"] < MIN_LABELS_FOR_CLASSIFIER:  # majority vote
+                assert e["em_sweeps"] is None and e["em_converged"] is None
+            else:  # joint EM
+                assert 1 <= e["em_sweeps"] <= JOINT_MAX_ITER
+                assert isinstance(e["em_converged"], bool)
+                if e["em_sweeps"] < JOINT_MAX_ITER:
+                    assert e["em_converged"]
+
+    def test_em_fields_none_under_pm(self, tmp_path):
+        events, _ = self._logged(tmp_path, inference_method="pm")
+        assert events
+        assert all(e["em_sweeps"] is None and e["em_converged"] is None
+                   for e in events)
 
 
 class TestFinalizeLabels:

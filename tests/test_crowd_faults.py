@@ -111,6 +111,13 @@ class TestFaultModelSampling:
         with pytest.raises(ConfigurationError):
             FaultModel(2).load_state_dict({"clock": 1})
 
+    def test_wrong_generator_state_rejected(self):
+        state = FaultModel(2, rng=0).state_dict()
+        state["rng"] = np.random.MT19937(0).state
+        with pytest.raises(ConfigurationError,
+                           match="malformed fault-model state"):
+            FaultModel(2).load_state_dict(state)
+
 
 class TestUnreliablePlatform:
     def test_pool_size_mismatch_rejected(self):

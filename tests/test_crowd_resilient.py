@@ -207,7 +207,8 @@ class TestQuarantine:
     @pytest.mark.parametrize("corrupt", [
         lambda state: state.pop("failures"),
         lambda state: state.update(attempts=None),
-    ], ids=["missing-key", "wrong-type"])
+        lambda state: state.update(rng=np.random.MT19937(0).state),
+    ], ids=["missing-key", "wrong-type", "wrong-generator"])
     def test_malformed_state_raises(self, corrupt):
         collector, _ = self.quarantining_collector()
         state = collector.state_dict()

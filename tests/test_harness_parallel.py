@@ -22,14 +22,23 @@ import signal
 import subprocess
 import sys
 import time
+from collections.abc import MutableMapping
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from repro.exceptions import ConfigurationError, ShardError
+from repro.harness.experiment import (
+    FRAMEWORK_NAMES,
+    ExperimentSetting,
+    clear_pretrained_policies,
+    comparison_shard,
+)
 from repro.harness.parallel import (
     BACKOFF_BASE,
     BACKOFF_CAP,
+    ShardContext,
     ShardedRunner,
     SweepOptions,
     _backoff_delay,
@@ -241,6 +250,68 @@ class TestSerialEngine:
 # ----------------------------------------------------------------------
 # Worker pool: bit-identity and fault injection
 # ----------------------------------------------------------------------
+class _RecordingEnviron(MutableMapping):
+    """``os.environ`` stand-in that records every key a caller reads.
+
+    Iterating it (copying the whole environment) records ``"*"``.
+    """
+
+    def __init__(self, data):
+        self._data = dict(data)
+        self.reads: set[str] = set()
+
+    def __getitem__(self, key):
+        self.reads.add(key)
+        return self._data[key]
+
+    def __setitem__(self, key, value):
+        self._data[key] = value
+
+    def __delitem__(self, key):
+        del self._data[key]
+
+    def __iter__(self):
+        self.reads.add("*")
+        return iter(dict(self._data))
+
+    def __len__(self):
+        return len(self._data)
+
+
+class TestShardReadsOnlyItsPayload:
+    """A comparison shard's result is a function of its payload.
+
+    Spawn workers inherit the parent's environment, so a shard that read
+    settings from ``os.environ`` would let the host change a sweep's
+    numbers.  The one read allowed is ``REPRO_METRICS`` (via
+    ``run_experiment``), which switches observation on and must not move
+    a result.
+    """
+
+    PAYLOAD = {
+        "framework_names": list(FRAMEWORK_NAMES),
+        "setting": asdict(ExperimentSetting("S12CP", scale=0.02, seed=4)),
+    }
+
+    def _shard(self, monkeypatch, environ):
+        clear_pretrained_policies()
+        ctx = ShardContext(index=0, attempt=0, rng=spawn_rng_at(0, 0))
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "environ", environ)
+            return comparison_shard(self.PAYLOAD, ctx)
+
+    def test_reads_no_environment_but_metrics_switch(self, monkeypatch):
+        base = {k: v for k, v in os.environ.items() if k != "REPRO_METRICS"}
+        unset = _RecordingEnviron(base)
+        metrics_on = _RecordingEnviron({**base, "REPRO_METRICS": "1"})
+        plain = self._shard(monkeypatch, unset)
+        observed = self._shard(monkeypatch, metrics_on)
+        assert unset.reads <= {"REPRO_METRICS"}
+        assert metrics_on.reads <= {"REPRO_METRICS"}
+        assert sorted(plain["reports"]) == sorted(FRAMEWORK_NAMES)
+        assert observed == plain
+
+
 def pool_options(tmp_path=None, **overrides):
     kwargs = {
         "parallel": 2,

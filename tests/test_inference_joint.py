@@ -249,3 +249,66 @@ def test_joint_without_classifier_reduces_to_dawid_skene(case):
         np.testing.assert_allclose(joint.posteriors[oid], ds.posteriors[oid])
     assert joint.labels == ds.labels
     assert sorted(joint.confusions) == sorted(ds.confusions)
+
+
+class _SpyClassifier(LogisticRegressionClassifier):
+    """Logistic ``phi`` that records the EM sweep of every ``fit_soft``."""
+
+    def __init__(self, *args, sweep_counter, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.sweep_counter = sweep_counter
+        self.fit_sweeps: list[int] = []
+        self.fit_weights: list[np.ndarray] = []
+
+    def fit_soft(self, x, soft_labels, sample_weights=None):
+        super().fit_soft(x, soft_labels, sample_weights)
+        # The E-step of the current sweep has not run yet.
+        self.fit_sweeps.append(self.sweep_counter["e_steps"] + 1)
+        self.fit_weights.append(self.weight.copy())
+        return self
+
+
+class TestRefitSchedule:
+    """phi is refit on the power-of-two sweeps only (DESIGN.md section 5)."""
+
+    def _run(self, monkeypatch, classifier_weight):
+        import repro.inference.joint as joint_module
+
+        counter = {"e_steps": 0}
+        e_step = joint_module._e_step_posteriors
+
+        def counting_e_step(*args):
+            counter["e_steps"] += 1
+            return e_step(*args)
+
+        monkeypatch.setattr(joint_module, "_e_step_posteriors", counting_e_step)
+        dataset, platform, answers = joint_setup(n_objects=40, seed=5)
+        spy = _SpyClassifier(dataset.n_features, 2, l2=0.02,
+                             sweep_counter=counter)
+        # tol=0 never converges: every run makes all max_iter sweeps.
+        joint = JointInference(
+            spy, dataset.features, expert_mask=platform.pool.expert_mask,
+            classifier_weight=classifier_weight, max_iter=25, tol=0.0,
+        )
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            result = joint.infer(answers, 2, len(platform.pool))
+        assert result.iterations == 25
+        assert not result.converged
+        assert counter["e_steps"] == 25
+        return joint, spy, registry.snapshot()["counters"]
+
+    def test_refits_on_powers_of_two(self, monkeypatch):
+        joint, spy, counters = self._run(monkeypatch, classifier_weight=1.0)
+        assert spy.fit_sweeps == [1, 2, 4, 8, 16]
+        assert counters["infer.em_sweeps"] == 25
+        assert counters["infer.em_refits"] == 5
+        # fitted_classifier is the model of the last refit (sweep 16).
+        assert joint.fitted_classifier is spy
+        np.testing.assert_array_equal(spy.weight, spy.fit_weights[-1])
+
+    def test_no_refit_without_classifier_term(self, monkeypatch):
+        joint, spy, counters = self._run(monkeypatch, classifier_weight=0.0)
+        assert spy.fit_sweeps == []
+        assert joint.fitted_classifier is None
+        assert counters["infer.em_refits"] == 0

@@ -112,6 +112,20 @@ class TestLatencyModel:
         assert [model.draw(j % 3) for j in range(10)] == \
             [clone.draw(j % 3) for j in range(10)]
 
+    @pytest.mark.parametrize("state", [
+        {},
+        None,
+        {"rng": np.random.MT19937(0).state},
+        {"rng": {}},
+    ], ids=["missing-rng", "not-a-dict", "wrong-generator", "empty-rng"])
+    def test_malformed_state_rejected(self, state):
+        model = LatencyModel(3, rng=1)
+        before = model.state_dict()
+        with pytest.raises(ConfigurationError,
+                           match="malformed latency-model state"):
+            model.load_state_dict(state)
+        assert model.state_dict() == before
+
     def test_bad_annotator_rejected(self):
         with pytest.raises(ConfigurationError):
             LatencyModel(2).draw(2)

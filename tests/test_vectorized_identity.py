@@ -20,6 +20,17 @@ continuing from the model's current weights, so the classifier refits
 inside one joint-EM run warm-start (DESIGN.md section 5).  The DLTA, IDLE
 and M3 entries never run joint EM and are the original captures.
 
+Second re-pin: the CrowdRL, M1 and M2 entries, the three ``faults0.2``
+entries and the pretrained run were re-captured when joint EM began
+refitting its classifier on the power-of-two sweeps only (1, 2, 4, 8,
+16) instead of on every sweep (DESIGN.md section 5).  Holding the
+classifier between refits changes every joint-EM posterior, so every
+run through joint EM moves; ``fig8:M2:seed0`` happens to land on the
+same values.  The change was accepted on the paired-seed protocol
+(``benchmarks/paired_seeds.py``, EXPERIMENTS.md), not on these single
+runs.  The DLTA, IDLE, M3, OBA, DALC and Hybrid entries never run joint
+EM and did not move.
+
 The three ``faults0.2`` entries pin CrowdRL under injected annotator
 faults with resilient collection (S12CP, scale 0.05, no pretraining).
 A dropped answer leaves an already-assigned pair selectable, so this is
@@ -45,13 +56,14 @@ from repro.harness.experiment import (
 )
 
 #: key -> (accuracy, f1, spent, iterations, sha256[:16] of final labels),
-#: captured from the pre-vectorization implementation, CrowdRL/M1/M2
-#: re-captured with warm-started refits (see module docstring).
+#: captured from the pre-vectorization implementation; CrowdRL/M1/M2 and
+#: the faults0.2 entries re-captured with power-of-two-sweep refits (see
+#: module docstring).
 SEED_REFERENCES = {
-    "fig4:S12CP:CrowdRL-pretrained:seed7": (0.9361702127659575, 0.9454545454545454, 200.0, 5, "443069eae658f9b0"),
-    "fig4:S12CP:CrowdRL:seed0": (0.6595744680851063, 0.68, 200.0, 8, "44bb865b89c57ed9"),
-    "fig4:S12CP:CrowdRL:seed1": (0.574468085106383, 0.6551724137931034, 200.0, 5, "d3bec09c07f82c62"),
-    "fig4:S12CP:CrowdRL:seed2": (0.6170212765957447, 0.6896551724137931, 200.0, 5, "fd299937f5dcc00c"),
+    "fig4:S12CP:CrowdRL-pretrained:seed7": (0.8085106382978723, 0.830188679245283, 200.0, 5, 'e5ceec2956582d6b'),
+    "fig4:S12CP:CrowdRL:seed0": (0.723404255319149, 0.7346938775510203, 200.0, 11, 'bd8cf237aff75b29'),
+    "fig4:S12CP:CrowdRL:seed1": (0.7021276595744681, 0.7812500000000001, 200.0, 5, '1df50de01eef1065'),
+    "fig4:S12CP:CrowdRL:seed2": (0.6382978723404256, 0.6909090909090909, 200.0, 5, '869374f14008bf0b'),
     "fig4:S12CP:DLTA:seed0": (0.8085106382978723, 0.8301886792452831, 191.0, 13, "ccc2f652d3d77291"),
     "fig4:S12CP:DLTA:seed1": (0.723404255319149, 0.7346938775510204, 191.0, 13, "f4cff0fe7a5e9e94"),
     "fig4:S12CP:DLTA:seed2": (0.7659574468085106, 0.7924528301886793, 200.0, 9, "ba6757cadd890e3f"),
@@ -64,24 +76,24 @@ SEED_REFERENCES = {
     "fig4:S12CP:IDLE:seed2": (0.8297872340425532, 0.8181818181818182, 191.0, 14, "43a6e864d73351d2"),
     "fig4:S12CP:OBA:seed0": (0.7021276595744681, 0.75, 32.0, 3, "8f9128e08df9b8e0"),
     "fig4:S12CP:OBA:seed1": (0.5319148936170213, 0.6666666666666667, 26.0, 3, "2eb0f9c6b5efbdc2"),
-    "fig4:S3CP:CrowdRL:seed0": (0.8421052631578947, 0.8421052631578948, 200.0, 9, "8fc1dc6b94d4eb92"),
-    "fig4:S3CP:CrowdRL:seed1": (0.8157894736842105, 0.8571428571428572, 200.0, 5, "66b6e89a54880964"),
-    "fig4:S3CP:CrowdRL:seed2": (0.7105263157894737, 0.7755102040816326, 200.0, 5, "2d1691e252e9e4f0"),
+    "fig4:S3CP:CrowdRL:seed0": (0.8947368421052632, 0.8888888888888888, 186.0, 10, 'ad5748f7c7b59f3b'),
+    "fig4:S3CP:CrowdRL:seed1": (0.7894736842105263, 0.8333333333333334, 200.0, 5, '7ddbfd3d8dc3862e'),
+    "fig4:S3CP:CrowdRL:seed2": (0.7631578947368421, 0.7906976744186046, 200.0, 5, 'b3edb1043fe0fb82'),
     "fig4:S3CP:DLTA:seed0": (0.631578947368421, 0.6666666666666666, 186.0, 10, "f99bf6821ae69e23"),
     "fig4:S3CP:DLTA:seed1": (0.7105263157894737, 0.744186046511628, 114.0, 10, "440d8ac6f55b87a7"),
     "fig4:S3CP:DLTA:seed2": (0.7368421052631579, 0.761904761904762, 200.0, 9, "ff15d2f99ce723f2"),
     "fig4:S3CP:IDLE:seed0": (0.6578947368421053, 0.5806451612903226, 164.0, 11, "844910671b064ad7"),
     "fig4:S3CP:IDLE:seed1": (0.8157894736842105, 0.8444444444444444, 164.0, 11, "0ee399576fa2fc50"),
     "fig4:S3CP:IDLE:seed2": (0.8157894736842105, 0.8444444444444444, 164.0, 11, "5baa6b38fb18693f"),
-    "fig8:M1:seed0": (0.8085106382978723, 0.8085106382978724, 200.0, 8, "b1cd50d26fe60380"),
-    "fig8:M1:seed1": (0.723404255319149, 0.7936507936507937, 200.0, 5, "54fe125bb4f08e4b"),
-    "fig8:M2:seed0": (0.7872340425531915, 0.782608695652174, 200.0, 4, "7a68d50fde862e86"),
-    "fig8:M2:seed1": (0.7659574468085106, 0.8196721311475409, 200.0, 5, "1e832c64a5ae32ac"),
+    "fig8:M1:seed0": (0.7872340425531915, 0.782608695652174, 200.0, 8, 'fa1b4c993c57518d'),
+    "fig8:M1:seed1": (0.723404255319149, 0.7868852459016394, 200.0, 5, '116472f625a8abd5'),
+    "fig8:M2:seed0": (0.7872340425531915, 0.782608695652174, 200.0, 4, '7a68d50fde862e86'),
+    "fig8:M2:seed1": (0.6382978723404256, 0.679245283018868, 200.0, 5, 'efdfae5dc52d9129'),
     "fig8:M3:seed0": (0.6808510638297872, 0.7540983606557378, 200.0, 5, "bebdd909f51e9f46"),
     "fig8:M3:seed1": (0.5531914893617021, 0.7042253521126761, 200.0, 5, "2226d4da6f5775e7"),
-    "faults0.2:S12CP:CrowdRL:seed0": (0.7606837606837606, 0.7499999999999999, 499.5, 11, "fba0b0a21f034026"),
-    "faults0.2:S12CP:CrowdRL:seed25": (0.8034188034188035, 0.8368794326241136, 500.0, 11, "af5e4a560c39b33c"),
-    "faults0.2:S12CP:CrowdRL:seed35": (0.8632478632478633, 0.888888888888889, 496.0, 11, "b50e06b4c3aa7630"),
+    "faults0.2:S12CP:CrowdRL:seed0": (0.7948717948717948, 0.7735849056603773, 499.5, 11, '353edcb5db06b8fe'),
+    "faults0.2:S12CP:CrowdRL:seed25": (0.7350427350427351, 0.7703703703703704, 500.0, 11, 'd47ebf10fc5b6d8b'),
+    "faults0.2:S12CP:CrowdRL:seed35": (0.7948717948717948, 0.8356164383561644, 496.0, 11, '2f8c36ab6661df93'),
 }
 
 
