@@ -8,6 +8,10 @@ one JSONL.  The minimum over that file is a min-over-calls *and*
 min-over-runs — the tight-loop-minima idiom ``bench_obs.py`` uses,
 applied to whole episodes — which is what
 ``python -m repro.obs report <out> --baseline ...`` then ratchets.
+After each repeat the calibration kernel
+(:func:`repro.obs.baseline.calibrate`) is timed and appended as a
+``{"kind": "calibration", "calibration_s": ...}`` event; the report
+normalises by their median, the host speed seen during the run.
 
 Usage (what the CI ``perf-ratchet`` job runs)::
 
@@ -26,6 +30,7 @@ Re-baselining after an intentional performance change::
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import tempfile
 
@@ -34,7 +39,7 @@ from repro.harness.experiment import (
     ExperimentSpec,
     run_experiment,
 )
-from repro.obs.baseline import PHASE_BASELINE_MAP, phase_minima
+from repro.obs.baseline import PHASE_BASELINE_MAP, calibrate, phase_minima
 
 #: The ratchet workload: small but large enough that every ratcheted
 #: phase clears the comparison floor, and fully deterministic so repeats
@@ -61,6 +66,8 @@ def produce_events(out_path: str, repeats: int = REPEATS) -> None:
                 one_run(path)
                 with open(path, "r", encoding="utf-8") as fh:
                     out.write(fh.read())
+                out.write(json.dumps({"kind": "calibration",
+                                      "calibration_s": calibrate()}) + "\n")
 
 
 def main() -> int:

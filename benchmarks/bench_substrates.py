@@ -51,7 +51,7 @@ def test_joint_inference_throughput(benchmark, answered_platform):
     dataset, platform, answers = answered_platform
 
     def run():
-        clf = LogisticRegressionClassifier(dataset.n_features, 2, l2=0.02)
+        clf = LogisticRegressionClassifier(dataset.n_features, 2)
         joint = JointInference(clf, dataset.features,
                                expert_mask=platform.pool.expert_mask,
                                max_iter=10)

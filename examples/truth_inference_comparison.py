@@ -51,7 +51,7 @@ def main() -> None:
 
         # The joint model additionally needs a classifier and the features.
         joint = JointInference(
-            LogisticRegressionClassifier(dataset.n_features, 2, l2=0.02),
+            LogisticRegressionClassifier(dataset.n_features, 2),
             dataset.features,
             expert_mask=platform.pool.expert_mask,
         )

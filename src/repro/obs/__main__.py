@@ -15,7 +15,9 @@ metrics_out=...)`` (see :mod:`repro.obs.report`).  With ``--baseline``
 it instead ratchets the run's per-phase minima against a committed
 baseline (see :mod:`repro.obs.baseline`), exiting 1 on any regression
 beyond ``--tolerance``; ``--write-baseline`` rewrites the baseline from
-this run instead of comparing.
+this run instead of comparing.  Both normalise by the median of the
+``calibration`` events the run recorded, and time the kernel themselves
+only for a log that has none.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from repro.obs.baseline import (
     compare_to_baseline,
     load_baseline,
     phase_minima,
+    recorded_calibration,
     render_comparison,
     write_baseline,
 )
@@ -73,7 +76,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_baseline_mode(args: argparse.Namespace) -> int:
     minima = phase_minima(args.path)
-    calibration_s = calibrate()
+    # The calibration timed during the run, not now: host load between
+    # the run and this report would otherwise move every ratio.
+    calibration_s = recorded_calibration(args.path)
+    if calibration_s is None:
+        calibration_s = calibrate()
     if args.write_baseline:
         doc = write_baseline(
             args.baseline, minima, calibration_s,

@@ -11,9 +11,13 @@ comparison that CI can ratchet — the performance analogue of
   each phase tens of times; the minimum filters scheduler interference
   the way ``bench_obs.py``'s ``min(timeit.repeat(...))`` does);
 * every duration is **normalised by a calibration kernel** timed on the
-  same machine at comparison time, so a committed baseline from the
-  reference VM transfers to a faster/slower CI box — only the *ratio*
-  of phase time to calibration time is ratcheted;
+  same machine, so a committed baseline from the reference VM transfers
+  to a faster/slower CI box — only the *ratio* of phase time to
+  calibration time is ratcheted.  The kernel is timed inside the run,
+  between its repeats, and written to the JSONL as ``calibration``
+  events whose median is the run's calibration
+  (:func:`recorded_calibration`), so host load during the run moves
+  both sides of the ratio;
 * normalised durations are floored at :data:`FLOOR_S` over the
   baseline's calibration time: below that, timer noise dominates and a
   "regression" is meaningless.  Flooring after normalising keeps a
@@ -96,6 +100,17 @@ def calibrate(repeats: int = 7, number: int = 5) -> float:
         timeit.repeat(lambda: calibration_kernel(work),
                       number=number, repeat=repeats)
     ) / number
+
+
+def recorded_calibration(path: PathLike) -> Optional[float]:
+    """Median ``calibration_s`` of a JSONL's ``calibration`` events.
+
+    ``None`` when the run recorded none; the caller then times
+    :func:`calibrate` itself.
+    """
+    samples = [float(event["calibration_s"])
+               for event in read_events(path, kind="calibration")]
+    return float(np.median(samples)) if samples else None
 
 
 def phase_minima(path: PathLike) -> Dict[str, dict]:
@@ -260,6 +275,7 @@ __all__ = [
     "load_baseline",
     "merge_minima",
     "phase_minima",
+    "recorded_calibration",
     "render_comparison",
     "write_baseline",
 ]

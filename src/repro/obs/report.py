@@ -7,7 +7,10 @@ episode's wall time and labelling budget went.
 
 When the log carries CrowdRL's ``iteration`` events, the report also
 totals the DQN's target-network forwards against its bootstrap lookups,
-i.e. how much work the per-target-version bootstrap memo saved.
+i.e. how much work the per-target-version bootstrap memo saved.  When φ
+was fitted, a ``phi:`` line sets the Newton-CG solver's work
+(``classifier.newton_steps``, ``classifier.hv_products``) beside joint
+EM's refits and sweeps (``infer.em_refits``, ``infer.em_sweeps``).
 
 The final ``snapshot`` event is the preferred source (it carries the full
 registry state: phase stats, counters, gauges); when a log carries only
@@ -174,6 +177,20 @@ def render_report(summary: dict) -> str:
             dqn_line += f" ({lookups / forwards:.1f} lookups per forward)"
         lines.append("")
         lines.append(dqn_line)
+
+    counters = summary["counters"]
+    steps = counters.get("classifier.newton_steps")
+    if steps is not None:
+        products = counters.get("classifier.hv_products", 0.0)
+        phi_line = (f"phi: {steps:g} Newton steps, {products:g} "
+                    f"Hessian-vector products")
+        if steps:
+            phi_line += f" ({products / steps:.1f} per step)"
+        if "infer.em_refits" in counters:
+            phi_line += (f"; joint EM: {counters['infer.em_refits']:g} refits "
+                         f"over {counters.get('infer.em_sweeps', 0.0):g} sweeps")
+        lines.append("")
+        lines.append(phi_line)
 
     interesting: List[Tuple[str, float]] = sorted(
         (name, value) for name, value in summary["counters"].items()

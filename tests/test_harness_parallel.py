@@ -42,6 +42,7 @@ from repro.harness.parallel import (
     ShardedRunner,
     SweepOptions,
     _backoff_delay,
+    _run_job,
     run_sharded,
 )
 from repro.obs import make_registry, use_registry
@@ -310,6 +311,31 @@ class TestShardReadsOnlyItsPayload:
         assert metrics_on.reads <= {"REPRO_METRICS"}
         assert sorted(plain["reports"]) == sorted(FRAMEWORK_NAMES)
         assert observed == plain
+
+
+class TestRunJobReadsOnlyItsPayload:
+    """The worker side of a shard, ``_run_job``, reads no environment.
+
+    It rebuilds the shard's context from the job tuple alone: the
+    sweep's seed, the shard directory and the metrics switch all travel
+    in the job.  A spawn worker inherits the parent's environment, so a
+    read of ``os.environ`` here would let the host change how a shard
+    runs (DESIGN.md section 9, mutant 018b).
+    """
+
+    def test_reads_no_environment(self, monkeypatch, tmp_path):
+        environ = _RecordingEnviron({**os.environ, "REPRO_METRICS": "1"})
+        for metrics in (False, True):
+            job = (3, 1, {"scale": 2.0}, 17, tmp_path, metrics, False)
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "environ", environ)
+                value, wall_s = _run_job(draw_task, job)
+            assert environ.reads == set()
+            assert value == draw_task(
+                {"scale": 2.0},
+                ShardContext(index=3, attempt=1, rng=spawn_rng_at(17, 3)),
+            )
+            assert wall_s >= 0.0
 
 
 def pool_options(tmp_path=None, **overrides):

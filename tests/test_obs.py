@@ -283,11 +283,17 @@ class TestRunIntegration:
         out = capsys.readouterr().out
         assert "phase" in out and "infer" in out and "budget:" in out
         assert "target-net forwards for" in out
+        phi = next(line for line in out.splitlines() if line.startswith("phi:"))
+        assert "Newton steps" in phi and "Hessian-vector products" in phi
+        assert "refits over" in phi
         assert obs_main(["report", str(path), "--format", "json"]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary == {k: load_summary(path)[k] for k in summary}
         dqn = summary["dqn"]
         assert 0 < dqn["target_forwards"] < dqn["bootstrap_lookups"]
+        counters = summary["counters"]
+        assert 0 < counters["infer.em_refits"] <= counters["classifier.newton_steps"]
+        assert counters["classifier.newton_steps"] <= counters["classifier.hv_products"]
 
     def test_report_cli_missing_file(self, tmp_path, capsys):
         assert obs_main(["report", str(tmp_path / "nope.jsonl")]) == 2

@@ -13,6 +13,7 @@ from repro.obs.baseline import (
     load_baseline,
     merge_minima,
     phase_minima,
+    recorded_calibration,
     write_baseline,
 )
 
@@ -184,6 +185,39 @@ class TestCli:
             "report", str(metrics_path),
             "--baseline", str(tmp_path / "nope.json"),
         ]) == 2
+
+    def test_normalises_by_the_calibration_recorded_in_the_run(
+            self, tmp_path, metrics_path, monkeypatch):
+        with open(metrics_path, "a", encoding="utf-8") as fh:
+            for calibration_s in (3e-4, 1e-4, 2e-4):
+                fh.write(json.dumps({"kind": "calibration",
+                                     "calibration_s": calibration_s}) + "\n")
+
+        def no_live_calibration():
+            raise AssertionError("the run recorded its calibration")
+
+        monkeypatch.setattr("repro.obs.__main__.calibrate",
+                            no_live_calibration)
+        baseline = tmp_path / "baseline.json"
+        assert obs_main([
+            "report", str(metrics_path),
+            "--baseline", str(baseline), "--write-baseline",
+        ]) == 0
+        assert load_baseline(baseline)["calibration_s"] == 2e-4
+        assert obs_main([
+            "report", str(metrics_path), "--baseline", str(baseline),
+        ]) == 0
+
+    def test_times_the_kernel_when_the_run_recorded_none(
+            self, tmp_path, metrics_path, monkeypatch):
+        assert recorded_calibration(metrics_path) is None
+        monkeypatch.setattr("repro.obs.__main__.calibrate", lambda: 5e-4)
+        baseline = tmp_path / "baseline.json"
+        assert obs_main([
+            "report", str(metrics_path),
+            "--baseline", str(baseline), "--write-baseline",
+        ]) == 0
+        assert load_baseline(baseline)["calibration_s"] == 5e-4
 
     def test_plain_report_still_works(self, metrics_path, capsys):
         assert obs_main(["report", str(metrics_path)]) == 0
