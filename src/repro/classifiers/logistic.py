@@ -8,12 +8,21 @@ drop-in ``phi`` for the joint inference model.
 :meth:`LogisticRegressionClassifier.fit_soft` minimises the weighted
 soft-label cross-entropy plus ``l2/2 * ||weight||^2`` (the bias is not
 penalised) by truncated Newton (Lin, Weng & Keerthi, JMLR 2008): conjugate
-gradients solve each Newton system ``H s = -g`` to a forcing-term residual
-on Hessian-vector products of two matrix products each (``x @ V``, then
-``x.T @ D``), so no ``d x d`` matrix is formed at any width; a backtracking
-Armijo line search follows.  The fit stops at gradient norm
-:data:`GRAD_TOL` or after :data:`MAX_NEWTON_STEPS` steps, so a warm start
-changes the number of steps, not the optimum reached.
+gradients solve each Newton system ``H s = -g`` to a forcing-term residual,
+and a backtracking Armijo line search follows.  The fit stops at gradient
+norm :data:`GRAD_TOL` or after :data:`MAX_NEWTON_STEPS` steps, so a warm
+start changes the number of steps, not the optimum reached.
+
+Softmax logits matter only up to a constant per row, and from the zero
+start every gradient row sums to 0, so the ``k`` weight columns stay in
+the zero-sum subspace.  The solver therefore works in an orthonormal
+basis ``Q`` (``k x (k-1)``) of that subspace: ``theta = [weight; bias] @
+Q`` has ``k - 1`` columns, the logits are ``[x, 1] @ theta @ Q.T``, and
+since ``Q`` is an isometry the norms, inner products and stopping tests
+are those of the ``k``-column problem.  A Hessian-vector product is ``[x,
+1] @ V``, one ``(k-1) x (k-1)`` curvature block per row (formed once per
+Newton step), then ``[x, 1].T @``; no ``d x d`` matrix is formed at any
+width.
 """
 
 from __future__ import annotations
@@ -41,8 +50,23 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
+def _contrast_basis(n_classes: int) -> np.ndarray:
+    """Orthonormal Helmert basis, ``k x (k-1)``, of the zero-sum vectors."""
+    basis = np.zeros((n_classes, n_classes - 1))
+    for j in range(1, n_classes):
+        scale = np.sqrt(j * (j + 1.0))
+        basis[:j, j - 1] = 1.0 / scale
+        basis[j, j - 1] = -j / scale
+    return basis
+
+
 class LogisticRegressionClassifier(Classifier):
-    """Softmax regression, L2 on the weights (``l2``: DESIGN.md section 5)."""
+    """Softmax regression, L2 on the weights (``l2``: DESIGN.md section 5).
+
+    ``weight`` (``d x k``) and ``bias`` (``k``) are the centred view of the
+    solver's contrast-basis parameters, so a refit resumes from exactly
+    the iterate the last fit ended at.
+    """
 
     def __init__(self, n_features: int, n_classes: int, *,
                  l2: float = 0.05) -> None:
@@ -54,8 +78,22 @@ class LogisticRegressionClassifier(Classifier):
             raise ConfigurationError(f"l2 must be > 0, got {l2}")
         self.n_features = n_features
         self.l2 = l2
-        self.weight = np.zeros((n_features, n_classes))
-        self.bias = np.zeros(n_classes)
+        self._basis = _contrast_basis(n_classes)
+        # [weight; bias] @ basis: the weight rows over the bias row.
+        self._theta = np.zeros((n_features + 1, n_classes - 1))
+
+    @property
+    def weight(self) -> np.ndarray:
+        return self._theta[:-1] @ self._basis.T
+
+    @property
+    def bias(self) -> np.ndarray:
+        return self._theta[-1] @ self._basis.T
+
+    def _check_width(self, x: np.ndarray) -> None:
+        if x.ndim != 2 or x.shape[1] != self.n_features:
+            raise ConfigurationError(
+                f"x must have shape (n, {self.n_features}), got {x.shape}")
 
     def fit_soft(self, x, soft_labels,
                  sample_weights: Optional[np.ndarray] = None
@@ -66,47 +104,49 @@ class LogisticRegressionClassifier(Classifier):
         optimum on a refit, a few steps away on joint EM's moving labels.
         """
         x, soft = self._check_xy(x, soft_labels)
+        self._check_width(x)
         n = x.shape[0]
-        w = np.ones(n) if sample_weights is None \
-            else np.asarray(sample_weights, dtype=float)
-        if w.shape != (n,):
-            raise ConfigurationError(
-                f"sample_weights must have shape ({n},), got {w.shape}")
+        if sample_weights is None:
+            w = np.ones(n)
+        else:
+            w = np.asarray(sample_weights, dtype=float)
+            if w.shape != (n,):
+                raise ConfigurationError(
+                    f"sample_weights must have shape ({n},), got {w.shape}")
+            if not (np.isfinite(w).all() and (w >= 0).all() and w.sum() > 0):
+                raise ConfigurationError(
+                    "sample_weights must be finite and non-negative with a "
+                    "positive sum")
         w = (w / w.sum())[:, None]
-        w_soft, l2 = w * soft, self.l2
-
-        # theta stacks the weight rows over the bias row.
-        def logits(t):
-            return x @ t[:-1] + t[-1]
-
-        def adjoint(r, t):  # [x, 1].T @ r plus the L2 term of t
-            out = np.empty_like(t)
-            out[:-1] = x.T @ r + l2 * t[:-1]
-            out[-1] = r.sum(axis=0)
-            return out
+        w_soft, l2, basis = w * soft, self.l2, self._basis
+        x1 = np.hstack([x, np.ones((n, 1))])
 
         def objective(t):
-            log_proba = _log_softmax(logits(t))
+            log_proba = _log_softmax(x1 @ t @ basis.T)
             loss = -np.vdot(w_soft, log_proba) + 0.5 * l2 * np.vdot(t[:-1], t[:-1])
             return float(loss), np.exp(log_proba)
 
-        theta = np.vstack([self.weight, self.bias])
+        theta = self._theta
         loss, proba = objective(theta)
         steps = products = 0
         while True:
             w_proba = w * proba
-            grad = adjoint(w_proba - w_soft, theta)
+            grad = x1.T @ ((w_proba - w_soft) @ basis)
+            grad[:-1] += l2 * theta[:-1]
             grad_norm = float(np.sqrt(np.vdot(grad, grad)))
             if grad_norm <= GRAD_TOL or steps == MAX_NEWTON_STEPS:
                 break
             steps += 1
+            # Each row's curvature Q.T (diag p - p p.T) Q, weighted, as the
+            # p-weighted scatter of the basis rows about their p-mean.
+            centred = basis - (proba @ basis)[:, None, :]
+            curv = (w_proba[:, :, None] * centred).transpose(0, 2, 1) @ centred
             # Conjugate gradients on H s = -grad, to a forcing-term residual.
             step, resid, direction = np.zeros_like(theta), -grad, -grad
             rr, target = grad_norm ** 2, (min(0.5, np.sqrt(grad_norm)) * grad_norm) ** 2
             for _ in range(theta.size):
-                zd = logits(direction)
-                hd = adjoint(w_proba * (zd - (proba * zd).sum(axis=1, keepdims=True)),
-                             direction)
+                hd = x1.T @ (curv @ (x1 @ direction)[:, :, None])[:, :, 0]
+                hd[:-1] += l2 * direction[:-1]
                 products += 1
                 curvature = float(np.vdot(direction, hd))
                 if curvature <= 0.0:
@@ -129,7 +169,7 @@ class LogisticRegressionClassifier(Classifier):
             else:
                 break  # no decrease left within rounding: at the optimum
             theta, loss, proba = trial, trial_loss, trial_proba
-        self.weight, self.bias = theta[:-1], theta[-1]
+        self._theta = theta
         get_registry().inc("classifier.newton_steps", steps)
         get_registry().inc("classifier.hv_products", products)
         self._fitted = True
@@ -139,6 +179,6 @@ class LogisticRegressionClassifier(Classifier):
         """Softmax class probabilities for each row of ``x``."""
         self._check_fitted()
         x = np.asarray(x, dtype=float)
-        if x.ndim != 2:
-            raise ConfigurationError(f"x must be 2-D, got shape {x.shape}")
-        return np.exp(_log_softmax(x @ self.weight + self.bias))
+        self._check_width(x)
+        theta = self._theta
+        return np.exp(_log_softmax((x @ theta[:-1] + theta[-1]) @ self._basis.T))

@@ -65,7 +65,14 @@ class RMSProp(Optimizer):
 
 
 class Adam(Optimizer):
-    """Adam with bias correction."""
+    """Adam with bias correction.
+
+    The moments of all parameters live in two flat arrays, so one step
+    is one pass of elementwise arithmetic over the concatenated gradients
+    (the per-parameter formula, element for element) and one write-back
+    per parameter.  The parameter layout (count and shapes) is fixed by
+    the first step.
+    """
 
     def __init__(self, learning_rate: float = 0.001, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8) -> None:
@@ -77,22 +84,34 @@ class Adam(Optimizer):
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self._m: dict[int, np.ndarray] = {}
-        self._v: dict[int, np.ndarray] = {}
+        self._shapes: tuple[tuple[int, ...], ...] = ()
+        self._m = np.zeros(0)
+        self._v = np.zeros(0)
         self._t = 0
 
     def step(self, params_and_grads: list[tuple[np.ndarray, np.ndarray]]) -> None:
         """Apply one bias-corrected Adam update to every (param, grad) pair."""
+        shapes = tuple(param.shape for param, _ in params_and_grads)
+        if self._t == 0:
+            self._shapes = shapes
+            self._m = np.zeros(sum(param.size for param, _ in params_and_grads))
+            self._v = np.zeros_like(self._m)
+        elif shapes != self._shapes:
+            raise ConfigurationError(
+                f"Adam was stepped on parameters of shapes {self._shapes}, "
+                f"now got {shapes}"
+            )
         self._t += 1
         bc1 = 1.0 - self.beta1 ** self._t
         bc2 = 1.0 - self.beta2 ** self._t
-        for param, grad in params_and_grads:
-            m = self._m.setdefault(id(param), np.zeros_like(param))
-            v = self._v.setdefault(id(param), np.zeros_like(param))
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad ** 2
-            m_hat = m / bc1
-            v_hat = v / bc2
-            param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        grad = np.concatenate([g.ravel() for _, g in params_and_grads])
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * grad ** 2
+        update = self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        start = 0
+        for param, _ in params_and_grads:
+            param -= update[start:start + param.size].reshape(param.shape)
+            start += param.size

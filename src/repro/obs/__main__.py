@@ -14,8 +14,9 @@ from a metrics JSONL file written by ``run_experiment(...,
 metrics_out=...)`` (see :mod:`repro.obs.report`).  With ``--baseline``
 it instead ratchets the run's per-phase minima against a committed
 baseline (see :mod:`repro.obs.baseline`), exiting 1 on any regression
-beyond ``--tolerance``; ``--write-baseline`` rewrites the baseline from
-this run instead of comparing.  Both normalise by the median of the
+beyond ``--tolerance`` or on any pinned work counter above its pin;
+``--write-baseline`` rewrites the baseline from this run instead of
+comparing.  Both normalise by the median of the
 ``calibration`` events the run recorded, and time the kernel themselves
 only for a log that has none.
 """
@@ -32,10 +33,13 @@ from repro.obs.baseline import (
     DEFAULT_TOLERANCE,
     calibrate,
     compare_to_baseline,
+    compare_work,
     load_baseline,
     phase_minima,
     recorded_calibration,
     render_comparison,
+    render_work,
+    run_work,
     write_baseline,
 )
 from repro.obs.report import load_summary, render_report
@@ -56,8 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--baseline",
         metavar="JSON",
-        help="ratchet per-phase minima against this committed baseline "
-        "instead of rendering the summary table (exit 1 on regression)",
+        help="ratchet per-phase minima and pinned work counters against "
+        "this committed baseline instead of rendering the summary table "
+        "(exit 1 on regression)",
     )
     report.add_argument(
         "--tolerance",
@@ -69,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--write-baseline",
         action="store_true",
-        help="rewrite --baseline from this run's minima instead of comparing",
+        help="rewrite --baseline from this run's minima and work counts "
+        "instead of comparing",
     )
     return parser
 
@@ -81,10 +87,11 @@ def _run_baseline_mode(args: argparse.Namespace) -> int:
     calibration_s = recorded_calibration(args.path)
     if calibration_s is None:
         calibration_s = calibrate()
+    work = run_work(args.path)
     if args.write_baseline:
         doc = write_baseline(
             args.baseline, minima, calibration_s,
-            note=f"phase minima from {args.path}",
+            note=f"phase minima and work counts from {args.path}", work=work,
         )
         print(f"wrote baseline for {len(doc['phases'])} phases "
               f"to {args.baseline} (calibration {calibration_s * 1e6:.1f}us)")
@@ -93,6 +100,7 @@ def _run_baseline_mode(args: argparse.Namespace) -> int:
     results = compare_to_baseline(
         minima, calibration_s, baseline, tolerance=args.tolerance
     )
+    work_results = compare_work(work, baseline)
     if args.format == "json":
         print(json.dumps(
             {
@@ -108,12 +116,21 @@ def _run_baseline_mode(args: argparse.Namespace) -> int:
                     }
                     for r in results
                 },
+                "work": {
+                    w.counter: {"pinned": w.pinned, "current": w.current,
+                                "rose": w.rose}
+                    for w in work_results
+                },
             },
             indent=2, sort_keys=True,
         ))
     else:
         print(render_comparison(results, args.tolerance))
-    return 1 if any(r.regressed for r in results) else 0
+        if work_results:
+            print("\n" + render_work(work_results))
+    regressed = any(r.regressed for r in results) or \
+        any(w.rose for w in work_results)
+    return 1 if regressed else 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -27,6 +27,11 @@ comparison that CI can ratchet — the performance analogue of
   ``tolerance`` × the baseline's (default :data:`DEFAULT_TOLERANCE`,
   the ISSUE's >25% bar).
 
+Beside the timed minima the baseline pins the run's deterministic work
+(:data:`WORK_COUNTERS`): for a fixed seed the counts are the same on any
+host, so any increase fails, whatever the load.  A lost memo or refit
+schedule shows there even where the timed minima cannot see it.
+
 Driven by ``python -m repro.obs report <run.jsonl> --baseline <json>``
 (compare, exit 1 on regression) and ``--write-baseline`` (re-baseline
 after an intentional change); ``benchmarks/bench_phase_ratchet.py``
@@ -68,6 +73,19 @@ DEFAULT_TOLERANCE = 1.25
 
 #: Durations below this (on the baseline's machine) are timer noise.
 FLOOR_S = 50e-6
+
+#: Work a ratchet run does, pinned exactly: joint EM's sweeps and refits
+#: and phi's Newton steps and Hessian-vector products (registry counters
+#: in the run's ``snapshot``), and the DQN's target-network forwards and
+#: bootstrap lookups (summed over its ``iteration`` events).
+WORK_COUNTERS = (
+    "infer.em_sweeps",
+    "infer.em_refits",
+    "classifier.newton_steps",
+    "classifier.hv_products",
+    "target_forwards",
+    "bootstrap_lookups",
+)
 
 _CAL_SIZE = 160
 
@@ -149,8 +167,33 @@ def merge_minima(runs: List[Dict[str, dict]]) -> Dict[str, dict]:
     return merged
 
 
+def run_work(path: PathLike) -> Dict[str, float]:
+    """Each :data:`WORK_COUNTERS` count, the highest over the log's runs.
+
+    A run ends at its ``snapshot`` event; the ``iteration`` events before
+    it carry its DQN counts.  Counters no run recorded are absent.
+    """
+    work: Dict[str, float] = {}
+    dqn: Dict[str, float] = {}
+    for event in read_events(path):
+        if event.get("kind") == "iteration":
+            for name in WORK_COUNTERS:
+                if name in event:
+                    dqn[name] = dqn.get(name, 0.0) + float(event[name])
+        elif event.get("kind") == "snapshot":
+            counters = event.get("metrics", {}).get("counters", {})
+            run = {name: float(counters[name])
+                   for name in WORK_COUNTERS if name in counters}
+            run.update(dqn)
+            for name, count in run.items():
+                work[name] = max(count, work.get(name, count))
+            dqn = {}
+    return work
+
+
 def write_baseline(path: PathLike, minima: Dict[str, dict],
-                   calibration_s: float, *, note: str = "") -> dict:
+                   calibration_s: float, *, note: str = "",
+                   work: Optional[Dict[str, float]] = None) -> dict:
     """Write the committed baseline JSON; returns the written document."""
     doc = {
         "schema": "repro-phase-baseline-v1",
@@ -161,6 +204,7 @@ def write_baseline(path: PathLike, minima: Dict[str, dict],
             name: {"min_s": stat["min_s"], "calls": stat["calls"]}
             for name, stat in sorted(minima.items())
         },
+        "work": dict(sorted((work or {}).items())),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -234,6 +278,49 @@ def compare_to_baseline(
     return results
 
 
+@dataclass(frozen=True)
+class WorkComparison:
+    """One pinned work counter's verdict."""
+
+    counter: str
+    pinned: float
+    current: Optional[float]  # None: no run in the log recorded it
+
+    @property
+    def rose(self) -> bool:
+        return self.current is None or self.current > self.pinned
+
+
+def compare_work(work: Dict[str, float], baseline: dict) -> List[WorkComparison]:
+    """Check ``work`` (:func:`run_work`) against the baseline's pins.
+
+    A count above its pin, or missing from the log, fails; a lower count
+    passes and should be re-pinned.
+    """
+    return [WorkComparison(name, float(pinned), work.get(name))
+            for name, pinned in sorted(baseline.get("work", {}).items())]
+
+
+def render_work(results: List[WorkComparison]) -> str:
+    """Plain-text table and verdict of the pinned work counters."""
+    rows = []
+    for res in results:
+        if res.current is None:
+            status = "MISSING"
+        elif res.rose:
+            status = "ROSE"
+        else:
+            status = "ok" if res.current == res.pinned else "lower: re-pin"
+        rows.append([res.counter, f"{res.pinned:g}",
+                     "-" if res.current is None else f"{res.current:g}",
+                     status])
+    table = format_table(["counter", "pinned", "current", "status"], rows)
+    rose = [r.counter for r in results if r.rose]
+    verdict = (f"work counters FAILED (above their pins): {', '.join(rose)}"
+               if rose else "work counters ok (none above its pin)")
+    return table + "\n\n" + verdict
+
+
 def render_comparison(results: List[PhaseComparison],
                       tolerance: float = DEFAULT_TOLERANCE) -> str:
     """Plain-text ratchet table (normalised units: phase / calibration)."""
@@ -269,13 +356,18 @@ __all__ = [
     "FLOOR_S",
     "PHASE_BASELINE_MAP",
     "PhaseComparison",
+    "WORK_COUNTERS",
+    "WorkComparison",
     "calibrate",
     "calibration_kernel",
     "compare_to_baseline",
+    "compare_work",
     "load_baseline",
     "merge_minima",
     "phase_minima",
     "recorded_calibration",
     "render_comparison",
+    "render_work",
+    "run_work",
     "write_baseline",
 ]

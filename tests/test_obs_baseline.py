@@ -1,6 +1,9 @@
 """Per-phase perf-ratchet machinery: minima, baseline I/O, comparison, CLI."""
 
+import inspect
 import json
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -9,13 +12,20 @@ from repro.obs.__main__ import main as obs_main
 from repro.obs.baseline import (
     FLOOR_S,
     PHASE_BASELINE_MAP,
+    WORK_COUNTERS,
     compare_to_baseline,
+    compare_work,
     load_baseline,
     merge_minima,
     phase_minima,
     recorded_calibration,
+    render_work,
+    run_work,
     write_baseline,
 )
+
+COMMITTED_BASELINE = (Path(__file__).resolve().parents[1] / "benchmarks"
+                      / "results" / "BENCH_phase_baselines.json")
 
 
 def write_events(path, events):
@@ -222,3 +232,131 @@ class TestCli:
     def test_plain_report_still_works(self, metrics_path, capsys):
         assert obs_main(["report", str(metrics_path)]) == 0
         assert "featurize" in capsys.readouterr().out
+
+
+def snapshot_event(**counters):
+    return {"kind": "snapshot", "metrics": {"counters": counters}}
+
+
+def iteration_event(forwards, lookups):
+    return {"kind": "iteration", "target_forwards": forwards,
+            "bootstrap_lookups": lookups}
+
+
+@pytest.fixture
+def work_path(tmp_path):
+    """Two runs: DQN counts summed per run, the higher run kept."""
+    path = tmp_path / "work.jsonl"
+    write_events(path, [
+        iteration_event(2, 30), iteration_event(1, 20),
+        snapshot_event(**{"infer.em_sweeps": 40, "infer.em_refits": 11,
+                          "budget.collect": 9}),
+        iteration_event(3, 50),
+        snapshot_event(**{"infer.em_sweeps": 42, "infer.em_refits": 10}),
+    ])
+    return path
+
+
+class TestWorkCounters:
+    def test_counts_per_run_highest_kept(self, work_path):
+        assert run_work(work_path) == {
+            "infer.em_sweeps": 42.0, "infer.em_refits": 11.0,
+            "target_forwards": 3.0, "bootstrap_lookups": 50.0,
+        }
+
+    def test_rise_and_missing_fail_lower_passes(self, tmp_path, work_path):
+        path = tmp_path / "baseline.json"
+        write_baseline(path, {}, 1e-4, work={
+            "infer.em_sweeps": 42.0, "infer.em_refits": 10.0,
+            "target_forwards": 4.0, "classifier.newton_steps": 7.0,
+        })
+        verdicts = {w.counter: w for w in
+                    compare_work(run_work(work_path), load_baseline(path))}
+        assert not verdicts["infer.em_sweeps"].rose
+        assert verdicts["infer.em_refits"].rose
+        assert not verdicts["target_forwards"].rose
+        assert verdicts["classifier.newton_steps"].current is None
+        assert verdicts["classifier.newton_steps"].rose
+        text = render_work(list(verdicts.values()))
+        assert "lower: re-pin" in text and "ROSE" in text and "MISSING" in text
+
+    def test_baseline_without_pins_checks_nothing(self, tmp_path, work_path):
+        assert compare_work(run_work(work_path), make_baseline(tmp_path)) == []
+
+    def test_cli_writes_pins_and_fails_on_a_rise(self, tmp_path, work_path,
+                                                 monkeypatch):
+        monkeypatch.setattr("repro.obs.__main__.calibrate", lambda: 1e-3)
+        baseline = tmp_path / "baseline.json"
+        assert obs_main(["report", str(work_path), "--baseline",
+                         str(baseline), "--write-baseline"]) == 0
+        assert load_baseline(baseline)["work"]["infer.em_refits"] == 11.0
+        assert obs_main(["report", str(work_path),
+                         "--baseline", str(baseline)]) == 0
+        more = tmp_path / "more.jsonl"
+        write_events(more, [snapshot_event(**{"infer.em_sweeps": 42,
+                                              "infer.em_refits": 12})])
+        assert obs_main(["report", str(more),
+                         "--baseline", str(baseline)]) == 1
+
+    def test_committed_baseline_pins_every_counter(self):
+        assert sorted(load_baseline(COMMITTED_BASELINE)["work"]) == \
+            sorted(WORK_COUNTERS)
+
+
+def _refit_every_sweep(monkeypatch):
+    """Mutant: joint EM refits phi on every sweep, not on 1, 2, 4, 8, 16."""
+    from repro.inference import joint
+
+    source = textwrap.dedent(inspect.getsource(joint.JointInference.infer))
+    schedule = "iteration & (iteration - 1) == 0"
+    assert schedule in source
+    namespace: dict = {}
+    exec(compile(source.replace(schedule, "True"), joint.__file__, "exec"),
+         vars(joint), namespace)
+    monkeypatch.setattr(joint.JointInference, "infer", namespace["infer"])
+
+
+def _no_bootstrap_memo(monkeypatch):
+    """Mutant: the DQN forgets its bootstrap memo before every lookup."""
+    from repro.rl.dqn import DQNAgent
+
+    lookup = DQNAgent._bootstrap_max
+
+    def forgetful(self, nxt):
+        self._memo.clear()
+        return lookup(self, nxt)
+
+    monkeypatch.setattr(DQNAgent, "_bootstrap_max", forgetful)
+
+
+def _ratchet_work(tmp_path):
+    """Work counts of one ratchet run (``bench_phase_ratchet.py``'s)."""
+    from repro.harness.experiment import (
+        ExperimentSetting,
+        ExperimentSpec,
+        run_experiment,
+    )
+
+    path = tmp_path / "ratchet.jsonl"
+    run_experiment("CrowdRL", ExperimentSetting("S12CP", scale=0.05, seed=0),
+                   ExperimentSpec(metrics=True, metrics_out=str(path)),
+                   pretrain=False)
+    return run_work(path)
+
+
+class TestWorkPinsOnTheRatchetRun:
+    def test_the_ratchet_run_does_its_pinned_work(self, tmp_path):
+        verdicts = compare_work(_ratchet_work(tmp_path),
+                                load_baseline(COMMITTED_BASELINE))
+        assert [w for w in verdicts if w.current != w.pinned] == []
+
+    @pytest.mark.parametrize("mutant, rises", [
+        (_refit_every_sweep, "infer.em_refits"),
+        (_no_bootstrap_memo, "target_forwards"),
+    ], ids=["refit-every-sweep", "no-bootstrap-memo"])
+    def test_a_work_mutant_fails_the_pins(self, tmp_path, monkeypatch,
+                                          mutant, rises):
+        mutant(monkeypatch)
+        verdicts = compare_work(_ratchet_work(tmp_path),
+                                load_baseline(COMMITTED_BASELINE))
+        assert rises in [w.counter for w in verdicts if w.rose]
