@@ -13,7 +13,6 @@ import pytest
 
 from repro import make_platform
 from repro.classifiers.logistic import LogisticRegressionClassifier
-from repro.classifiers.mlp import MLPClassifier
 from repro.core.config import CrowdRLConfig
 from repro.core.state import LabellingState
 from repro.datasets.synthetic import make_blobs
@@ -93,17 +92,6 @@ def test_classifier_fit_throughput(benchmark):
 
     clf = benchmark(fit)
     assert (clf.predict(dataset.features) == dataset.labels).mean() > 0.8
-
-
-def test_mlp_fit_throughput(benchmark):
-    dataset = make_blobs(200, 10, separation=3.0, rng=0)
-
-    def fit():
-        clf = MLPClassifier(10, 2, hidden=(16,), epochs=20, rng=0)
-        return clf.fit(dataset.features, dataset.labels)
-
-    clf = benchmark.pedantic(fit, rounds=3, iterations=1)
-    assert (clf.predict(dataset.features) == dataset.labels).mean() > 0.85
 
 
 def test_crowdrl_iteration_throughput(benchmark):

@@ -1,9 +1,9 @@
 """Multinomial logistic regression fitted to its optimum by Newton-CG.
 
-A cheap, convex alternative to :class:`~repro.classifiers.mlp.MLPClassifier`
-used where speed matters (large sweeps) and by baselines whose papers used
-shallow models.  Supports soft labels and per-sample weights so it is a
-drop-in ``phi`` for the joint inference model.
+Every framework's ``phi``: cheap and convex where the paper used a small
+fully connected network, which lost to it on paired seeds in accuracy
+and run time (DESIGN.md section 5).  Supports soft labels and per-sample
+weights, as the joint inference model needs.
 
 :meth:`LogisticRegressionClassifier.fit_soft` minimises the weighted
 soft-label cross-entropy plus ``l2/2 * ||weight||^2`` (the bias is not

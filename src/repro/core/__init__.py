@@ -15,7 +15,7 @@ This package wires the substrates into the paper's Algorithm 1:
 from repro.core.action import Assignment
 from repro.core.agent import Agent
 from repro.core.config import CrowdRLConfig
-from repro.core.environment import Environment, EnvironmentFeedback
+from repro.core.environment import Environment
 from repro.core.featurizer import StateFeaturizer
 from repro.core.framework import CrowdRL
 from repro.core.result import LabelSource, LabellingOutcome
@@ -29,7 +29,6 @@ __all__ = [
     "Assignment",
     "Agent",
     "Environment",
-    "EnvironmentFeedback",
     "CrowdRL",
     "LabellingOutcome",
     "LabelSource",

@@ -10,7 +10,6 @@ State's quality column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -32,14 +31,6 @@ from repro.utils.rng import SeedLike, as_rng
 
 #: Sweep cap of CrowdRL's joint EM (not :class:`JointInference`'s 30).
 JOINT_MAX_ITER = 25
-
-
-@dataclass
-class EnvironmentFeedback:
-    """What one environment step hands back to the agent."""
-
-    newly_enriched: list[int] = field(default_factory=list)
-    inference: Optional[InferenceResult] = None
 
 
 class Environment:

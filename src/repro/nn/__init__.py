@@ -1,46 +1,24 @@
-"""Minimal dense neural-network substrate on numpy.
+"""Minimal dense neural-network substrate on numpy, for the Q-network.
 
-The paper implements its classifier ``phi`` and the Deep Q-Network with
-PyTorch; this environment has no deep-learning framework available, so the
-library ships its own small, fully tested substrate: dense layers with
-manual backpropagation, standard activations, losses, and first-order
-optimizers.  Only what the paper needs — feed-forward nets — is implemented,
-but it is implemented completely (training loop, early stopping, weight
-serialization).
+The paper implements its Deep Q-Network with PyTorch; this environment has
+no deep-learning framework available, so the library ships the small part
+of one that the DQN runs: He-initialised dense layers with ReLU and manual
+backpropagation, the Huber loss and Adam.  The classifier ``phi`` does not
+use it (:mod:`repro.classifiers`).
 """
 
-from repro.nn.initializers import he_init, xavier_init, zeros_init
-from repro.nn.layers import Dense, Dropout, Layer, ReLU, Sigmoid, Softmax, Tanh
-from repro.nn.losses import (
-    HuberLoss,
-    Loss,
-    MeanSquaredError,
-    SoftmaxCrossEntropy,
-)
+from repro.nn.initializers import he_init
+from repro.nn.layers import Dense, Layer, ReLU
+from repro.nn.losses import HuberLoss
 from repro.nn.network import Network
-from repro.nn.optimizers import SGD, Adam, Optimizer, RMSProp
-from repro.nn.train import TrainResult, train_network
+from repro.nn.optimizers import Adam
 
 __all__ = [
     "he_init",
-    "xavier_init",
-    "zeros_init",
     "Layer",
     "Dense",
     "ReLU",
-    "Tanh",
-    "Sigmoid",
-    "Softmax",
-    "Dropout",
-    "Loss",
-    "MeanSquaredError",
-    "SoftmaxCrossEntropy",
     "HuberLoss",
     "Network",
-    "Optimizer",
-    "SGD",
-    "RMSProp",
     "Adam",
-    "TrainResult",
-    "train_network",
 ]

@@ -1,4 +1,4 @@
-"""Weight initialization schemes for dense layers."""
+"""Weight initialization for dense layers."""
 
 from __future__ import annotations
 
@@ -7,21 +7,8 @@ import numpy as np
 from repro.utils.rng import SeedLike, as_rng
 
 
-def xavier_init(fan_in: int, fan_out: int, rng: SeedLike = None) -> np.ndarray:
-    """Glorot/Xavier uniform initialization, suited to tanh/sigmoid layers."""
-    rng = as_rng(rng)
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-
 def he_init(fan_in: int, fan_out: int, rng: SeedLike = None) -> np.ndarray:
     """He normal initialization, suited to ReLU layers."""
     rng = as_rng(rng)
     std = np.sqrt(2.0 / fan_in)
     return rng.normal(0.0, std, size=(fan_in, fan_out))
-
-
-def zeros_init(fan_in: int, fan_out: int, rng: SeedLike = None) -> np.ndarray:
-    """All-zero initialization (used for biases and in tests)."""
-    del rng  # deterministic by construction
-    return np.zeros((fan_in, fan_out))

@@ -8,13 +8,13 @@ gradients in ``grads`` along the way.  Shapes are always ``(batch, features)``.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.nn.initializers import he_init, zeros_init
-from repro.utils.rng import SeedLike, as_rng
+from repro.nn.initializers import he_init
+from repro.utils.rng import SeedLike
 
 
 class Layer:
@@ -42,24 +42,17 @@ class Layer:
 
 
 class Dense(Layer):
-    """Affine layer ``y = x @ W + b``."""
+    """Affine layer ``y = x @ W + b``: He-initialised weights, zero bias."""
 
-    def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        *,
-        weight_init: Callable[[int, int, SeedLike], np.ndarray] = he_init,
-        rng: SeedLike = None,
-    ) -> None:
+    def __init__(self, in_features: int, out_features: int, *,
+                 rng: SeedLike = None) -> None:
         if in_features <= 0 or out_features <= 0:
             raise ConfigurationError(
                 f"Dense needs positive sizes, got ({in_features}, {out_features})"
             )
-        rng = as_rng(rng)
         self.in_features = in_features
         self.out_features = out_features
-        self.weight = np.asarray(weight_init(in_features, out_features, rng), float)
+        self.weight = he_init(in_features, out_features, rng)
         self.bias = np.zeros(out_features)
         self._grad_w = np.zeros_like(self.weight)
         self._grad_b = np.zeros_like(self.bias)
@@ -109,103 +102,4 @@ class ReLU(Layer):
         """Pass gradients only where the forward input was positive."""
         if self._mask is None:
             raise RuntimeError("backward called before a training-mode forward")
-        return grad_out * self._mask
-
-
-class Tanh(Layer):
-    """Hyperbolic tangent activation."""
-
-    def __init__(self) -> None:
-        self._out: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        """Apply elementwise tanh."""
-        out = np.tanh(np.asarray(x, dtype=float))
-        self._out = out if training else None
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Scale gradients by ``1 - tanh(x)^2``."""
-        if self._out is None:
-            raise RuntimeError("backward called before a training-mode forward")
-        return grad_out * (1.0 - self._out ** 2)
-
-
-class Sigmoid(Layer):
-    """Logistic sigmoid activation (the paper's classifier output layer)."""
-
-    def __init__(self) -> None:
-        self._out: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        """Numerically stable elementwise logistic sigmoid."""
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        self._out = out if training else None
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Scale gradients by ``sigmoid(x) * (1 - sigmoid(x))``."""
-        if self._out is None:
-            raise RuntimeError("backward called before a training-mode forward")
-        return grad_out * self._out * (1.0 - self._out)
-
-
-class Softmax(Layer):
-    """Row-wise softmax.
-
-    For classification prefer :class:`repro.nn.losses.SoftmaxCrossEntropy`,
-    which fuses softmax with the loss for numerical stability; this layer
-    exists for inference-time probability outputs and for Q-value weighting.
-    """
-
-    def __init__(self) -> None:
-        self._out: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        """Row-wise softmax over logits."""
-        x = np.asarray(x, dtype=float)
-        shifted = x - x.max(axis=1, keepdims=True)
-        ex = np.exp(shifted)
-        out = ex / ex.sum(axis=1, keepdims=True)
-        self._out = out if training else None
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Jacobian-vector product of the row-wise softmax."""
-        if self._out is None:
-            raise RuntimeError("backward called before a training-mode forward")
-        s = self._out
-        dot = (grad_out * s).sum(axis=1, keepdims=True)
-        return s * (grad_out - dot)
-
-
-class Dropout(Layer):
-    """Inverted dropout; a no-op outside training mode."""
-
-    def __init__(self, rate: float, rng: SeedLike = None) -> None:
-        if not 0.0 <= rate < 1.0:
-            raise ConfigurationError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
-        self._rng = as_rng(rng)
-        self._mask: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        """Randomly drop units (training only), rescaled by ``1/keep``."""
-        x = np.asarray(x, dtype=float)
-        if not training or self.rate == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.rate
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Propagate gradients through the surviving units."""
-        if self._mask is None:
-            return grad_out
         return grad_out * self._mask

@@ -1,128 +1,37 @@
-"""Loss functions with analytic gradients.
+"""The Huber loss with its analytic gradient, for DQN TD errors.
 
-Each loss exposes ``value(pred, target)`` and ``grad(pred, target)`` where
-``grad`` is the derivative of the *mean* loss w.r.t. ``pred``.  All losses
-support optional per-sample weights, which the CrowdRL joint inference model
-uses to train the classifier on soft posterior labels.
+``value(pred, target)`` is the mean over the batch of the per-row summed
+Huber loss, and ``grad(pred, target)`` is its derivative w.r.t. ``pred``.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-_EPS = 1e-12
+#: Error magnitude at which the loss turns from quadratic to linear.
+DELTA = 1.0
 
 
-def _weights(weights: Optional[np.ndarray], n: int) -> np.ndarray:
-    if weights is None:
-        return np.full(n, 1.0 / n)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (n,):
-        raise ValueError(f"weights must have shape ({n},), got {w.shape}")
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("sample weights must have positive sum")
-    return w / total
-
-
-class Loss:
-    """Base class for losses."""
-
-    def value(self, pred: np.ndarray, target: np.ndarray,
-              weights: Optional[np.ndarray] = None) -> float:
-        raise NotImplementedError
-
-    def grad(self, pred: np.ndarray, target: np.ndarray,
-             weights: Optional[np.ndarray] = None) -> np.ndarray:
-        raise NotImplementedError
-
-
-class MeanSquaredError(Loss):
-    """0.5 * mean squared error (the 0.5 cancels in the gradient)."""
-
-    def value(self, pred, target, weights=None) -> float:
-        """Weighted 0.5-MSE over the batch."""
-        pred = np.asarray(pred, float)
-        target = np.asarray(target, float)
-        w = _weights(weights, pred.shape[0])
-        per_sample = 0.5 * ((pred - target) ** 2).sum(axis=1)
-        return float((w * per_sample).sum())
-
-    def grad(self, pred, target, weights=None) -> np.ndarray:
-        """Gradient of the weighted MSE w.r.t. predictions."""
-        pred = np.asarray(pred, float)
-        target = np.asarray(target, float)
-        w = _weights(weights, pred.shape[0])
-        return (pred - target) * w[:, None]
-
-
-class HuberLoss(Loss):
+class HuberLoss:
     """Huber loss, the standard choice for stabilising DQN TD errors."""
 
-    def __init__(self, delta: float = 1.0) -> None:
-        if delta <= 0:
-            raise ValueError(f"delta must be > 0, got {delta}")
-        self.delta = delta
-
-    def value(self, pred, target, weights=None) -> float:
-        """Weighted Huber loss over the batch."""
+    def value(self, pred: np.ndarray, target: np.ndarray) -> float:
+        """Mean Huber loss over the batch."""
         pred = np.asarray(pred, float)
         target = np.asarray(target, float)
-        w = _weights(weights, pred.shape[0])
+        w = np.full(pred.shape[0], 1.0 / pred.shape[0])
         err = pred - target
-        small = np.abs(err) <= self.delta
+        small = np.abs(err) <= DELTA
         per_elem = np.where(
-            small, 0.5 * err ** 2, self.delta * (np.abs(err) - 0.5 * self.delta)
+            small, 0.5 * err ** 2, DELTA * (np.abs(err) - 0.5 * DELTA)
         )
         return float((w * per_elem.sum(axis=1)).sum())
 
-    def grad(self, pred, target, weights=None) -> np.ndarray:
-        """Gradient of the Huber loss: the clipped error, weighted."""
+    def grad(self, pred: np.ndarray, target: np.ndarray) -> np.ndarray:
+        """Gradient of the mean Huber loss: the clipped error over ``n``."""
         pred = np.asarray(pred, float)
         target = np.asarray(target, float)
-        w = _weights(weights, pred.shape[0])
+        w = np.full(pred.shape[0], 1.0 / pred.shape[0])
         err = pred - target
-        clipped = np.clip(err, -self.delta, self.delta)
+        clipped = np.clip(err, -DELTA, DELTA)
         return clipped * w[:, None]
-
-
-class SoftmaxCrossEntropy(Loss):
-    """Softmax + cross-entropy fused for stability.
-
-    ``pred`` are raw logits; ``target`` is either a matrix of soft label
-    distributions (rows sum to one) or a 1-D vector of integer class ids.
-    The gradient w.r.t. the logits is the familiar ``softmax(pred) - target``.
-    """
-
-    @staticmethod
-    def _softmax(logits: np.ndarray) -> np.ndarray:
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        ex = np.exp(shifted)
-        return ex / ex.sum(axis=1, keepdims=True)
-
-    @staticmethod
-    def _to_soft(target: np.ndarray, n_classes: int) -> np.ndarray:
-        target = np.asarray(target)
-        if target.ndim == 1:
-            onehot = np.zeros((target.shape[0], n_classes))
-            onehot[np.arange(target.shape[0]), target.astype(int)] = 1.0
-            return onehot
-        return np.asarray(target, dtype=float)
-
-    def value(self, pred, target, weights=None) -> float:
-        """Weighted cross-entropy of softmaxed logits against targets."""
-        logits = np.asarray(pred, float)
-        soft = self._to_soft(target, logits.shape[1])
-        w = _weights(weights, logits.shape[0])
-        log_probs = np.log(self._softmax(logits) + _EPS)
-        per_sample = -(soft * log_probs).sum(axis=1)
-        return float((w * per_sample).sum())
-
-    def grad(self, pred, target, weights=None) -> np.ndarray:
-        """Gradient w.r.t. logits: ``softmax(pred) - target``, weighted."""
-        logits = np.asarray(pred, float)
-        soft = self._to_soft(target, logits.shape[1])
-        w = _weights(weights, logits.shape[0])
-        return (self._softmax(logits) - soft) * w[:, None]

@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import copy
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.nn.layers import Dense, Layer, ReLU, Tanh
-from repro.nn.losses import Loss
-from repro.nn.optimizers import Optimizer
+from repro.nn.layers import Dense, Layer, ReLU
+from repro.nn.losses import HuberLoss
+from repro.nn.optimizers import Adam
 from repro.utils.rng import SeedLike, as_rng
 
 
@@ -37,21 +37,15 @@ class Network:
         hidden: Sequence[int],
         out_features: int,
         *,
-        activation: str = "relu",
         rng: SeedLike = None,
     ) -> "Network":
-        """Build a plain MLP: Dense/activation pairs then a linear head."""
-        activations = {"relu": ReLU, "tanh": Tanh}
-        if activation not in activations:
-            raise ConfigurationError(
-                f"unknown activation {activation!r}; choose from {sorted(activations)}"
-            )
+        """Build a plain MLP: Dense/ReLU pairs then a linear head."""
         rng = as_rng(rng)
         sizes = [in_features, *hidden]
         layers: list[Layer] = []
         for fan_in, fan_out in zip(sizes, sizes[1:]):
             layers.append(Dense(fan_in, fan_out, rng=rng))
-            layers.append(activations[activation]())
+            layers.append(ReLU())
         layers.append(Dense(sizes[-1], out_features, rng=rng))
         return cls(layers)
 
@@ -95,15 +89,14 @@ class Network:
         self,
         x: np.ndarray,
         target: np.ndarray,
-        loss: Loss,
-        optimizer: Optimizer,
-        sample_weights: Optional[np.ndarray] = None,
+        loss: HuberLoss,
+        optimizer: Adam,
     ) -> float:
         """One forward/backward/update step; returns the batch loss."""
         self.zero_grads()
         pred = self.forward(x, training=True)
-        value = loss.value(pred, target, sample_weights)
-        self.backward(loss.grad(pred, target, sample_weights))
+        value = loss.value(pred, target)
+        self.backward(loss.grad(pred, target))
         optimizer.step(self.params_and_grads())
         return value
 

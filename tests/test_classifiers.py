@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.classifiers import (
     KNNClassifier,
     LogisticRegressionClassifier,
-    MLPClassifier,
     logistic,
 )
 from repro.classifiers.logistic import GRAD_TOL, MAX_NEWTON_STEPS
@@ -27,14 +26,13 @@ def blobs():
 
 
 ALL_CLASSIFIERS = [
-    lambda d: MLPClassifier(d, 2, hidden=(16,), epochs=40, rng=0),
     lambda d: LogisticRegressionClassifier(d, 2),
     lambda d: KNNClassifier(2, k=5),
 ]
 
 
 @pytest.mark.parametrize("factory", ALL_CLASSIFIERS,
-                         ids=["mlp", "logistic", "knn"])
+                         ids=["logistic", "knn"])
 class TestClassifierContract:
     def test_learns_separable_data(self, factory, blobs):
         clf = factory(blobs.n_features).fit(blobs.features, blobs.labels)
@@ -289,25 +287,3 @@ class TestKNNSpecifics:
     def test_invalid_k_raises(self):
         with pytest.raises(ConfigurationError):
             KNNClassifier(2, k=0)
-
-
-class TestMLPSpecifics:
-    def test_warm_start_continues(self):
-        ds = make_blobs(80, 4, separation=2.0, rng=2)
-        clf = MLPClassifier(4, 2, hidden=(8,), epochs=5, warm_start=True, rng=0)
-        clf.fit(ds.features, ds.labels)
-        w_before = clf._network.layers[0].weight.copy()
-        clf.fit(ds.features, ds.labels)
-        assert not np.allclose(w_before, clf._network.layers[0].weight)
-
-    def test_cold_start_reinitialises(self):
-        ds = make_blobs(80, 4, separation=2.0, rng=2)
-        clf = MLPClassifier(4, 2, hidden=(8,), epochs=5, rng=0)
-        clf.fit(ds.features, ds.labels)
-        first = clf._network
-        clf.fit(ds.features, ds.labels)
-        assert clf._network is not first
-
-    def test_invalid_features_raise(self):
-        with pytest.raises(ConfigurationError):
-            MLPClassifier(0, 2)

@@ -3,26 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.initializers import he_init, xavier_init, zeros_init
-
-
-class TestXavier:
-    def test_shape(self):
-        assert xavier_init(5, 3, rng=0).shape == (5, 3)
-
-    def test_within_glorot_limit(self):
-        w = xavier_init(40, 60, rng=0)
-        limit = np.sqrt(6.0 / (40 + 60))
-        assert np.abs(w).max() <= limit
-
-    def test_roughly_zero_mean(self):
-        w = xavier_init(100, 100, rng=0)
-        assert abs(w.mean()) < 0.01
-
-    def test_deterministic(self):
-        np.testing.assert_array_equal(
-            xavier_init(4, 4, rng=3), xavier_init(4, 4, rng=3)
-        )
+from repro.nn.initializers import he_init
 
 
 class TestHe:
@@ -38,8 +19,3 @@ class TestHe:
             he_init(4, 4, rng=3), he_init(4, 4, rng=3)
         )
 
-
-class TestZeros:
-    def test_all_zero(self):
-        assert not zeros_init(3, 2).any()
-        assert zeros_init(3, 2).shape == (3, 2)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.losses import HuberLoss, MeanSquaredError, SoftmaxCrossEntropy
+from repro.nn.losses import HuberLoss
 
 
 def numeric_grad(f, x, eps=1e-6):
@@ -22,51 +22,19 @@ def numeric_grad(f, x, eps=1e-6):
     return grad
 
 
-class TestMSE:
-    def test_zero_on_match(self):
-        x = np.ones((3, 2))
-        assert MeanSquaredError().value(x, x) == 0.0
-
-    def test_known_value(self):
-        pred = np.array([[1.0, 0.0]])
-        target = np.array([[0.0, 0.0]])
-        assert MeanSquaredError().value(pred, target) == pytest.approx(0.5)
-
-    def test_grad_matches_numeric(self):
-        rng = np.random.default_rng(0)
-        pred = rng.normal(size=(4, 3))
-        target = rng.normal(size=(4, 3))
-        loss = MeanSquaredError()
-        numeric = numeric_grad(lambda: loss.value(pred, target), pred)
-        np.testing.assert_allclose(loss.grad(pred, target), numeric, atol=1e-5)
-
-    def test_sample_weights_change_value(self):
-        pred = np.array([[1.0], [0.0]])
-        target = np.array([[0.0], [0.0]])
-        loss = MeanSquaredError()
-        uniform = loss.value(pred, target)
-        weighted = loss.value(pred, target, np.array([1.0, 0.0]))
-        assert weighted > uniform  # all mass on the erroneous sample
-
-    def test_bad_weight_shape_raises(self):
-        with pytest.raises(ValueError):
-            MeanSquaredError().value(np.ones((2, 1)), np.ones((2, 1)),
-                                     np.ones(3))
-
-
 class TestHuber:
     def test_quadratic_inside_delta(self):
-        loss = HuberLoss(delta=1.0)
+        loss = HuberLoss()
         pred, target = np.array([[0.5]]), np.array([[0.0]])
         assert loss.value(pred, target) == pytest.approx(0.125)
 
     def test_linear_outside_delta(self):
-        loss = HuberLoss(delta=1.0)
+        loss = HuberLoss()
         pred, target = np.array([[3.0]]), np.array([[0.0]])
         assert loss.value(pred, target) == pytest.approx(2.5)
 
     def test_grad_clipped(self):
-        loss = HuberLoss(delta=1.0)
+        loss = HuberLoss()
         grad = loss.grad(np.array([[10.0]]), np.array([[0.0]]))
         assert grad[0, 0] == pytest.approx(1.0)  # clipped to delta, n=1
 
@@ -74,48 +42,18 @@ class TestHuber:
         rng = np.random.default_rng(1)
         pred = rng.normal(scale=2.0, size=(5, 2))
         target = rng.normal(size=(5, 2))
-        loss = HuberLoss(delta=1.0)
+        loss = HuberLoss()
         numeric = numeric_grad(lambda: loss.value(pred, target), pred)
         np.testing.assert_allclose(loss.grad(pred, target), numeric, atol=1e-4)
 
-    def test_invalid_delta_raises(self):
-        with pytest.raises(ValueError):
-            HuberLoss(delta=0)
 
-
-class TestSoftmaxCrossEntropy:
-    def test_perfect_prediction_near_zero(self):
-        logits = np.array([[20.0, -20.0]])
-        assert SoftmaxCrossEntropy().value(logits, np.array([0])) < 1e-6
-
-    def test_uniform_logits_log_c(self):
-        logits = np.zeros((1, 4))
-        assert SoftmaxCrossEntropy().value(logits, np.array([2])) == (
-            pytest.approx(np.log(4))
-        )
-
-    def test_accepts_hard_and_soft_targets(self):
-        logits = np.array([[1.0, 2.0], [0.5, 0.5]])
-        loss = SoftmaxCrossEntropy()
-        hard = loss.value(logits, np.array([1, 0]))
-        soft = loss.value(logits, np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert hard == pytest.approx(soft)
-
-    def test_grad_is_softmax_minus_target(self):
-        logits = np.array([[0.0, 0.0]])
-        grad = SoftmaxCrossEntropy().grad(logits, np.array([0]))
-        np.testing.assert_allclose(grad, [[-0.5, 0.5]])
-
-    def test_grad_matches_numeric(self):
+    def test_value_and_grad_average_over_rows(self):
         rng = np.random.default_rng(2)
-        logits = rng.normal(size=(4, 3))
-        target = rng.dirichlet(np.ones(3), size=4)
-        loss = SoftmaxCrossEntropy()
-        numeric = numeric_grad(lambda: loss.value(logits, target), logits)
-        np.testing.assert_allclose(loss.grad(logits, target), numeric,
-                                   atol=1e-5)
-
-    def test_stable_for_extreme_logits(self):
-        logits = np.array([[1e4, -1e4]])
-        value = SoftmaxCrossEntropy().value(logits, np.array([0]))
-        assert np.isfinite(value)
+        pred = rng.normal(scale=2.0, size=(4, 3))
+        target = rng.normal(size=(4, 3))
+        loss = HuberLoss()
+        rows = [loss.value(pred[i:i + 1], target[i:i + 1]) for i in range(4)]
+        assert loss.value(pred, target) == pytest.approx(np.mean(rows))
+        row_grads = [loss.grad(pred[i:i + 1], target[i:i + 1]) for i in range(4)]
+        np.testing.assert_allclose(loss.grad(pred, target),
+                                   np.vstack(row_grads) / 4)

@@ -1,14 +1,12 @@
-"""Tests for repro.nn.network and repro.nn.train."""
+"""Tests for repro.nn.network: construction, weights and training."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.nn.layers import Dense, ReLU
-from repro.nn.losses import MeanSquaredError, SoftmaxCrossEntropy
+from repro.nn.losses import HuberLoss
 from repro.nn.network import Network
 from repro.nn.optimizers import Adam
-from repro.nn.train import train_network
 
 
 class TestConstruction:
@@ -20,10 +18,6 @@ class TestConstruction:
     def test_empty_layers_raise(self):
         with pytest.raises(ConfigurationError):
             Network([])
-
-    def test_unknown_activation_raises(self):
-        with pytest.raises(ConfigurationError):
-            Network.mlp(2, [2], 1, activation="gelu")
 
 
 class TestForward:
@@ -72,59 +66,45 @@ class TestWeights:
 
 
 class TestTraining:
+    def test_backprop_matches_numeric_gradient(self):
+        """Dense/ReLU backprop of the Huber loss, through every parameter."""
+        rng = np.random.default_rng(5)
+        net = Network.mlp(3, [5, 4], 2, rng=rng)
+        x = rng.normal(size=(6, 3))
+        target = rng.normal(scale=2.0, size=(6, 2))
+        loss = HuberLoss()
+        net.zero_grads()
+        net.backward(loss.grad(net.forward(x, training=True), target))
+        for param, grad in net.params_and_grads():
+            numeric = np.zeros_like(param)
+            for idx in np.ndindex(param.shape):
+                orig = param[idx]
+                param[idx] = orig + 1e-6
+                plus = loss.value(net.forward(x), target)
+                param[idx] = orig - 1e-6
+                minus = loss.value(net.forward(x), target)
+                param[idx] = orig
+                numeric[idx] = (plus - minus) / 2e-6
+            np.testing.assert_allclose(grad, numeric, atol=1e-6)
+
     def test_train_batch_reduces_loss(self):
         rng = np.random.default_rng(0)
         net = Network.mlp(2, [8], 1, rng=rng)
         x = rng.normal(size=(32, 2))
         y = (x.sum(axis=1, keepdims=True) > 0).astype(float)
-        loss = MeanSquaredError()
+        loss = HuberLoss()
         opt = Adam(0.01)
         first = net.train_batch(x, y, loss, opt)
         for _ in range(100):
             last = net.train_batch(x, y, loss, opt)
         assert last < first
 
-    def test_train_network_learns_xor(self):
+    def test_train_batch_learns_xor(self):
         x = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float)
-        y = np.array([0, 1, 1, 0])
-        net = Network.mlp(2, [16], 2, rng=3)
-        result = train_network(
-            net, x, y, SoftmaxCrossEntropy(), Adam(0.05),
-            epochs=300, batch_size=4, rng=0,
-        )
-        pred = net.forward(x).argmax(axis=1)
-        np.testing.assert_array_equal(pred, y)
-        assert result.final_loss < 0.1
-
-    def test_early_stopping(self):
-        x = np.zeros((8, 2))
-        y = np.zeros((8, 1))
-        net = Network.mlp(2, [4], 1, rng=0)
-        result = train_network(
-            net, x, y, MeanSquaredError(), Adam(0.01),
-            epochs=500, patience=3, rng=0,
-        )
-        assert result.stopped_early
-        assert result.epochs_run < 500
-
-    def test_loss_history_recorded(self):
-        x = np.random.default_rng(0).normal(size=(16, 2))
-        y = x[:, :1]
-        net = Network.mlp(2, [4], 1, rng=0)
-        result = train_network(net, x, y, MeanSquaredError(), Adam(0.01),
-                               epochs=5, rng=0)
-        assert len(result.loss_history) == 5
-        assert result.final_loss == result.loss_history[-1]
-
-    def test_mismatched_lengths_raise(self):
-        net = Network.mlp(2, [4], 1, rng=0)
-        with pytest.raises(ConfigurationError):
-            train_network(net, np.ones((4, 2)), np.ones((3, 1)),
-                          MeanSquaredError(), Adam(0.01))
-
-    def test_sample_weights_validated(self):
-        net = Network.mlp(2, [4], 1, rng=0)
-        with pytest.raises(ConfigurationError):
-            train_network(net, np.ones((4, 2)), np.ones((4, 1)),
-                          MeanSquaredError(), Adam(0.01),
-                          sample_weights=np.ones(5))
+        y = np.array([[0.0], [1.0], [1.0], [0.0]])
+        net = Network.mlp(2, [16], 1, rng=3)
+        loss, opt = HuberLoss(), Adam(0.05)
+        for _ in range(300):
+            last = net.train_batch(x, y, loss, opt)
+        np.testing.assert_array_equal(net.forward(x) > 0.5, y > 0.5)
+        assert last < 1e-3

@@ -10,7 +10,6 @@ from repro.inference.dawid_skene import DawidSkene
 from repro.inference.majority import MajorityVote
 from repro.inference.pm import PMInference
 from repro.metrics.classification import accuracy, confusion_counts, f1_score
-from repro.nn.losses import SoftmaxCrossEntropy
 from repro.rl.replay import ReplayBuffer, Transition
 from repro.utils.topk import select_objects_by_topk_q, top_k_indices
 
@@ -202,22 +201,3 @@ def test_replay_buffer_never_exceeds_capacity(capacity, rewards):
     stored_rewards = {t.reward for t in buf._storage}
     assert {t.reward for t in sample} <= stored_rewards
 
-
-# ---------------------------------------------------------------------------
-# Losses
-# ---------------------------------------------------------------------------
-
-@given(arrays(float, st.tuples(st.integers(1, 8), st.integers(2, 5)),
-              elements=st.floats(-20, 20)))
-@settings(max_examples=40, deadline=None)
-def test_cross_entropy_nonnegative_and_finite(logits):
-    n, c = logits.shape
-    target = np.zeros((n, c))
-    target[:, 0] = 1.0
-    loss = SoftmaxCrossEntropy()
-    value = loss.value(logits, target)
-    assert np.isfinite(value)
-    assert value >= -1e-9
-    grad = loss.grad(logits, target)
-    # Gradient rows sum to ~0 (softmax minus distribution).
-    np.testing.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-9)
