@@ -1,12 +1,14 @@
 """The paired-seed protocol for result-changing changes.
 
-A change that moves CrowdRL's numbers is judged on paired seeds, not on
-one run: the same 24 seeds on each Fig. 8 panel (S12CP, S3CP, Fashion),
-with settings built as ``fig8`` builds them (``_annotators_for``,
-``_dataset_scale`` at scale 0.05) and cross-trained as
-``run_experiment`` does by default.  ``run`` records each run's accuracy
-and F1 from one checkout; ``compare`` pairs two such files seed by seed
-and prints the difference ``CHANGE - BASE`` with its 95% bootstrap CI
+A change that moves a framework's numbers is judged on paired seeds, not
+on one run: the same 24 seeds on each Fig. 8 panel (S12CP, S3CP,
+Fashion), with settings built as ``fig8`` builds them
+(``_annotators_for``, ``_dataset_scale`` at scale 0.05) and cross-trained
+as ``run_experiment`` does by default.  ``run`` records each run's
+accuracy and F1 from one checkout, for CrowdRL unless ``--frameworks``
+names others (one record per framework); ``compare`` pairs two such
+files seed by seed and prints, per framework, the difference
+``CHANGE - BASE`` with its 95% bootstrap CI
 (``harness.stats.bootstrap_mean_difference(..., rng=0)``), per panel and
 pooled over all runs.  EXPERIMENTS.md "Design ablations" describes the
 protocol and records its tables.
@@ -18,7 +20,9 @@ Usage::
     PYTHONPATH=src python benchmarks/paired_seeds.py run --out change.json
     PYTHONPATH=src python benchmarks/paired_seeds.py compare base.json change.json
 
-``run`` takes about 30 s on two spawn workers.
+``run`` takes about 30 s on two spawn workers for CrowdRL.
+``--frameworks DLTA,IDLE,DALC`` judges the Dawid–Skene baselines, and
+``--seeds 48`` widens the block to seeds 0-47.
 """
 
 from __future__ import annotations
@@ -59,11 +63,16 @@ def _setting(dataset_name: str, seed: int) -> ExperimentSetting:
     )
 
 
-def run(out: str) -> dict:
-    """Run CrowdRL over ``SEEDS`` x ``PANEL_DATASETS``; write ``out``."""
-    cells = [(name, seed) for name in PANEL_DATASETS for seed in SEEDS]
+def run(out: str, frameworks: Sequence[str] = (FRAMEWORK,),
+        seeds: Sequence[int] = SEEDS) -> list[dict]:
+    """Run ``frameworks`` over ``seeds`` x ``PANEL_DATASETS``; write ``out``.
+
+    Returns one record per framework.  One framework writes its record;
+    several write the list.
+    """
+    cells = [(name, seed) for name in PANEL_DATASETS for seed in seeds]
     payloads = [
-        {"framework_names": [FRAMEWORK],
+        {"framework_names": list(frameworks),
          "setting": asdict(_setting(name, seed))}
         for name, seed in cells
     ]
@@ -72,17 +81,19 @@ def run(out: str) -> dict:
         tags=[f"{name}:seed{seed}" for name, seed in cells],
         options=WORKERS,
     )
-    runs = []
-    for (name, seed), outcome in zip(cells, outcomes):
-        report = outcome.value["reports"][FRAMEWORK]
-        runs.append({"dataset": name, "seed": seed, **{
-            metric: report[_REPORT_FIELD[metric]] for metric in METRICS
-        }})
-    record = {"framework": FRAMEWORK, "scale": SCALE, "runs": runs}
+    records = []
+    for framework in frameworks:
+        runs = []
+        for (name, seed), outcome in zip(cells, outcomes):
+            report = outcome.value["reports"][framework]
+            runs.append({"dataset": name, "seed": seed, **{
+                metric: report[_REPORT_FIELD[metric]] for metric in METRICS
+            }})
+        records.append({"framework": framework, "scale": SCALE, "runs": runs})
     with open(out, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=1)
+        json.dump(records[0] if len(records) == 1 else records, fh, indent=1)
         fh.write("\n")
-    return record
+    return records
 
 
 def _paired(base: dict, change: dict, metric: str,
@@ -104,8 +115,9 @@ def _cell(diff: float, low: float, high: float) -> str:
     return f"{bold}{diff:+.3f} [{low:+.3f}, {high:+.3f}]{bold}"
 
 
-def compare(base: dict, change: dict) -> list[str]:
-    """Markdown rows of ``change - base`` per panel and pooled."""
+def _table(base: dict, change: dict) -> list[str]:
+    """Markdown rows of one framework's ``change - base`` per panel and
+    pooled."""
     present = {r["dataset"] for r in base["runs"]}
     panels = [name for name in PANEL_DATASETS if name in present]
     lines = ["| panel | runs | base acc | change acc | change − base acc "
@@ -123,20 +135,45 @@ def compare(base: dict, change: dict) -> list[str]:
     return lines
 
 
+def compare(base: dict | list[dict], change: dict | list[dict]) -> list[str]:
+    """One ``change - base`` table per framework the two files share,
+    headed by the framework's name when there are several."""
+    bases, changes = ([r] if isinstance(r, dict) else r
+                      for r in (base, change))
+    by_name = {r["framework"]: r for r in changes}
+    if sorted(by_name) != sorted(r["framework"] for r in bases):
+        raise SystemExit("the two files cover different frameworks")
+    if len(bases) == 1:
+        return _table(bases[0], by_name[bases[0]["framework"]])
+    lines: list[str] = []
+    for record in bases:
+        if lines:
+            lines.append("")
+        lines += [f"{record['framework']}:", "",
+                  *_table(record, by_name[record["framework"]])]
+    return lines
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="record per-run accuracy/F1 as JSON")
     run_p.add_argument("--out", required=True, help="JSON file to write")
+    run_p.add_argument("--frameworks", default=FRAMEWORK,
+                       help="comma-separated frameworks to run "
+                            f"(default {FRAMEWORK})")
+    run_p.add_argument("--seeds", type=int, default=len(SEEDS),
+                       help=f"run seeds 0..N-1 (default {len(SEEDS)})")
     cmp_p = sub.add_parser("compare", help="paired CHANGE - BASE table")
     cmp_p.add_argument("base", help="JSON from `run` on the base checkout")
     cmp_p.add_argument("change", help="JSON from `run` on the changed checkout")
     args = parser.parse_args(argv)
 
     if args.command == "run":
-        record = run(args.out)
-        print(f"wrote {args.out}: {len(record['runs'])} runs of "
-              f"{record['framework']}")
+        for record in run(args.out, args.frameworks.split(","),
+                          range(args.seeds)):
+            print(f"wrote {args.out}: {len(record['runs'])} runs of "
+                  f"{record['framework']}")
         return 0
     loaded = []
     for path in (args.base, args.change):

@@ -12,8 +12,10 @@ from repro.inference.dawid_skene import DawidSkene
 from repro.inference.em import _AnswerIndex, _e_step_posteriors
 from repro.inference.majority import MajorityVote
 from repro.inference.pm import PMInference
+from repro.obs import MetricsRegistry, use_registry
 
 from conftest import build_pool
+from ds_oracle import plain_em
 
 
 def simulate_answers(n_objects=80, worker_accs=(0.85, 0.8, 0.75, 0.55),
@@ -118,6 +120,100 @@ class TestDawidSkeneSpecifics:
             DawidSkene(tol=0)
         with pytest.raises(ConfigurationError):
             DawidSkene(smoothing=-0.1)
+
+
+@pytest.mark.parametrize("n_objects,worker_accs,seed", [
+    (80, (0.85, 0.8, 0.75, 0.55), 0),
+    (200, (0.9, 0.7, 0.6), 3),
+    (400, (0.97, 0.55, 0.55, 0.55), 2),
+    (150, (0.8, 0.8, 0.65, 0.6, 0.55), 7),
+])
+def test_squarem_reaches_the_plain_em_fixed_point(n_objects, worker_accs,
+                                                  seed):
+    """On well-determined problems SQUAREM and plain EM, both run to
+    ``tol=1e-10``, land on the same posteriors and labels."""
+    answers, _truths, n_ann = simulate_answers(
+        n_objects=n_objects, worker_accs=worker_accs, seed=seed
+    )
+    fast = DawidSkene(tol=1e-10, max_iter=10_000).infer(answers, 2, n_ann)
+    slow = plain_em(answers, 2, n_ann, tol=1e-10, max_iter=10_000)
+    assert fast.converged and slow.converged
+    assert fast.iterations < slow.iterations
+    for oid in answers:
+        np.testing.assert_allclose(fast.posteriors[oid], slow.posteriors[oid],
+                                   rtol=0, atol=1e-6)
+    assert fast.labels == slow.labels
+
+
+class TestDawidSkeneCounters:
+    """Each call lands its sweeps and its outcome in the obs registry."""
+
+    def _counted(self, **kwargs):
+        answers, _, n_ann = simulate_answers(n_objects=60, seed=4)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            result = DawidSkene(**kwargs).infer(answers, 2, n_ann)
+        # Metering never changes the result.
+        plain = DawidSkene(**kwargs).infer(answers, 2, n_ann)
+        for oid, post in plain.posteriors.items():
+            assert np.array_equal(result.posteriors[oid], post)
+        return result, registry.snapshot()["counters"]
+
+    def test_converged_call(self):
+        result, counters = self._counted()
+        assert result.converged
+        assert counters["infer.ds_sweeps"] == result.iterations
+        assert counters["infer.ds_converged"] == 1
+        assert "infer.ds_hit_max_iter" not in counters
+
+    def test_capped_call(self):
+        result, counters = self._counted(max_iter=3)
+        assert not result.converged
+        assert counters["infer.ds_sweeps"] == result.iterations == 3
+        assert counters["infer.ds_hit_max_iter"] == 1
+        assert "infer.ds_converged" not in counters
+
+
+@st.composite
+def ds_problems(draw):
+    """Answer maps with silent annotators, any smoothing, cap and tol."""
+    n_classes = draw(st.integers(2, 4))
+    n_annotators = draw(st.integers(1, 6))
+    active = draw(st.permutations(range(n_annotators)))[
+        :draw(st.integers(1, n_annotators))]
+    n_objects = draw(st.integers(1, 15))
+    answers = {}
+    for oid in range(n_objects):
+        voters = draw(st.permutations(active))
+        n_votes = draw(st.integers(1, len(active)))
+        answers[oid] = {
+            voters[i]: draw(st.integers(0, n_classes - 1))
+            for i in range(n_votes)
+        }
+    smoothing = draw(st.sampled_from([0.0, 0.01, 0.2, 1.0]))
+    tol = draw(st.sampled_from([1e-3, 1e-5, 1e-8]))
+    max_iter = draw(st.integers(1, 60))
+    return answers, n_classes, n_annotators, smoothing, tol, max_iter
+
+
+@given(ds_problems())
+@settings(max_examples=100, deadline=None)
+def test_squarem_iterates_stay_on_the_simplex(problem):
+    """Extrapolated or not, every reported posterior is a distribution and
+    the sweep record obeys the ``max_iter`` / ``tol`` contract."""
+    answers, n_classes, n_annotators, smoothing, tol, max_iter = problem
+    result = DawidSkene(smoothing=smoothing, tol=tol, max_iter=max_iter).infer(
+        answers, n_classes, n_annotators
+    )
+    for post in result.posteriors.values():
+        assert post.shape == (n_classes,)
+        assert np.isfinite(post).all() and (post >= 0).all()
+        assert post.sum() == pytest.approx(1.0)
+    assert 1 <= result.iterations <= max_iter
+    assert len(result.max_deltas) == result.iterations
+    assert result.converged == (result.max_deltas[-1] < tol)
+    assert sorted(result.confusions) == sorted(
+        {j for votes in answers.values() for j in votes})
 
 
 class TestPMSpecifics:

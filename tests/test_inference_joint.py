@@ -10,12 +10,12 @@ from repro.crowd.cost import BudgetManager
 from repro.crowd.platform import CrowdPlatform
 from repro.datasets.synthetic import make_blobs
 from repro.exceptions import ConfigurationError
-from repro.inference.dawid_skene import DawidSkene
 from repro.inference.joint import JointInference
 from repro.inference.majority import MajorityVote
 from repro.obs import MetricsRegistry, use_registry
 
 from conftest import build_pool
+from ds_oracle import plain_em
 
 
 def joint_setup(n_objects=100, separation=2.5, worker_accs=(0.7, 0.65, 0.6),
@@ -232,7 +232,8 @@ def reduction_cases(draw):
 @settings(max_examples=60, deadline=None)
 def test_joint_without_classifier_reduces_to_dawid_skene(case):
     """Joint EM with no classifier term, a learned prior and no expert
-    floor is Dawid-Skene (Section V without Theta)."""
+    floor is Dawid-Skene (Section V without Theta), sweep for sweep: the
+    plain-EM oracle, not the SQUAREM solver, takes the same iterates."""
     answers, n_classes, n_annotators, smoothing, tol, max_iter = case
     features = np.zeros((len(answers), 1))
     joint = JointInference(
@@ -240,9 +241,8 @@ def test_joint_without_classifier_reduces_to_dawid_skene(case):
         classifier_weight=0.0, learn_prior=True,
         smoothing=smoothing, tol=tol, max_iter=max_iter,
     ).infer(answers, n_classes, n_annotators)
-    ds = DawidSkene(smoothing=smoothing, tol=tol, max_iter=max_iter).infer(
-        answers, n_classes, n_annotators
-    )
+    ds = plain_em(answers, n_classes, n_annotators, smoothing=smoothing,
+                  tol=tol, max_iter=max_iter)
     assert joint.iterations == ds.iterations
     assert joint.converged == ds.converged
     for oid in answers:
