@@ -63,9 +63,7 @@ class DALC(LabellingFramework):
 
         def infer() -> None:
             nonlocal classifier
-            answered = platform.history.answered_objects()
-            answers = {int(i): platform.history.answers_for(int(i))
-                       for i in answered}
+            answers = platform.history.answer_map()
             if not answers:
                 return
             # DALC alternates Bayesian label inference with classifier

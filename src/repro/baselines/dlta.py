@@ -64,9 +64,7 @@ class DLTA(LabellingFramework):
         while iterations < MAX_ITERATIONS:
             iterations += 1
             # ---- label inference ----
-            answered = platform.history.answered_objects()
-            answers = {int(i): platform.history.answers_for(int(i))
-                       for i in answered}
+            answers = platform.history.answer_map()
             if answers:
                 result = em.infer(answers, platform.n_classes, len(platform.pool))
                 truths = dict(result.labels)

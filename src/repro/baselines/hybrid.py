@@ -106,9 +106,7 @@ class Hybrid(LabellingFramework):
         iterations = 0
 
         def infer() -> None:
-            answered = platform.history.answered_objects()
-            answers = {int(i): platform.history.answers_for(int(i))
-                       for i in answered}
+            answers = platform.history.answer_map()
             if not answers:
                 return
             result = pm.infer(answers, platform.n_classes, len(platform.pool))

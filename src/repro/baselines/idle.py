@@ -67,9 +67,7 @@ class IDLE(LabellingFramework):
         iterations = 0
 
         def reinfer() -> None:
-            answered = platform.history.answered_objects()
-            answers = {int(i): platform.history.answers_for(int(i))
-                       for i in answered}
+            answers = platform.history.answer_map()
             if not answers:
                 return
             result = em.infer(answers, platform.n_classes, len(platform.pool))

@@ -76,8 +76,7 @@ class Environment:
     def _infer_truths(self) -> InferenceResult:
         """Untimed body of :meth:`infer_truths`."""
         history = self.platform.history
-        answered = history.answered_objects()
-        answers = {int(i): history.answers_for(int(i)) for i in answered}
+        answers = history.answer_map()
         if not answers:
             return InferenceResult(posteriors={}, labels={})
 

@@ -55,12 +55,13 @@ class CollectRequest:
     def run(self, collect: Callable, budget: BudgetManager):
         """Call ``collect(assignments)`` and attribute its spend to the phase.
 
-        Both episode drivers collect through this, so they share one
-        ``phase_timer`` block and one ``budget.<phase>`` formula: the
-        initial sample is charged by spent-delta (wrappers may charge
-        waste for the sample too), iteration collections by
-        ``budget.iteration_cost`` over the ledger slice.  Returns what
-        ``collect`` returned.
+        Both episode drivers — :func:`drive_episode` and the serving
+        layer's :class:`~repro.serve.session.LabellingSession` — collect
+        through this, so they share one ``phase_timer`` block and one
+        ``budget.<phase>`` formula: the initial sample is charged by
+        spent-delta (wrappers may charge waste for the sample too),
+        iteration collections by ``budget.iteration_cost`` over the
+        ledger slice.  Returns what ``collect`` returned.
         """
         spent_before = budget.spent
         ledger_start = budget.ledger_length
@@ -84,8 +85,8 @@ def drive_episode(
     :class:`CollectRequest` with a blocking ``platform.ask_batch`` call
     through :meth:`CollectRequest.run`, so ``framework.run(...)`` built on
     this driver is bit-identical to the historical implementation.  The
-    async event-loop collector (:mod:`repro.serve.collector`) is the
-    other driver of the same protocol; this one is its oracle.
+    serving layer's :class:`~repro.serve.session.LabellingSession` is
+    the other driver of the same protocol; this one is its oracle.
     """
     try:
         request = next(episode)

@@ -81,6 +81,21 @@ class LabellingHistory:
         answered = np.nonzero(row != UNANSWERED)[0]
         return {int(j): int(row[j]) for j in answered}
 
+    def answer_map(self) -> dict[int, dict[int, int]]:
+        """Answer sets of every answered object: ``{object_id: y_i}``.
+
+        The map ``{i: answers_for(i) for i in answered_objects()}`` —
+        objects ascending, annotators ascending within each — built from
+        one pass over the matrix; the truth-inference input.
+        """
+        objects, annotators = np.nonzero(self.matrix != UNANSWERED)
+        answers = self.matrix[objects, annotators]
+        result: dict[int, dict[int, int]] = {}
+        for i, j, answer in zip(objects.tolist(), annotators.tolist(),
+                                answers.tolist()):
+            result.setdefault(i, {})[j] = answer
+        return result
+
     def answer_counts(self, object_id: int) -> np.ndarray:
         """Votes per class for one object (for majority voting / features)."""
         counts = np.zeros(self.n_classes)

@@ -37,10 +37,10 @@ from repro.harness.parallel import SweepOptions
 from repro.harness.report import render_figures
 
 _FIGURES = {
-    "fig4": lambda **kw: fig4(**kw),
-    "fig5": lambda **kw: fig5(**kw),
-    "fig6": lambda **kw: fig6(**kw),
-    "fig7": lambda **kw: fig7(**kw),
+    "fig4": fig4,
+    "fig5": fig5,
+    "fig6": fig6,
+    "fig7": fig7,
     "fig8": lambda **kw: [fig8(**kw)],
 }
 

@@ -126,9 +126,10 @@ class ExperimentSpec:
     serve / latency:
         ``serve=True`` executes the episode through the online serving
         layer (:mod:`repro.serve`): answers complete after seeded
-        per-annotator latency on a virtual event clock, overlapped by the
-        event-loop collector.  Under the virtual clock the outcome is
-        bit-identical to the sync path — the sync run is the oracle.
+        per-annotator latency on a virtual event clock, driven as one
+        :class:`~repro.serve.session.LabellingSession`.  Under the
+        virtual clock the outcome is bit-identical to the sync path —
+        the sync run is the oracle.
         ``latency`` is a mean service time in virtual seconds or a full
         :class:`~repro.serve.latency.LatencyModel`; setting it implies
         ``serve=True``.  Serving is incompatible with checkpointing
@@ -448,17 +449,18 @@ def _run_served(
 
     Wraps the (already composed) platform chain in an
     :class:`~repro.serve.platform.AsyncPlatform` on a fresh virtual clock
-    and drives the framework's episode with the event-loop collector.
-    Under the virtual clock this is bit-identical to ``framework.run``;
-    the virtual makespan and overlap counters land in
+    and drives the framework's episode as one
+    :class:`~repro.serve.session.LabellingSession` recording into the
+    run's registry.  Under the virtual clock this is bit-identical to
+    ``framework.run``; the virtual makespan and overlap counters land in
     ``outcome.extras["serve"]``.
     """
     from repro.serve import (
         AnnotatorLeases,
         AsyncPlatform,
+        LabellingSession,
         LatencyModel,
         VirtualClock,
-        run_episode_async,
     )
 
     latency = spec.latency
@@ -473,7 +475,21 @@ def _run_served(
     async_platform = AsyncPlatform(
         platform, latency=latency, clock=clock, leases=leases
     )
-    outcome = run_episode_async(framework, dataset, async_platform)
+    session = LabellingSession(
+        async_platform.session, dataset, framework, async_platform,
+        registry=get_registry(),
+    )
+    try:
+        session.start()
+        while not session.done:
+            if len(clock) == 0:
+                raise ConfigurationError(
+                    "event clock idle but the episode still expects answers"
+                )
+            session.deliver(clock.pop()[2])
+    finally:
+        session.close()
+    outcome = session.result.outcome
     outcome.extras["serve"] = {
         "makespan": clock.now,
         "completed": async_platform.completed,

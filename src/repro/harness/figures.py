@@ -18,7 +18,7 @@ is a pure function of its seeded setting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from repro.exceptions import ConfigurationError
 from repro.harness.experiment import (
@@ -125,6 +125,44 @@ def fig4(*, scale: float = 0.02, n_seeds: int = 1, seed: int = 0,
     return panels
 
 
+def _panel_sweep(figure: str, x_label: str, tag: str, x_values: Sequence,
+                 vary: Callable[[object], dict], *, scale: float,
+                 n_seeds: int, seed: int, frameworks: Sequence[str],
+                 datasets: Sequence[str],
+                 parallel: Union[int, SweepOptions, None]
+                 ) -> list[FigureResult]:
+    """Figs. 5-7: one precision panel per dataset, one point per x value.
+
+    Every cell starts from the dataset's default setting;
+    ``vary(x)`` gives the setting fields the figure varies, and
+    ``tag`` prefixes ``x`` in the cell's job label.
+    """
+    jobs: list[_Job] = []
+    for dataset_name in datasets:
+        n_workers, n_experts = _annotators_for(dataset_name)
+        for x in x_values:
+            fields = {"n_workers": n_workers, "n_experts": n_experts,
+                      **vary(x)}
+            jobs.append((f"{figure}:{dataset_name}:{tag}{x}",
+                         tuple(frameworks),
+                         ExperimentSetting(
+                             dataset_name=dataset_name,
+                             scale=_dataset_scale(dataset_name, scale),
+                             seed=seed, **fields,
+                         )))
+    merged = _sweep(jobs, n_seeds=n_seeds, base_seed=seed, parallel=parallel)
+    results = []
+    for d, dataset_name in enumerate(datasets):
+        panel = FigureResult(f"{figure}:{dataset_name}", x_label,
+                             list(x_values))
+        for i in range(len(x_values)):
+            reports = merged[d * len(x_values) + i]
+            for name in frameworks:
+                panel.add(name, reports[name].precision)
+        results.append(panel)
+    return results
+
+
 def fig5(*, scale: float = 0.02, n_seeds: int = 1, seed: int = 0,
          frameworks: Sequence[str] = FRAMEWORK_NAMES,
          ratios: Sequence[float] = (0.1, 0.2, 0.3, 0.4, 0.5),
@@ -132,29 +170,12 @@ def fig5(*, scale: float = 0.02, n_seeds: int = 1, seed: int = 0,
          parallel: Union[int, SweepOptions, None] = None
          ) -> list[FigureResult]:
     """Fig. 5: precision vs dataset sampling ratio (scalability)."""
-    jobs: list[_Job] = []
-    for dataset_name in datasets:
-        n_workers, n_experts = _annotators_for(dataset_name)
-        for ratio in ratios:
-            jobs.append((f"fig5:{dataset_name}:r{ratio}", tuple(frameworks),
-                         ExperimentSetting(
-                             dataset_name=dataset_name,
-                             scale=_dataset_scale(dataset_name, scale),
-                             n_workers=n_workers, n_experts=n_experts,
-                             subsample=ratio, seed=seed,
-                         )))
-    merged = _sweep(jobs, n_seeds=n_seeds, base_seed=seed, parallel=parallel)
-    results = []
-    for d, dataset_name in enumerate(datasets):
-        panel = FigureResult(
-            f"fig5:{dataset_name}", "sampling ratio", list(ratios)
-        )
-        for r in range(len(ratios)):
-            reports = merged[d * len(ratios) + r]
-            for name in frameworks:
-                panel.add(name, reports[name].precision)
-        results.append(panel)
-    return results
+    return _panel_sweep(
+        "fig5", "sampling ratio", "r", ratios,
+        lambda ratio: {"subsample": ratio},
+        scale=scale, n_seeds=n_seeds, seed=seed, frameworks=frameworks,
+        datasets=datasets, parallel=parallel,
+    )
 
 
 def fig6(*, scale: float = 0.02, n_seeds: int = 1, seed: int = 0,
@@ -164,27 +185,13 @@ def fig6(*, scale: float = 0.02, n_seeds: int = 1, seed: int = 0,
          parallel: Union[int, SweepOptions, None] = None
          ) -> list[FigureResult]:
     """Fig. 6: precision vs number of annotators |W|."""
-    jobs: list[_Job] = []
-    for dataset_name in datasets:
-        for total in pool_sizes:
-            n_workers, n_experts = _split_pool(total)
-            jobs.append((f"fig6:{dataset_name}:w{total}", tuple(frameworks),
-                         ExperimentSetting(
-                             dataset_name=dataset_name,
-                             scale=_dataset_scale(dataset_name, scale),
-                             n_workers=n_workers, n_experts=n_experts,
-                             seed=seed,
-                         )))
-    merged = _sweep(jobs, n_seeds=n_seeds, base_seed=seed, parallel=parallel)
-    results = []
-    for d, dataset_name in enumerate(datasets):
-        panel = FigureResult(f"fig6:{dataset_name}", "|W|", list(pool_sizes))
-        for p in range(len(pool_sizes)):
-            reports = merged[d * len(pool_sizes) + p]
-            for name in frameworks:
-                panel.add(name, reports[name].precision)
-        results.append(panel)
-    return results
+    return _panel_sweep(
+        "fig6", "|W|", "w", pool_sizes,
+        lambda total: dict(zip(("n_workers", "n_experts"),
+                               _split_pool(total))),
+        scale=scale, n_seeds=n_seeds, seed=seed, frameworks=frameworks,
+        datasets=datasets, parallel=parallel,
+    )
 
 
 def fig7(*, scale: float = 0.02, n_seeds: int = 1, seed: int = 0,
@@ -194,27 +201,11 @@ def fig7(*, scale: float = 0.02, n_seeds: int = 1, seed: int = 0,
          parallel: Union[int, SweepOptions, None] = None
          ) -> list[FigureResult]:
     """Fig. 7: precision vs initial sampling rate alpha."""
-    jobs: list[_Job] = []
-    for dataset_name in datasets:
-        n_workers, n_experts = _annotators_for(dataset_name)
-        for alpha in alphas:
-            jobs.append((f"fig7:{dataset_name}:a{alpha}", tuple(frameworks),
-                         ExperimentSetting(
-                             dataset_name=dataset_name,
-                             scale=_dataset_scale(dataset_name, scale),
-                             n_workers=n_workers, n_experts=n_experts,
-                             alpha=alpha, seed=seed,
-                         )))
-    merged = _sweep(jobs, n_seeds=n_seeds, base_seed=seed, parallel=parallel)
-    results = []
-    for d, dataset_name in enumerate(datasets):
-        panel = FigureResult(f"fig7:{dataset_name}", "alpha", list(alphas))
-        for a in range(len(alphas)):
-            reports = merged[d * len(alphas) + a]
-            for name in frameworks:
-                panel.add(name, reports[name].precision)
-        results.append(panel)
-    return results
+    return _panel_sweep(
+        "fig7", "alpha", "a", alphas, lambda alpha: {"alpha": alpha},
+        scale=scale, n_seeds=n_seeds, seed=seed, frameworks=frameworks,
+        datasets=datasets, parallel=parallel,
+    )
 
 
 def fig8(*, scale: float = 0.02, n_seeds: int = 1, seed: int = 0,

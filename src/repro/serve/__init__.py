@@ -17,15 +17,14 @@ Layering (each piece usable alone):
 * :class:`AsyncPlatform` — ``ask_async``/``submit_batch`` futures over
   any composed :class:`~repro.crowd.protocol.Platform` chain; executes
   the inner ``ask`` at submission so async stays bit-identical to sync.
-* :class:`EventLoopCollector` / :func:`run_episode_async` — drives a
-  framework's stepwise episode, overlapping collection with agent steps.
-* :class:`LabellingSession` / :class:`ServeEngine` — the multi-tenant
-  layer: admission, per-project budgets, per-session obs registries and
-  JSONL streams, one deterministic event loop.
+* :class:`LabellingSession` — drives one framework's stepwise episode,
+  overlapping collection with agent steps, with its own budget, obs
+  registry and JSONL stream; a single served run is one session.
+* :class:`ServeEngine` — the multi-tenant event loop: FIFO admission
+  of many sessions onto one shared pool and clock.
 """
 
 from repro.serve.clock import VirtualClock
-from repro.serve.collector import EventLoopCollector, run_episode_async
 from repro.serve.engine import EngineReport, ServeEngine
 from repro.serve.latency import LatencyModel
 from repro.serve.leases import AnnotatorLeases
@@ -36,12 +35,10 @@ __all__ = [
     "AnnotatorLeases",
     "AsyncPlatform",
     "EngineReport",
-    "EventLoopCollector",
     "LabellingSession",
     "LatencyModel",
     "PendingAnswer",
     "ServeEngine",
     "SessionResult",
     "VirtualClock",
-    "run_episode_async",
 ]

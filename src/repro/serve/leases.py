@@ -30,10 +30,8 @@ class AnnotatorLeases:
         #: session name -> grants made to it.
         self._grants: dict[str, int] = {}
         #: Total virtual seconds requests spent queued behind busy
-        #: annotators, and how many grants had to queue at all.
+        #: annotators.
         self.total_wait = 0.0
-        self.waited = 0
-        self.granted = 0
 
     def acquire(
         self,
@@ -60,11 +58,7 @@ class AnnotatorLeases:
         start = max(float(now), float(self._free_at[annotator_id]))
         due = start + float(service)
         self._free_at[annotator_id] = due
-        wait = start - float(now)
-        if wait > 0.0:
-            self.total_wait += wait
-            self.waited += 1
-        self.granted += 1
+        self.total_wait += start - float(now)
         self._grants[session] = self._grants.get(session, 0) + 1
         return start, due
 

@@ -68,6 +68,32 @@ class TestQueries:
         counts = history.confusion_counts(0, {0: 0, 1: 1})
         np.testing.assert_array_equal(counts, [[0, 1], [0, 1]])
 
+    def test_answer_map_empty(self, history):
+        assert history.answer_map() == {}
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_answer_map_matches_answers_for_in_order(self, seed):
+        rng = np.random.default_rng(seed)
+        n_objects, n_annotators = rng.integers(1, 12), rng.integers(1, 6)
+        history = LabellingHistory(n_objects, n_annotators, n_classes=3)
+        pairs = [(i, j) for i in range(n_objects) for j in range(n_annotators)
+                 if rng.random() < 0.4]
+        # Record out of order: the map's order must come from the ids,
+        # not from the order answers arrived in.
+        for k in rng.permutation(len(pairs)):
+            i, j = pairs[k]
+            history.record(i, j, int(rng.integers(3)))
+        expected = {int(i): history.answers_for(int(i))
+                    for i in history.answered_objects()}
+        answer_map = history.answer_map()
+        assert answer_map == expected
+        assert list(answer_map) == list(expected)
+        for i, answers in answer_map.items():
+            assert list(answers.items()) == list(expected[i].items())
+            assert all(type(x) is int
+                       for pair in answers.items() for x in pair)
+        assert all(type(i) is int for i in answer_map)
+
     def test_copy_is_independent(self, history):
         history.record(0, 0, 1)
         clone = history.copy()

@@ -39,6 +39,23 @@ class TestCLI:
         assert "precision=" in out
         assert "OBA" in out
 
+    def test_run_serve_reports_the_sync_scores(self, capsys):
+        argv = ["run", "--framework", "CrowdRL", "--dataset", "S12CP",
+                "--scale", "0.02", "--seed", "1"]
+        assert main(argv) == 0
+        sync = capsys.readouterr().out
+        assert main(argv + ["--serve"]) == 0
+        served = capsys.readouterr().out
+
+        def lines(out, prefix):
+            return [line for line in out.splitlines()
+                    if line.startswith(prefix)]
+
+        assert lines(sync, "serving   :") == []
+        assert len(lines(served, "serving   :")) == 1
+        assert len(lines(sync, "precision=")) == 1
+        assert lines(served, "precision=") == lines(sync, "precision=")
+
     def test_fig8_command_executes(self, capsys):
         code = main(["fig8", "--scale", "0.015"])
         assert code == 0

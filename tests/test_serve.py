@@ -38,7 +38,6 @@ from repro.obs.report import budget_by_phase
 from repro.serve import (
     AnnotatorLeases,
     AsyncPlatform,
-    EventLoopCollector,
     LabellingSession,
     LatencyModel,
     ServeEngine,
@@ -222,14 +221,15 @@ class TestAsyncPlatform:
             AsyncPlatform(platform, latency=LatencyModel(99),
                           clock=VirtualClock())
 
-    def test_collector_requires_async_platform(self):
+    def test_session_requires_async_platform(self):
         dataset = make_blobs(10, 6, separation=3.0, name="t", rng=0)
         pool = build_pool()
         platform = CrowdPlatform(
             dataset.labels, pool, BudgetManager(100.0))
-        with pytest.raises(ConfigurationError):
-            EventLoopCollector(
-                CrowdRL(CrowdRLConfig(), rng=0), dataset, platform)
+        with pytest.raises(ConfigurationError, match="AsyncPlatform"):
+            LabellingSession(
+                "default", dataset, CrowdRL(CrowdRLConfig(), rng=0),
+                platform)
 
 
 # ----------------------------------------------------------------------
@@ -257,33 +257,53 @@ class FaultyFramework:
         raise ValueError("annotation backend exploded")
 
 
+class _UnreachablePlatform(CrowdPlatform):
+    """A platform whose annotation backend fails on every request."""
+
+    def ask(self, object_id, annotator_id):
+        raise RuntimeError("annotation backend unreachable")
+
+
 class TestGeneratorLifecycle:
     """Fault-abort and shutdown paths must close the episode generator."""
 
-    def test_faulted_collector_closes_episode_frame(self):
+    def test_faulted_session_closes_episode_frame(self):
         adapter, _, clock = make_async()
         dataset = make_blobs(10, 6, separation=3.0, name="t", rng=0)
         framework = FaultyFramework()
-        collector = EventLoopCollector(framework, dataset, adapter)
-        collector.start()
-        assert not collector.done
+        session = LabellingSession("default", dataset, framework, adapter)
+        session.start()
+        assert not session.done
         assert inspect.getgeneratorstate(framework.frames[0]) == \
             inspect.GEN_SUSPENDED
         with pytest.raises(ValueError):
             _due, _seq, pending = clock.pop()
-            adapter.mark_delivered(pending)
-            collector.on_complete(pending)
+            session.deliver(pending)
         assert inspect.getgeneratorstate(framework.frames[0]) == \
             inspect.GEN_CLOSED
 
-    def test_faulted_run_episode_async_closes_frame(self):
-        from repro.serve.collector import run_episode_async
+    @pytest.mark.parametrize("platform_type, error", [
+        (CrowdPlatform, ValueError),
+        (_UnreachablePlatform, RuntimeError),
+    ], ids=["episode", "submission"])
+    def test_faulted_served_run_closes_frame(self, platform_type, error):
+        """A single served run releases its frame whichever side faults.
 
-        adapter, _, _ = make_async()
+        ``episode``: the episode raises after its first batch lands.
+        ``submission``: the platform raises while the first batch is
+        submitted, leaving the episode suspended at its ``yield`` until
+        the session closes it.
+        """
+        from repro.harness.experiment import _run_served
+
         dataset = make_blobs(10, 6, separation=3.0, name="t", rng=0)
+        platform = platform_type(
+            dataset.labels, build_pool(), BudgetManager(100.0))
         framework = FaultyFramework()
-        with pytest.raises(ValueError):
-            run_episode_async(framework, dataset, adapter)
+        with pytest.raises(error):
+            _run_served(framework, dataset, platform,
+                        ExperimentSetting("S12CP", scale=0.02, seed=0),
+                        ExperimentSpec(serve=True))
         assert inspect.getgeneratorstate(framework.frames[0]) == \
             inspect.GEN_CLOSED
 
