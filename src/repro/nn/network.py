@@ -20,12 +20,28 @@ class Network:
     The class is deliberately small: ``forward`` / ``backward`` plumbing, a
     single-batch ``train_batch`` step, weight get/set for target-network
     synchronisation (DQN), and deep copying.
+
+    All parameters live in one flat vector :attr:`params` and their
+    gradients in one flat vector :attr:`grads`, in layer order (each
+    :class:`Dense` weight, then its bias); the layers' arrays are views
+    into them.  So an optimizer step is one pass over :attr:`params`,
+    and copying a whole network's weights is one array copy.
     """
 
     def __init__(self, layers: Sequence[Layer]) -> None:
         if not layers:
             raise ConfigurationError("Network needs at least one layer")
         self.layers = list(layers)
+        sizes = [layer.n_params for layer in self.layers]
+        #: Every parameter, in layer order; the layers hold views into it.
+        self.params = np.empty(sum(sizes))
+        #: The gradients of :attr:`params`, written by :meth:`backward`.
+        self.grads = np.zeros_like(self.params)
+        start = 0
+        for layer, size in zip(self.layers, sizes):
+            layer.bind(self.params[start:start + size],
+                       self.grads[start:start + size])
+            start += size
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -64,27 +80,15 @@ class Network:
     __call__ = forward
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Backpropagate through the stack, accumulating parameter grads."""
+        """Backpropagate through the stack, writing :attr:`grads`."""
         grad = np.asarray(grad_out, dtype=float)
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
         return grad
 
-    def zero_grads(self) -> None:
-        for layer in self.layers:
-            layer.zero_grads()
-
     # ------------------------------------------------------------------
     # Training
     # ------------------------------------------------------------------
-    def params_and_grads(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Flat ``(param, grad)`` pairs across all layers, in layer order."""
-        pairs: list[tuple[np.ndarray, np.ndarray]] = []
-        for layer in self.layers:
-            params, grads = layer.params, layer.grads
-            pairs.extend((params[name], grads[name]) for name in params)
-        return pairs
-
     def train_batch(
         self,
         x: np.ndarray,
@@ -93,11 +97,10 @@ class Network:
         optimizer: Adam,
     ) -> float:
         """One forward/backward/update step; returns the batch loss."""
-        self.zero_grads()
         pred = self.forward(x, training=True)
-        value = loss.value(pred, target)
-        self.backward(loss.grad(pred, target))
-        optimizer.step(self.params_and_grads())
+        value, grad = loss.value_and_grad(pred, target)
+        self.backward(grad)
+        optimizer.step(self.params, self.grads)
         return value
 
     # ------------------------------------------------------------------
@@ -135,3 +138,7 @@ class Network:
         """Deep copy (fresh parameter arrays), e.g. for a DQN target network."""
         return copy.deepcopy(self)
 
+    def __reduce__(self):
+        # Copies and pickles rebuild the flat vectors from (copies of) the
+        # layers; copying the views one by one would detach them.
+        return Network, (self.layers,)

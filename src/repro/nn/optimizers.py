@@ -14,47 +14,49 @@ EPS = 1e-8
 
 
 class Adam:
-    """Adam with bias correction.
+    """Adam with bias correction, over one flat parameter vector.
 
-    The moments of all parameters live in two flat arrays, so one step
-    is one pass of elementwise arithmetic over the concatenated gradients
-    (the per-parameter formula, element for element) and one write-back
-    per parameter.  The parameter layout (count and shapes) is fixed by
-    the first step.
+    A network keeps all its parameters in one flat array
+    (:attr:`repro.nn.network.Network.params`), so one step is one pass of
+    elementwise arithmetic over it, the per-parameter formula element for
+    element.  The parameter shape is fixed by the first step.
     """
 
     def __init__(self, learning_rate: float = 0.001) -> None:
         if learning_rate <= 0:
             raise ConfigurationError(f"learning_rate must be > 0, got {learning_rate}")
         self.learning_rate = learning_rate
-        self._shapes: tuple[tuple[int, ...], ...] = ()
-        self._m = np.zeros(0)
-        self._v = np.zeros(0)
+        # Moments, and two scratch vectors so a step allocates nothing.
+        self._m = self._v = self._update = self._denom = np.zeros(0)
         self._t = 0
 
-    def step(self, params_and_grads: list[tuple[np.ndarray, np.ndarray]]) -> None:
-        """Apply one bias-corrected Adam update to every (param, grad) pair."""
-        shapes = tuple(param.shape for param, _ in params_and_grads)
+    def step(self, param: np.ndarray, grad: np.ndarray) -> None:
+        """Apply one bias-corrected Adam update to ``param``, in place."""
         if self._t == 0:
-            self._shapes = shapes
-            self._m = np.zeros(sum(param.size for param, _ in params_and_grads))
-            self._v = np.zeros_like(self._m)
-        elif shapes != self._shapes:
+            self._m, self._v, self._update, self._denom = (
+                np.zeros_like(param) for _ in range(4))
+        elif param.shape != self._m.shape:
             raise ConfigurationError(
-                f"Adam was stepped on parameters of shapes {self._shapes}, "
-                f"now got {shapes}"
+                f"Adam was stepped on parameters of shape {self._m.shape}, "
+                f"now got {param.shape}"
             )
         self._t += 1
         bc1 = 1.0 - BETA1 ** self._t
         bc2 = 1.0 - BETA2 ** self._t
-        grad = np.concatenate([g.ravel() for _, g in params_and_grads])
-        m, v = self._m, self._v
+        m, v, update, denom = self._m, self._v, self._update, self._denom
+        # m = BETA1 m + (1 - BETA1) g;  v = BETA2 v + (1 - BETA2) g^2
         m *= BETA1
-        m += (1.0 - BETA1) * grad
+        np.multiply(grad, 1.0 - BETA1, out=update)
+        m += update
         v *= BETA2
-        v += (1.0 - BETA2) * grad ** 2
-        update = self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + EPS)
-        start = 0
-        for param, _ in params_and_grads:
-            param -= update[start:start + param.size].reshape(param.shape)
-            start += param.size
+        np.square(grad, out=denom)
+        denom *= 1.0 - BETA2
+        v += denom
+        # param -= learning_rate * (m / bc1) / (sqrt(v / bc2) + EPS)
+        np.divide(m, bc1, out=update)
+        update *= self.learning_rate
+        np.divide(v, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += EPS
+        update /= denom
+        param -= update

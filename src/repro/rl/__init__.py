@@ -8,10 +8,9 @@ Action selection over the Q-values lives in :mod:`repro.core.agent`.
 
 from repro.rl.dqn import DQNAgent, DQNConfig
 from repro.rl.qnetwork import QNetwork
-from repro.rl.replay import ReplayBuffer, Transition
+from repro.rl.replay import ReplayBuffer
 
 __all__ = [
-    "Transition",
     "ReplayBuffer",
     "QNetwork",
     "DQNAgent",

@@ -7,8 +7,8 @@ Implements the loss of Section IV-A:
 with experience replay and a periodically synchronised target network.
 The target network is frozen between syncs, so ``max_a' Q_target(S', a')``
 for a stored successor array is a constant until the next sync:
-:meth:`DQNAgent.train_step` computes it once per (successor array,
-target version) and looks it up after that.
+:meth:`DQNAgent.train_step` computes it once per (successor slot of the
+replay buffer, target version) and reads it from the slot after that.
 
 The agent is action-space-agnostic: callers hand it featurized action
 candidates; the CrowdRL-specific featurization lives in
@@ -25,7 +25,7 @@ import numpy as np
 from repro.analysis.contracts import shaped
 from repro.exceptions import ConfigurationError
 from repro.rl.qnetwork import QNetwork
-from repro.rl.replay import ReplayBuffer, Transition
+from repro.rl.replay import ReplayBuffer
 from repro.utils.rng import SeedLike, spawn_rngs
 
 
@@ -71,14 +71,9 @@ class DQNAgent:
         )
         self.buffer = ReplayBuffer(config.buffer_capacity, rng=buffer_rng)
         self._train_steps = 0
-        # Bootstrap memo: id(successor array) -> (array, max Q_target),
-        # valid for one target version.  Holding the array keeps its id
-        # from being reused; clearing at every sync keeps the memo bounded.
-        self._memo: dict[int, tuple[np.ndarray, Optional[float]]] = {}
-        self._memo_version = self.qnet.target_version
-        #: Target-network forwards actually computed (memo misses).
+        #: Target-network forwards actually computed (cache misses).
         self.target_forwards = 0
-        #: Bootstrap values looked up (memo hits plus misses).
+        #: Bootstrap values looked up (cache hits plus misses).
         self.bootstrap_lookups = 0
 
     # ------------------------------------------------------------------
@@ -100,12 +95,11 @@ class DQNAgent:
         holds *all* candidate action featurizations in the successor state
         (rows), from which the bootstrap max is computed.  A read-only
         float 2-D ``next_features`` is stored as-is, so transitions that
-        share a successor share one array and one memoised bootstrap value;
-        its owner must not write to it through another view.
+        share a successor share one buffer slot and one cached bootstrap
+        value; its owner must not write to it through another view.
         """
-        # Copy defensively: callers may hand in views of live caches (e.g.
-        # the featurizer's in-place tensor), and the buffer outlives them.
-        features = np.array(features, dtype=float).ravel()
+        # The buffer copies the features into its own row.
+        features = np.asarray(features, dtype=float).ravel()
         if features.size != self.config.n_features:
             raise ConfigurationError(
                 f"features must have {self.config.n_features} entries, got "
@@ -124,45 +118,29 @@ class DQNAgent:
                     f"next_features must have {self.config.n_features} columns, "
                     f"got {nxt.shape[1]}"
                 )
-        self.buffer.push(Transition(features, float(reward), nxt, terminal))
+        self.buffer.push(features, float(reward), nxt)
 
     def train_step(self) -> Optional[float]:
         """One replayed minibatch update; returns the loss, or ``None`` if
         the buffer is still below ``min_buffer_for_training``."""
         if not self.ready:
             return None
-        if self._memo_version != self.qnet.target_version:
-            self._memo.clear()
-            self._memo_version = self.qnet.target_version
         batch = self.buffer.sample(self.config.batch_size)
-        features = np.vstack([t.features for t in batch])
-        targets = np.empty(len(batch))
-        for i, transition in enumerate(batch):
-            target = transition.reward
-            nxt = transition.next_features
-            if not transition.terminal and nxt is not None:
-                target_max = self._bootstrap_max(nxt)
-                if target_max is not None:
-                    target += self.config.gamma * target_max
-            targets[i] = target
-
-        loss = self.qnet.train_on_targets(features, targets)
+        self.bootstrap_lookups += int(np.count_nonzero(batch.slots))
+        boot = self.buffer.successor_values(
+            batch.slots, self.qnet.target_version, self._bootstrap_max)
+        targets = batch.rewards + self.config.gamma * boot
+        loss = self.qnet.train_on_targets(batch.features, targets)
         self._train_steps += 1
         if self._train_steps % self.config.target_sync_every == 0:
             self.qnet.sync_target()
         return loss
 
-    def _bootstrap_max(self, nxt: np.ndarray) -> Optional[float]:
-        """``max_a' Q_target(nxt)`` memoised for the current version;
-        ``None`` when ``nxt`` has no rows."""
-        self.bootstrap_lookups += 1
-        entry = self._memo.get(id(nxt))
-        if entry is None:
-            target_q = self.qnet.predict_target(nxt)
-            entry = (nxt, float(target_q.max()) if target_q.size else None)
-            self._memo[id(nxt)] = entry
-            self.target_forwards += 1
-        return entry[1]
+    def _bootstrap_max(self, nxt: np.ndarray) -> float:
+        """``max_a' Q_target(nxt)``, 0 when ``nxt`` has no rows."""
+        self.target_forwards += 1
+        target_q = self.qnet.predict_target(nxt)
+        return float(target_q.max()) if target_q.size else 0.0
 
     @property
     def ready(self) -> bool:

@@ -78,7 +78,7 @@ class QNetwork:
 
     def sync_target(self) -> None:
         """Copy online weights into the target network."""
-        self.target.set_weights(self.online.get_weights())
+        self.target.params[...] = self.online.params
         self.target_version += 1
 
     # ------------------------------------------------------------------

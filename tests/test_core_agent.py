@@ -16,8 +16,8 @@ from repro.harness.experiment import (
     run_experiment,
 )
 from repro.obs import read_events
-from repro.rl.dqn import DQNAgent
 from repro.rl.qnetwork import QNetwork
+from repro.rl.replay import ReplayBuffer
 
 from conftest import build_pool
 
@@ -115,22 +115,23 @@ class TestLearning:
         agent, state = make_agent_and_state()
         feats = state.feature_tensor()[0, :1].reshape(1, -1)
         agent.remember_iteration(feats, 1.0, state, True)
-        transition = agent.dqn.buffer._storage[-1]
-        assert transition.terminal
-        assert transition.next_features is None
+        buffer = agent.dqn.buffer
+        assert buffer.successor(buffer.slots[-1]) is None
 
     def test_fully_masked_next_state_becomes_terminal(self):
         agent, state = make_agent_and_state()
         feats = state.feature_tensor()[0, :1].reshape(1, -1)
         state.set_labelled(human=range(8), enriched=[])
         agent.remember_iteration(feats, 1.0, state, False)
-        assert agent.dqn.buffer._storage[-1].terminal
+        buffer = agent.dqn.buffer
+        assert buffer.successor(buffer.slots[-1]) is None
 
     def test_iteration_shares_one_read_only_successor(self):
         agent, state = make_agent_and_state()
         feats = state.feature_tensor()[0, :3].reshape(3, -1)
         agent.remember_iteration(feats, 1.0, state, False)
-        successors = [t.next_features for t in agent.dqn.buffer._storage]
+        buffer = agent.dqn.buffer
+        successors = [buffer.successor(slot) for slot in buffer.slots]
         assert len(successors) == 3
         assert all(s is successors[0] for s in successors)
         assert not successors[0].flags.writeable
@@ -140,7 +141,8 @@ class TestLearning:
         feats = state.feature_tensor()[0, 0]
         nxt = state.feature_tensor()[1, :2].copy()
         agent.dqn.remember(feats, 1.0, nxt, False)
-        stored = agent.dqn.buffer._storage[-1].next_features
+        buffer = agent.dqn.buffer
+        stored = buffer.successor(buffer.slots[-1])
         assert stored is not nxt
         nxt[:] = 0.0
         assert stored.any()
@@ -166,19 +168,23 @@ class TestBootstrapMemoInEpisode:
         forwards = []
         lookups = []
         predict_target = QNetwork.predict_target
-        bootstrap_max = DQNAgent._bootstrap_max
+        successor_values = ReplayBuffer.successor_values
 
         def counting_predict_target(qnet, features):
             forwards.append(features)
             return predict_target(qnet, features)
 
-        def recording_bootstrap_max(dqn, nxt):
+        def recording_successor_values(buffer, slots, version, evaluate):
             # Keep each array alive so no id is reused within the run.
-            lookups.append((dqn.qnet.target_version, id(nxt), nxt))
-            return bootstrap_max(dqn, nxt)
+            for slot in slots:
+                nxt = buffer.successor(slot)
+                if nxt is not None:
+                    lookups.append((version, id(nxt), nxt))
+            return successor_values(buffer, slots, version, evaluate)
 
         monkeypatch.setattr(QNetwork, "predict_target", counting_predict_target)
-        monkeypatch.setattr(DQNAgent, "_bootstrap_max", recording_bootstrap_max)
+        monkeypatch.setattr(ReplayBuffer, "successor_values",
+                            recording_successor_values)
         path = tmp_path / "events.jsonl"
         run_experiment("CrowdRL", ExperimentSetting("S12CP", scale=0.02, seed=0),
                        ExperimentSpec(metrics_out=path), pretrain=False)

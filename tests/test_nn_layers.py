@@ -60,7 +60,6 @@ class TestDense:
             return float(layer.forward(x, training=True).sum())
 
         numeric = numeric_grad(loss, layer.weight)
-        layer.zero_grads()
         layer.forward(x, training=True)
         layer.backward(np.ones((4, 2)))
         np.testing.assert_allclose(layer.grads["weight"], numeric, atol=1e-5)
@@ -74,7 +73,6 @@ class TestDense:
             return float(layer.forward(x, training=True).sum())
 
         numeric = numeric_grad(loss, layer.bias)
-        layer.zero_grads()
         layer.forward(x, training=True)
         layer.backward(np.ones((4, 2)))
         np.testing.assert_allclose(layer.grads["bias"], numeric, atol=1e-5)
@@ -86,17 +84,19 @@ class TestDense:
         grad_in = layer.backward(np.ones((2, 2)))
         np.testing.assert_allclose(grad_in, np.ones((2, 2)) @ layer.weight.T)
 
-    def test_grads_accumulate_until_zeroed(self):
+    def test_backward_overwrites_grads(self):
         layer = Dense(2, 2, rng=0)
         x = np.ones((1, 2))
         layer.forward(x, training=True)
         layer.backward(np.ones((1, 2)))
-        first = layer.grads["weight"].copy()
+        first = {name: g.copy() for name, g in layer.grads.items()}
         layer.forward(x, training=True)
         layer.backward(np.ones((1, 2)))
-        np.testing.assert_allclose(layer.grads["weight"], 2 * first)
-        layer.zero_grads()
-        assert np.all(layer.grads["weight"] == 0)
+        for name, grad in layer.grads.items():
+            np.testing.assert_array_equal(grad, first[name])
+        layer.forward(2 * x, training=True)
+        layer.backward(np.zeros((1, 2)))
+        assert all(np.all(g == 0) for g in layer.grads.values())
 
     def test_invalid_sizes_raise(self):
         with pytest.raises(ConfigurationError):
@@ -105,7 +105,14 @@ class TestDense:
 
 def test_relu_forward():
     x = np.linspace(-3, 3, 12).reshape(3, 4)
-    np.testing.assert_array_equal(ReLU().forward(x), np.maximum(x, 0))
+    np.testing.assert_array_equal(ReLU().forward(x.copy()), np.maximum(x, 0))
+
+
+def test_relu_forward_is_in_place():
+    x = np.linspace(-3, 3, 12).reshape(3, 4)
+    out = ReLU().forward(x)
+    assert out is x
+    assert np.all(x >= 0)
 
 
 def test_relu_gradient_matches_numeric():
@@ -115,9 +122,9 @@ def test_relu_gradient_matches_numeric():
     weights = rng.normal(size=(3, 4))  # random projection to scalar loss
 
     def loss():
-        return float((layer.forward(x, training=True) * weights).sum())
+        return float((layer.forward(x.copy(), training=True) * weights).sum())
 
     numeric = numeric_grad(loss, x)
-    layer.forward(x, training=True)
+    layer.forward(x.copy(), training=True)
     analytic = layer.backward(weights)
     np.testing.assert_allclose(analytic, numeric, atol=1e-5)

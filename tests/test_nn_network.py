@@ -63,6 +63,31 @@ class TestWeights:
         clone = net.clone()
         net.layers[0].weight[...] = 0.0
         assert not np.allclose(clone.layers[0].weight, 0.0)
+        np.testing.assert_array_equal(clone.params[4:], net.params[4:])
+        clone.params[...] = 1.0
+        assert np.all(clone.layers[-1].bias == 1.0)
+
+
+class TestFlatParameters:
+    def test_layer_arrays_are_views_of_the_flat_vectors(self):
+        net = Network.mlp(3, [4], 2, rng=0)
+        # Layer order, each weight then its bias: 3*4 + 4 + 4*2 + 2.
+        assert net.params.shape == net.grads.shape == (26,)
+        first, last = net.layers[0], net.layers[-1]
+        assert np.shares_memory(first.weight, net.params[:12])
+        assert np.shares_memory(last.bias, net.params[24:])
+        net.params[24:] = 7.0
+        np.testing.assert_array_equal(last.bias, [7.0, 7.0])
+        net.forward(np.ones((1, 3)), training=True)
+        net.backward(np.ones((1, 2)))
+        np.testing.assert_array_equal(net.grads[24:], [1.0, 1.0])
+        assert np.shares_memory(first.grads["weight"], net.grads[:12])
+
+    def test_set_weights_writes_through_to_the_flat_vector(self):
+        net = Network.mlp(3, [4], 2, rng=0)
+        other = Network.mlp(3, [4], 2, rng=1)
+        net.set_weights(other.get_weights())
+        np.testing.assert_array_equal(net.params, other.params)
 
 
 class TestTraining:
@@ -73,19 +98,18 @@ class TestTraining:
         x = rng.normal(size=(6, 3))
         target = rng.normal(scale=2.0, size=(6, 2))
         loss = HuberLoss()
-        net.zero_grads()
         net.backward(loss.grad(net.forward(x, training=True), target))
-        for param, grad in net.params_and_grads():
-            numeric = np.zeros_like(param)
-            for idx in np.ndindex(param.shape):
-                orig = param[idx]
-                param[idx] = orig + 1e-6
-                plus = loss.value(net.forward(x), target)
-                param[idx] = orig - 1e-6
-                minus = loss.value(net.forward(x), target)
-                param[idx] = orig
-                numeric[idx] = (plus - minus) / 2e-6
-            np.testing.assert_allclose(grad, numeric, atol=1e-6)
+        param = net.params
+        numeric = np.zeros_like(param)
+        for i in range(param.size):
+            orig = param[i]
+            param[i] = orig + 1e-6
+            plus = loss.value(net.forward(x), target)
+            param[i] = orig - 1e-6
+            minus = loss.value(net.forward(x), target)
+            param[i] = orig
+            numeric[i] = (plus - minus) / 2e-6
+        np.testing.assert_allclose(net.grads, numeric, atol=1e-6)
 
     def test_train_batch_reduces_loss(self):
         rng = np.random.default_rng(0)

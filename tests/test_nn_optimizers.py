@@ -12,7 +12,7 @@ def quadratic_descend(optimizer, steps=200, start=5.0):
     x = np.array([start])
     for _ in range(steps):
         grad = 2 * x
-        optimizer.step([(x, grad)])
+        optimizer.step(x, grad)
     return abs(float(x[0]))
 
 
@@ -23,7 +23,7 @@ class TestAdam:
     def test_first_step_magnitude_near_lr(self):
         # With bias correction, Adam's first step is ~learning_rate.
         x = np.array([1.0])
-        Adam(learning_rate=0.1).step([(x, np.array([0.5]))])
+        Adam(learning_rate=0.1).step(x, np.array([0.5]))
         assert x[0] == pytest.approx(0.9, abs=1e-6)
 
     def test_invalid_lr_raises(self):
@@ -32,16 +32,17 @@ class TestAdam:
 
     def test_layout_change_raises(self):
         opt = Adam()
-        opt.step([(np.zeros(2), np.ones(2)), (np.zeros((2, 3)), np.ones((2, 3)))])
+        opt.step(np.zeros(8), np.ones(8))
         with pytest.raises(ConfigurationError):
-            opt.step([(np.zeros(2), np.ones(2))])
+            opt.step(np.zeros(2), np.ones(2))
         with pytest.raises(ConfigurationError):
-            opt.step([(np.zeros(2), np.ones(2)), (np.zeros((3, 2)), np.ones((3, 2)))])
+            opt.step(np.zeros((2, 4)), np.ones((2, 4)))
 
 
 def test_fused_adam_matches_the_per_parameter_formula_bit_for_bit():
-    """50 Q-network training steps through the fused Adam equal, bit for
-    bit, the same steps with Adam written out one parameter at a time."""
+    """50 Q-network training steps through the flat-vector Adam equal, bit
+    for bit, the same steps with Adam written out one parameter at a time
+    on the layers' weight and bias views."""
     from repro.nn.losses import HuberLoss
     from repro.rl.qnetwork import QNetwork
 
@@ -49,16 +50,16 @@ def test_fused_adam_matches_the_per_parameter_formula_bit_for_bit():
     reference = QNetwork(13, hidden=(64, 32), learning_rate=1e-3, rng=3)
     net, loss = reference.online, HuberLoss()
     beta1, beta2, eps, lr = 0.9, 0.999, 1e-8, 1e-3
-    moments = [(np.zeros_like(p), np.zeros_like(p))
-               for p, _ in net.params_and_grads()]
+    pairs = [(layer.params[name], layer.grads[name])
+             for layer in net.layers for name in layer.params]
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p, _ in pairs]
     rng = np.random.default_rng(0)
     for t in range(1, 51):
         x, y = rng.normal(size=(8, 13)), rng.normal(size=8)
         fused.train_on_targets(x, y)
-        net.zero_grads()
         pred = net.forward(x, training=True)
         net.backward(loss.grad(pred, y.reshape(-1, 1)))
-        for (param, grad), (m, v) in zip(net.params_and_grads(), moments):
+        for (param, grad), (m, v) in zip(pairs, moments):
             m *= beta1
             m += (1.0 - beta1) * grad
             v *= beta2

@@ -5,6 +5,7 @@ import json
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ReproError
@@ -317,16 +318,15 @@ def _refit_every_sweep(monkeypatch):
 
 
 def _no_bootstrap_memo(monkeypatch):
-    """Mutant: the DQN forgets its bootstrap memo before every lookup."""
-    from repro.rl.dqn import DQNAgent
+    """Mutant: the bootstrap memo (the replay buffer's per-slot cache)
+    keeps nothing, so the DQN runs a target forward for every lookup."""
+    from repro.rl.replay import ReplayBuffer
 
-    lookup = DQNAgent._bootstrap_max
+    def uncached(self, slots, version, evaluate):
+        return np.array([0.0 if self.successor(slot) is None
+                         else evaluate(self.successor(slot)) for slot in slots])
 
-    def forgetful(self, nxt):
-        self._memo.clear()
-        return lookup(self, nxt)
-
-    monkeypatch.setattr(DQNAgent, "_bootstrap_max", forgetful)
+    monkeypatch.setattr(ReplayBuffer, "successor_values", uncached)
 
 
 def _ratchet_work(tmp_path):

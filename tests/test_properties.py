@@ -10,7 +10,7 @@ from repro.inference.dawid_skene import DawidSkene
 from repro.inference.majority import MajorityVote
 from repro.inference.pm import PMInference
 from repro.metrics.classification import accuracy, confusion_counts, f1_score
-from repro.rl.replay import ReplayBuffer, Transition
+from repro.rl.replay import ReplayBuffer
 from repro.utils.topk import select_objects_by_topk_q, top_k_indices
 
 # ---------------------------------------------------------------------------
@@ -194,10 +194,11 @@ def test_accuracy_symmetric_under_relabel(pair):
 def test_replay_buffer_never_exceeds_capacity(capacity, rewards):
     buf = ReplayBuffer(capacity, rng=0)
     for r in rewards:
-        buf.push(Transition(np.array([r]), r, None, True))
+        buf.push(np.array([r]), r)
     assert len(buf) == min(capacity, len(rewards))
+    assert set(buf.rewards) == set(rewards[-capacity:])
     sample = buf.sample(5)
-    assert len(sample) == 5
-    stored_rewards = {t.reward for t in buf._storage}
-    assert {t.reward for t in sample} <= stored_rewards
+    assert sample.rewards.shape == (5,)
+    assert set(sample.rewards) <= set(buf.rewards)
+    np.testing.assert_array_equal(sample.features[:, 0], sample.rewards)
 

@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 from repro.exceptions import ConfigurationError
 from repro.rl.dqn import DQNAgent, DQNConfig
 from repro.rl.qnetwork import QNetwork
+from repro.utils.rng import spawn_rngs
+
+from dqn_oracle import OracleDQN
 
 
 class TestQNetwork:
@@ -155,7 +158,8 @@ _ops = st.lists(
 
 
 class TestBootstrapMemo:
-    """The per-target-version bootstrap memo never changes a target."""
+    """The per-slot, per-target-version bootstrap memo never changes a
+    target, and computes each one once per version, as the oracle does."""
 
     N = 3
 
@@ -164,11 +168,14 @@ class TestBootstrapMemo:
     @settings(max_examples=60, deadline=None)
     def test_targets_bit_identical_to_uncached(self, ops, capacity,
                                                 sync_every, seed):
-        agent = DQNAgent(DQNConfig(
+        config = DQNConfig(
             n_features=self.N, hidden=(4,), batch_size=4,
             buffer_capacity=capacity, min_buffer_for_training=2,
             target_sync_every=sync_every,
-        ), rng=seed)
+        )
+        agent = DQNAgent(config, rng=seed)
+        # The oracle draws the same minibatches and counts its own work.
+        oracle = OracleDQN(config, agent.get_weights(), spawn_rngs(seed, 2)[1])
         rng = np.random.default_rng(seed)
         # Even-indexed successors are shared read-only arrays (stored as-is
         # by every push); odd ones are writable, so each push copies them.
@@ -176,27 +183,18 @@ class TestBootstrapMemo:
         for array in pool[::2]:
             array.setflags(write=False)
 
-        # Spy on each step's batch and check its targets against fresh,
-        # uncached forwards just before the online net is updated.  The
-        # batch is dropped once checked: holding it would keep evicted
-        # successor copies alive and hide a memo that reuses their ids.
-        sampled = []
-        sample = agent.buffer.sample
-
-        def recording_sample(batch_size):
-            sampled.append(sample(batch_size))
-            return sampled[-1]
-
-        agent.buffer.sample = recording_sample
+        # Check each step's targets against fresh, uncached forwards of
+        # the oracle's copy of the batch, just before the online net is
+        # updated.
         checked = []
         train_on_targets = agent.qnet.train_on_targets
 
         def checking_train(features, targets):
             expected = []
-            for t in sampled.pop():
-                value = t.reward
-                if not t.terminal and t.next_features is not None:
-                    target_q = agent.qnet.predict_target(t.next_features)
+            for _, reward, nxt, terminal in oracle.last_batch:
+                value = reward
+                if not terminal and nxt is not None:
+                    target_q = agent.qnet.predict_target(nxt)
                     value += agent.config.gamma * float(target_q.max())
                 expected.append(value)
             np.testing.assert_array_equal(targets, np.array(expected))
@@ -208,16 +206,23 @@ class TestBootstrapMemo:
             if op[0] == "push":
                 _, succ, reward = op
                 terminal = succ < 0
-                agent.remember(rng.normal(size=self.N), reward,
-                               None if terminal else pool[succ], terminal)
+                features = rng.normal(size=self.N)
+                nxt = None if terminal else pool[succ]
+                oracle.remember(features, reward, nxt, terminal)
+                agent.remember(features, reward, nxt, terminal)
             elif op[0] == "train":
-                agent.train_step()
+                # The oracle steps first so its batch is there to check.
+                assert oracle.train_step() == agent.train_step()
             elif op[0] == "sync":
                 agent.qnet.sync_target()
+                oracle.sync_target()
             else:
-                agent.set_weights(
-                    QNetwork(self.N, hidden=(4,), rng=op[1]).get_weights())
-        assert len(checked) == agent.train_steps
+                weights = QNetwork(self.N, hidden=(4,), rng=op[1]).get_weights()
+                agent.set_weights(weights)
+                oracle.set_weights(weights)
+            assert agent.target_forwards == oracle.target_forwards
+            assert agent.bootstrap_lookups == oracle.bootstrap_lookups
+        assert len(checked) == agent.train_steps == oracle.train_steps
         assert agent.target_forwards <= agent.bootstrap_lookups
 
     def test_shared_successor_costs_one_forward_per_version(self):
@@ -236,22 +241,29 @@ class TestBootstrapMemo:
         assert agent.target_forwards == 2
 
     def test_memo_holds_keyed_arrays_until_sync(self):
-        """A keyed array stays alive while memoised, so its id is never
-        reused for another successor; a sync releases it."""
+        """An evicted successor whose bootstrap value is current stays
+        alive, so its id is never reused for another successor, and a
+        push of it again hits the cache; a sync releases it."""
         agent = DQNAgent(DQNConfig(n_features=self.N, hidden=(4,),
-                                   batch_size=4, min_buffer_for_training=2,
+                                   batch_size=4, buffer_capacity=3,
+                                   min_buffer_for_training=2,
                                    target_sync_every=100), rng=0)
         nxt = np.ones((2, self.N))
         nxt.setflags(write=False)
         for _ in range(3):
             agent.remember(np.ones(self.N), 1.0, nxt, False)
         agent.train_step()
-        ref = weakref.ref(nxt)
-        agent.buffer.clear()
-        del nxt
-        assert ref() is not None
-        agent.qnet.sync_target()
+        assert agent.target_forwards == 1
         for _ in range(3):
             agent.remember(np.ones(self.N), 1.0, None, True)
+        agent.remember(np.ones(self.N), 1.0, nxt, False)
+        agent.train(20)
+        assert agent.target_forwards == 1
+        ref = weakref.ref(nxt)
+        del nxt
+        for _ in range(3):
+            agent.remember(np.ones(self.N), 1.0, None, True)
+        assert ref() is not None
+        agent.qnet.sync_target()
         agent.train_step()
         assert ref() is None
