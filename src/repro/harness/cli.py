@@ -15,8 +15,7 @@ The figure subcommands print the same rows/series the paper plots (see
 single dataset and prints its metric report (``--serve`` routes it
 through the online serving layer, bit-identical to the sync path);
 ``serve`` drives many concurrent projects on one shared annotator pool
-through :class:`repro.serve.ServeEngine`.  The static analyzer has its
-own entry point, ``python -m repro.analysis flow``.
+through :class:`repro.serve.ServeEngine`.
 """
 
 from __future__ import annotations

@@ -4,6 +4,8 @@ Every layer exposes ``forward(x, training)`` and ``backward(grad_out)``;
 ``backward`` must be called with the gradient of the loss w.r.t. the layer's
 output and returns the gradient w.r.t. its input, writing parameter
 gradients to ``grads`` along the way (each call overwrites the last).
+``write_grads(grad_out)`` writes the parameter gradients alone, for a
+first layer whose input gradient nothing reads.
 Shapes are always ``(batch, features)``.
 """
 
@@ -29,6 +31,10 @@ class Layer:
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def write_grads(self, grad_out: np.ndarray) -> None:
+        """Write the parameter gradients of :meth:`backward`, without the
+        input gradient (nothing to write for parameter-free layers)."""
 
     def bind(self, params: np.ndarray, grads: np.ndarray) -> None:
         """Move parameters (keeping their values) and gradients into views
@@ -85,12 +91,16 @@ class Dense(Layer):
         out += self.bias
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Write weight/bias gradients; return the input gradient."""
+    def write_grads(self, grad_out: np.ndarray) -> None:
+        """Write the weight and bias gradients."""
         if self._x is None:
             raise RuntimeError("backward called before a training-mode forward")
         np.matmul(self._x.T, grad_out, out=self._grad_w)
         np.add.reduce(grad_out, axis=0, out=self._grad_b)
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        """Write weight/bias gradients; return the input gradient."""
+        self.write_grads(grad_out)
         return grad_out @ self.weight.T
 
     @property

@@ -79,12 +79,16 @@ class Network:
 
     __call__ = forward
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Backpropagate through the stack, writing :attr:`grads`."""
+    def backward(self, grad_out: np.ndarray) -> None:
+        """Backpropagate through the stack, writing :attr:`grads`.
+
+        The first layer writes its parameter gradients only: the gradient
+        w.r.t. the network's input is never used, so it is not computed.
+        """
         grad = np.asarray(grad_out, dtype=float)
-        for layer in reversed(self.layers):
+        for layer in self.layers[:0:-1]:
             grad = layer.backward(grad)
-        return grad
+        self.layers[0].write_grads(grad)
 
     # ------------------------------------------------------------------
     # Training

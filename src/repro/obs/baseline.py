@@ -4,8 +4,7 @@ The episode hot path is instrumented with :func:`repro.obs.phase_timer`
 blocks, and every call's duration lands in the run's metrics JSONL as a
 raw ``phase`` event.  This module turns those durations into a committed
 baseline (``benchmarks/results/BENCH_phase_baselines.json``) and a
-comparison that CI can ratchet — the performance analogue of
-``.repro-flow-baseline.json``:
+comparison that CI can ratchet:
 
 * **minimum-over-calls** per phase is the statistic (an episode calls
   each phase tens of times; the minimum filters scheduler interference

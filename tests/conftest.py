@@ -2,11 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
-import io
-import json
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -86,34 +81,3 @@ def platform(tiny_dataset, pool):
 def small_platform(tiny_dataset):
     return make_platform(tiny_dataset, n_workers=3, n_experts=1,
                          budget=400.0, rng=3)
-
-
-@pytest.fixture(scope="session")
-def shipped_tree_flow():
-    """One ``flow src/repro --fail-on-new --format json`` pass, shared.
-
-    Parsing the whole shipped tree is the slowest step of the analyzer
-    tests, so every shipped-tree check reads this one payload.  Returns
-    ``(exit_code, payload)``.
-    """
-    from repro.analysis.cli import main as analysis_main
-
-    out = io.StringIO()
-    src = Path(__file__).parents[1] / "src" / "repro"
-    with contextlib.redirect_stdout(out):
-        code = analysis_main(["flow", str(src), "--fail-on-new",
-                              "--format", "json"])
-    assert code in (0, 1), "flow --fail-on-new: usage error (no baseline?)"
-    return code, json.loads(out.getvalue())
-
-
-def new_findings_in(payload: dict, first: int, last: int) -> list[dict]:
-    """Unbaselined findings of rules ``REPRO<first>``..``REPRO<last>``.
-
-    Retired ids stay unused, so a range covers the rules within its
-    bounds; it must cover at least one that ran, so a shipped-tree check
-    cannot pass vacuously.
-    """
-    ids = {f"REPRO{i:03d}" for i in range(first, last + 1)}
-    assert ids & set(payload["rules"])
-    return [f for f in payload["findings"] if f["rule"] in ids]

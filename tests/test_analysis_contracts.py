@@ -263,7 +263,8 @@ def test_contracts_report_cli_json(capsys):
 
 
 def test_library_import_does_not_load_the_analyzer():
-    """Importing a contract-carrying module leaves the analyzer unloaded."""
+    """Importing a contract-carrying module loads the contracts only,
+    not the ``python -m repro.analysis`` front end."""
     import os
     import subprocess
     import sys
@@ -276,13 +277,12 @@ def test_library_import_does_not_load_the_analyzer():
     )
     probe = (
         "import sys, repro.inference.em\n"
-        "print(sorted(m for m in sys.modules if m.startswith("
-        "('repro.analysis.lint', 'repro.analysis.flow'))))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.analysis')))\n"
     )
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.strip() == "['repro.analysis', 'repro.analysis.contracts']"
 
 
 # ----------------------------------------------------------------------

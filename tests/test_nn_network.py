@@ -91,6 +91,26 @@ class TestFlatParameters:
 
 
 class TestTraining:
+    def test_backward_skips_the_input_gradient(self, monkeypatch):
+        """The first layer writes its gradients without forming the input
+        gradient, and every gradient equals the layer-by-layer chain's."""
+        net = Network.mlp(3, [4], 2, rng=0)
+        x = np.random.default_rng(6).normal(size=(5, 3))
+        grad_out = np.random.default_rng(7).normal(size=(5, 2))
+        net.forward(x, training=True)
+        grad = grad_out
+        for layer in reversed(net.layers):
+            grad = layer.backward(grad)
+        expected = net.grads.copy()
+        net.grads[:] = 0.0
+
+        def no_input_gradient(grad_out):
+            raise AssertionError("the first layer formed its input gradient")
+
+        monkeypatch.setattr(net.layers[0], "backward", no_input_gradient)
+        assert net.backward(grad_out) is None
+        np.testing.assert_array_equal(net.grads, expected)
+
     def test_backprop_matches_numeric_gradient(self):
         """Dense/ReLU backprop of the Huber loss, through every parameter."""
         rng = np.random.default_rng(5)
