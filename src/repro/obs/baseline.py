@@ -74,14 +74,16 @@ DEFAULT_TOLERANCE = 1.25
 FLOOR_S = 50e-6
 
 #: Work a ratchet run does, pinned exactly: joint EM's sweeps and refits
-#: and phi's Newton steps and Hessian-vector products (registry counters
-#: in the run's ``snapshot``), and the DQN's target-network forwards and
-#: bootstrap lookups (summed over its ``iteration`` events).
+#: and phi's Newton steps, Hessian-vector products (CG) and direct solves
+#: (registry counters in the run's ``snapshot``), and the DQN's
+#: target-network forwards and bootstrap lookups (summed over its
+#: ``iteration`` events).
 WORK_COUNTERS = (
     "infer.em_sweeps",
     "infer.em_refits",
     "classifier.newton_steps",
     "classifier.hv_products",
+    "classifier.direct_solves",
     "target_forwards",
     "bootstrap_lookups",
 )

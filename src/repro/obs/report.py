@@ -8,9 +8,11 @@ episode's wall time and labelling budget went.
 When the log carries CrowdRL's ``iteration`` events, the report also
 totals the DQN's target-network forwards against its bootstrap lookups,
 i.e. how much work the per-target-version bootstrap memo saved.  When φ
-was fitted, a ``phi:`` line sets the Newton-CG solver's work
-(``classifier.newton_steps``, ``classifier.hv_products``) beside joint
-EM's refits and sweeps (``infer.em_refits``, ``infer.em_sweeps``).
+was fitted, a ``phi:`` line sets the Newton solver's work
+(``classifier.newton_steps``, and per step either CG's
+``classifier.hv_products`` or one of ``classifier.direct_solves``)
+beside joint EM's refits and sweeps (``infer.em_refits``,
+``infer.em_sweeps``).
 
 The final ``snapshot`` event is the preferred source (it carries the full
 registry state: phase stats, counters, gauges); when a log carries only
@@ -182,10 +184,11 @@ def render_report(summary: dict) -> str:
     steps = counters.get("classifier.newton_steps")
     if steps is not None:
         products = counters.get("classifier.hv_products", 0.0)
+        solves = counters.get("classifier.direct_solves", 0.0)
         phi_line = (f"phi: {steps:g} Newton steps, {products:g} "
-                    f"Hessian-vector products")
+                    f"Hessian-vector products, {solves:g} direct solves")
         if steps:
-            phi_line += f" ({products / steps:.1f} per step)"
+            phi_line += f" ({(products + solves) / steps:.1f} per step)"
         if "infer.em_refits" in counters:
             phi_line += (f"; joint EM: {counters['infer.em_refits']:g} refits "
                          f"over {counters.get('infer.em_sweeps', 0.0):g} sweeps")

@@ -101,3 +101,58 @@ class KColumnLogistic:
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         return np.exp(_log_softmax(np.asarray(x, dtype=float) @ self.weight
                                    + self.bias))
+
+
+def theta_fit(x, soft, sample_weights, l2, theta, basis):
+    """The contrast-basis Newton-CG as it ran for every shape before the
+    Gram form, verbatim: fits with ``n >= d`` must still match it bit for
+    bit.  Returns the last iterate from the start ``theta``."""
+    n = x.shape[0]
+    w = np.ones(n) if sample_weights is None else sample_weights
+    w = (w / w.sum())[:, None]
+    w_soft = w * soft
+    x1 = np.hstack([x, np.ones((n, 1))])
+
+    def objective(t):
+        log_proba = _log_softmax(x1 @ t @ basis.T)
+        loss = -np.vdot(w_soft, log_proba) + 0.5 * l2 * np.vdot(t[:-1], t[:-1])
+        return float(loss), np.exp(log_proba)
+
+    loss, proba = objective(theta)
+    steps = 0
+    while True:
+        w_proba = w * proba
+        grad = x1.T @ ((w_proba - w_soft) @ basis)
+        grad[:-1] += l2 * theta[:-1]
+        grad_norm = float(np.sqrt(np.vdot(grad, grad)))
+        if grad_norm <= logistic.GRAD_TOL or steps == logistic.MAX_NEWTON_STEPS:
+            break
+        steps += 1
+        centred = basis - (proba @ basis)[:, None, :]
+        curv = (w_proba[:, :, None] * centred).transpose(0, 2, 1) @ centred
+        step, resid, direction = np.zeros_like(theta), -grad, -grad
+        rr, target = grad_norm ** 2, (min(0.5, np.sqrt(grad_norm)) * grad_norm) ** 2
+        for _ in range(theta.size):
+            hd = x1.T @ (curv @ (x1 @ direction)[:, :, None])[:, :, 0]
+            hd[:-1] += l2 * direction[:-1]
+            curvature = float(np.vdot(direction, hd))
+            if curvature <= 0.0:
+                break
+            step += (rr / curvature) * direction
+            resid -= (rr / curvature) * hd
+            rr_next = float(np.vdot(resid, resid))
+            if rr_next <= target:
+                break
+            direction = resid + (rr_next / rr) * direction
+            rr = rr_next
+        slope, size = float(np.vdot(grad, step)), 1.0
+        for _ in range(logistic._MAX_HALVINGS):
+            trial = theta + size * step
+            trial_loss, trial_proba = objective(trial)
+            if trial_loss < loss + logistic._ARMIJO * size * slope:
+                break
+            size *= 0.5
+        else:
+            break
+        theta, loss, proba = trial, trial_loss, trial_proba
+    return theta

@@ -12,12 +12,17 @@ from repro.classifiers import (
     LogisticRegressionClassifier,
     logistic,
 )
-from repro.classifiers.logistic import GRAD_TOL, MAX_NEWTON_STEPS
+from repro.classifiers.logistic import (
+    DIRECT_SOLVE_SIZE,
+    GRAD_TOL,
+    MAX_NEWTON_STEPS,
+    _log_softmax,
+)
 from repro.datasets.synthetic import make_blobs
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.obs import MetricsRegistry, use_registry
 
-from logistic_oracle import KColumnLogistic
+from logistic_oracle import KColumnLogistic, theta_fit
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +185,23 @@ def test_fit_soft_ends_below_the_gradient_stop(problem, l2):
     assert np.linalg.norm(gradient) <= GRAD_TOL
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect of the theta-form CG: on this one-row, 12-class problem "
+    "with soft labels down to 1.6e-15 the Newton steps shrink to 0.02-0.07 "
+    "and the fit ends at MAX_NEWTON_STEPS with gradient norm 1.7e-5, the "
+    "smallest label's log-probability still 18 above its target"))
+def test_fit_soft_reaches_the_gradient_stop_on_extreme_soft_labels():
+    """A falsifying example of the two properties around it, pinned."""
+    x = np.array([[-2.38941231]])
+    soft = np.array([[8.55588053e-05, 1.61224423e-04, 4.42496133e-03,
+                      7.30422670e-01, 4.71616614e-05, 1.59055679e-15,
+                      6.95131559e-14, 5.12378320e-07, 1.03339095e-01,
+                      1.60581400e-01, 4.46978151e-04, 4.90438427e-04]])
+    clf = LogisticRegressionClassifier(1, 12, l2=0.02)
+    assert newton_steps(clf, x, soft, None) < MAX_NEWTON_STEPS
+    assert np.linalg.norm(objective_gradient(clf, x, soft, None)) <= GRAD_TOL
+
+
 @given(soft_fit_problems(), L2_GRID, st.data())
 @settings(max_examples=120, deadline=None)
 def test_warm_refit_reaches_the_cold_optimum_in_no_more_steps(problem, l2,
@@ -235,17 +257,20 @@ def test_contrast_basis_fit_reaches_the_k_column_optimum(problem, l2):
 @pytest.mark.parametrize("seed", range(40))
 def test_contrast_basis_fit_takes_the_k_column_newton_steps(seed):
     """On problems drawn uniformly from the hypothesis strategy's range
-    (not the adversarial corners it searches), the two fits take the same
-    Newton steps to the same optimum: over 1,300 such problems the step
-    counts always agreed and the probabilities differed by at most
-    2.3e-6."""
+    (not the adversarial corners it searches), the CG fits take the
+    oracle's Newton steps to the same optimum: over 1,300 such problems
+    the step counts always agreed and the probabilities differed by at
+    most 2.3e-6.  The direct solve is switched off, so fits with fewer
+    rows than features run Gram-form CG and the rest ``theta``-form CG.
+    """
     rng = np.random.default_rng(seed)
     n, d, k = rng.integers(1, 301), rng.integers(1, 97), rng.integers(2, 13)
     x = rng.normal(size=(n, d)) * rng.choice([0.1, 1.0, 4.0])
     soft = rng.dirichlet(np.full(k, rng.choice([0.1, 1.0, 10.0])), size=n)
     weights = rng.random(n) + 0.01 if seed % 2 else None
-    clf, steps, oracle, oracle_steps = _oracle_pair(
-        x, soft, weights, rng.choice([0.02, 0.1, 1.0]))
+    with mock.patch.object(logistic, "DIRECT_SOLVE_SIZE", 0):
+        clf, steps, oracle, oracle_steps = _oracle_pair(
+            x, soft, weights, rng.choice([0.02, 0.1, 1.0]))
     assert steps == oracle_steps
     np.testing.assert_allclose(clf.predict_proba(x), oracle.predict_proba(x),
                                atol=1e-5, rtol=0)
@@ -264,6 +289,175 @@ def test_single_class_labels_terminate_with_finite_weights(problem, l2, data):
                         weights) <= MAX_NEWTON_STEPS
     assert np.isfinite(clf.weight).all() and np.isfinite(clf.bias).all()
     assert (clf.predict(x) == label).all()
+
+
+def fit_work(clf, x, soft, sample_weights=None, **options) -> dict:
+    """``clf.fit_soft`` under a fresh registry; returns its counters."""
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        clf.fit_soft(x, soft, sample_weights, **options)
+    return registry.snapshot()["counters"]
+
+
+def objective_value(clf, x, soft, sample_weights) -> float:
+    """The weight-normalised objective at ``clf``'s weights, written out."""
+    w = sample_weights / sample_weights.sum()
+    log_proba = _log_softmax(x @ clf.weight + clf.bias)
+    return float(-np.vdot(w[:, None] * soft, log_proba)
+                 + 0.5 * clf.l2 * np.vdot(clf.weight, clf.weight))
+
+
+def resampled_problem(seed, n_classes, max_rows=None):
+    """Fewer rows than features, drawn with replacement as a bootstrap
+    resample draws them (duplicate rows), with soft labels and weights."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(40, 97))
+    n = int(rng.integers(5, d if max_rows is None else min(d, max_rows)))
+    base = rng.normal(size=(n, d))
+    x = base[rng.integers(0, n, size=n)]
+    soft = rng.dirichlet(np.ones(n_classes), size=n)
+    return x, soft, rng.random(n) + 0.01
+
+
+@given(soft_fit_problems(), L2_GRID, st.data())
+@settings(max_examples=60, deadline=None)
+def test_fits_with_as_many_rows_as_features_are_unchanged(problem, l2, data):
+    """``n >= d``: the ``theta``-form Newton-CG, bit for bit as before the
+    Gram form (``logistic_oracle.theta_fit``), cold and warm."""
+    x, soft, weights = problem
+    x = x[:, :data.draw(st.integers(1, x.shape[0]))]  # n >= d
+    clf = LogisticRegressionClassifier(x.shape[1], soft.shape[1], l2=l2)
+    theta = np.zeros((x.shape[1] + 1, soft.shape[1] - 1))
+    for labels in (soft, soft[::-1]):
+        counters = fit_work(clf, x, labels, weights)
+        theta = theta_fit(x, labels, weights, l2, theta, clf._basis)
+        np.testing.assert_array_equal(clf.weight, theta[:-1] @ clf._basis.T)
+        np.testing.assert_array_equal(clf.bias, theta[-1] @ clf._basis.T)
+        assert counters["classifier.direct_solves"] == 0
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_gram_cg_takes_the_k_column_newton_steps(seed):
+    """Gram-form CG (direct solve off) runs the oracle's Newton iterates on
+    bootstrap-like rows with duplicates, three classes and weights: after
+    each of the first three steps the weights agree to 2e-15 (1e-12
+    asserted), and the fit, cold or resumed from two steps, takes the
+    oracle's Newton steps.  Converged weights differ by up to 1.9e-8
+    (1e-7 asserted), as the ``theta`` form's do (2.5e-8 on these
+    problems): the last, truncated CG solve amplifies rounding."""
+    x, soft, weights = resampled_problem(seed, 3)
+    d = x.shape[1]
+    with mock.patch.object(logistic, "DIRECT_SOLVE_SIZE", 0):
+        for cut in (1, 2, 3):
+            with mock.patch.object(logistic, "MAX_NEWTON_STEPS", cut):
+                clf = LogisticRegressionClassifier(d, 3).fit_soft(x, soft, weights)
+                oracle = KColumnLogistic(d, 3).fit_soft(x, soft, weights)
+            np.testing.assert_allclose(clf.weight, oracle.weight, atol=1e-12, rtol=0)
+        clf, oracle = LogisticRegressionClassifier(d, 3), KColumnLogistic(d, 3)
+        with mock.patch.object(logistic, "MAX_NEWTON_STEPS", 2):
+            clf.fit_soft(x, soft, weights)
+            oracle.fit_soft(x, soft, weights)
+        counters = fit_work(clf, x, soft, weights)
+        assert counters["classifier.newton_steps"] == \
+            newton_steps(oracle, x, soft, weights)
+        assert counters["classifier.direct_solves"] == 0
+    np.testing.assert_allclose(clf.weight, oracle.weight, atol=1e-7, rtol=0)
+    np.testing.assert_allclose(clf.bias, oracle.bias, atol=1e-7, rtol=0)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_direct_solve_reaches_the_k_column_optimum(seed):
+    """One solve per Newton step, no Hessian-vector product, and the
+    oracle's optimum: gradient norm at most :data:`GRAD_TOL` at the
+    returned weights, objective equal within 1e-10 relative.  Both fits
+    stop anywhere inside the gradient ball, where the objective varies by
+    up to 2.0e-11 relative over 300 such problems, so 1e-12 cannot
+    hold."""
+    n_classes = 2 + seed % 2
+    x, soft, weights = resampled_problem(
+        seed, n_classes, max_rows=DIRECT_SOLVE_SIZE // (n_classes - 1))
+    clf = LogisticRegressionClassifier(x.shape[1], n_classes)
+    counters = fit_work(clf, x, soft, weights)
+    assert counters["classifier.direct_solves"] == \
+        counters["classifier.newton_steps"] > 0
+    assert counters["classifier.hv_products"] == 0
+    assert np.linalg.norm(objective_gradient(clf, x, soft, weights)) <= GRAD_TOL
+    oracle = KColumnLogistic(x.shape[1], n_classes).fit_soft(x, soft, weights)
+    assert objective_value(clf, x, soft, weights) == pytest.approx(
+        objective_value(oracle, x, soft, weights), rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("failure", ["singular", "not-descent"])
+def test_a_bad_direct_system_ends_the_fit_as_cg_nonpositive_curvature_does(
+        failure):
+    """CG that meets curvature <= 0 on its first direction returns no
+    step, the line search finds no decrease and the fit ends with its
+    start weights after one counted step.  A direct system that is
+    singular, or whose solution is no descent step, ends it the same."""
+    x, soft, weights = resampled_problem(0, 2, max_rows=30)
+    d = x.shape[1]
+    concave = lambda basis, proba, w_proba: -np.ones(  # noqa: E731
+        (len(proba), 1, 1))
+    with mock.patch.object(logistic, "DIRECT_SOLVE_SIZE", 0), \
+            mock.patch.object(logistic, "_curvature", concave):
+        cg = LogisticRegressionClassifier(d, 2)
+        cg_work = fit_work(cg, x, soft, weights)
+    if failure == "singular":
+        solve = mock.Mock(side_effect=np.linalg.LinAlgError("Singular matrix"))
+    else:
+        solve = mock.Mock(side_effect=lambda system, rhs: -rhs)  # uphill
+    with mock.patch.object(logistic.np.linalg, "solve", solve):
+        direct = LogisticRegressionClassifier(d, 2)
+        direct_work = fit_work(direct, x, soft, weights)
+    assert solve.call_count == 1
+    assert cg_work["classifier.newton_steps"] == \
+        direct_work["classifier.newton_steps"] == 1
+    assert direct_work["classifier.direct_solves"] == 1
+    for clf in (cg, direct):
+        assert clf._fitted and not clf.weight.any() and not clf.bias.any()
+
+
+class TestGramReuse:
+    """A Gram-form fit keeps a copy of its rows with their ``K``."""
+
+    def test_a_refit_on_equal_rows_reuses_k_and_coefficients(self):
+        x, soft, weights = resampled_problem(3, 2, max_rows=40)
+        clf = LogisticRegressionClassifier(x.shape[1], 2).fit_soft(
+            x, soft, weights)
+        gram = clf._dual[1]
+        counters = fit_work(clf, x.copy(), soft, weights)  # equal, not same
+        assert clf._dual[1] is gram
+        assert counters["classifier.newton_steps"] == 0  # at the optimum
+        fit_work(clf, x, soft[::-1], weights)
+        assert clf._dual[1] is gram
+
+    def test_a_refit_after_the_rows_change_in_place_starts_over(self):
+        """The kept copy, not the caller's array, decides reuse: rows
+        changed in place, here so that the duplicate rows change too, are
+        other rows, fitted from the warm weights in the ``theta`` form."""
+        x, soft, weights = resampled_problem(7, 3, max_rows=40)
+        clf = LogisticRegressionClassifier(x.shape[1], 3).fit_soft(
+            x, soft, weights)
+        x[0] = x[1] + 1.0
+        x[2] = x[3]
+        start = clf._theta.copy()
+        counters = fit_work(clf, x, soft, weights)
+        assert counters["classifier.direct_solves"] == 0
+        np.testing.assert_array_equal(
+            clf._theta, theta_fit(x, soft, weights, clf.l2, start, clf._basis))
+        assert clf._dual is None
+
+    def test_warm_weights_from_other_rows_take_the_theta_form(self):
+        """Weights fitted on other rows need not lie in the row space of
+        ``x``: the refit runs the ``theta`` form from them, bit for bit."""
+        x, soft, weights = resampled_problem(5, 2, max_rows=40)
+        clf = LogisticRegressionClassifier(x.shape[1], 2).fit_soft(
+            x[::2], soft[::2], weights[::2])
+        start = clf._theta.copy()
+        counters = fit_work(clf, x, soft, weights)
+        assert counters["classifier.direct_solves"] == 0
+        np.testing.assert_array_equal(
+            clf._theta, theta_fit(x, soft, weights, clf.l2, start, clf._basis))
 
 
 class TestKNNSpecifics:

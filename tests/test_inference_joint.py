@@ -312,3 +312,51 @@ class TestRefitSchedule:
         assert spy.fit_sweeps == []
         assert joint.fitted_classifier is None
         assert counters["infer.em_refits"] == 0
+
+
+class TestGramForm:
+    """With fewer answered objects than features, phi's fits take the Gram
+    form on the answered rows only."""
+
+    def test_refits_of_one_call_form_k_once(self):
+        _, platform, answers = joint_setup(n_objects=30, seed=2)
+        wide = np.random.default_rng(0).normal(size=(30, 80))  # n < d
+        grams = []
+
+        class Spy(LogisticRegressionClassifier):
+            def fit_soft(self, x, soft_labels, sample_weights=None):
+                super().fit_soft(x, soft_labels, sample_weights)
+                grams.append(self._dual[1])
+                return self
+
+        joint = JointInference(Spy(80, 2), wide,
+                               expert_mask=platform.pool.expert_mask)
+        joint.infer(answers, 2, len(platform.pool))
+        assert len(grams) >= 2
+        assert all(gram is grams[0] for gram in grams)
+        assert grams[0].shape == (30, 30)
+
+    def test_a_few_rows_of_a_large_matrix_allocate_nothing_quadratic(self):
+        """Joint EM and the final classifier fit 30 rows of a 3,000-row
+        feature matrix: nothing of the matrix's ``N x N`` size (72 MB) is
+        allocated, the peak stays below an eighth of it."""
+        import tracemalloc
+
+        from repro.baselines.common import train_final_classifier
+
+        _, platform, answers = joint_setup(n_objects=30, seed=2)
+        n_rows, n_features = 3000, 100
+        features = np.random.default_rng(1).normal(size=(n_rows, n_features))
+        truths = {i: i % 2 for i in range(30)}
+        tracemalloc.start()
+        try:
+            joint = JointInference(
+                LogisticRegressionClassifier(n_features, 2), features,
+                expert_mask=platform.pool.expert_mask)
+            joint.infer(answers, 2, len(platform.pool))
+            assert joint.fitted_classifier is not None
+            assert train_final_classifier(features, truths, 2, rng=0) is not None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n_rows * n_rows

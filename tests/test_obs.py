@@ -285,6 +285,7 @@ class TestRunIntegration:
         assert "target-net forwards for" in out
         phi = next(line for line in out.splitlines() if line.startswith("phi:"))
         assert "Newton steps" in phi and "Hessian-vector products" in phi
+        assert "direct solves" in phi
         assert "refits over" in phi
         assert obs_main(["report", str(path), "--format", "json"]) == 0
         summary = json.loads(capsys.readouterr().out)
@@ -293,7 +294,9 @@ class TestRunIntegration:
         assert 0 < dqn["target_forwards"] < dqn["bootstrap_lookups"]
         counters = summary["counters"]
         assert 0 < counters["infer.em_refits"] <= counters["classifier.newton_steps"]
-        assert counters["classifier.newton_steps"] <= counters["classifier.hv_products"]
+        # Each Newton step makes at least one CG product or one direct solve.
+        assert counters["classifier.newton_steps"] <= \
+            counters["classifier.hv_products"] + counters["classifier.direct_solves"]
 
     def test_report_cli_missing_file(self, tmp_path, capsys):
         assert obs_main(["report", str(tmp_path / "nope.jsonl")]) == 2
